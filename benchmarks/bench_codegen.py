@@ -6,16 +6,23 @@ agree with the interpreted codec over a packet corpus.
 (b) Performance: the generated code removes the per-field interpretive
 dispatch.  Expected shape: generated wins by a constant factor, larger
 for parse than for build.
+(c) ``make`` per checksum algorithm: both tiers call the same checksum
+kernel, so the compiled tier must not lose on any algorithm.
 """
 
 import time
+from functools import partial
 
 from conftest import record_table
 
 from repro import fastpath
 from repro.core.compile import compile_spec
+from repro.core.fields import Bytes, ChecksumField, UInt
+from repro.core.packet import PacketSpec
+from repro.core.symbolic import this
 from repro.protocols.arq import ARQ_PACKET
 from repro.protocols.headers import IPV4_HEADER, UDP_HEADER
+from repro.wire.checksums import CHECKSUM_ALGORITHMS
 
 REPEATS = 300
 
@@ -117,3 +124,43 @@ def test_staging_speedup(benchmark):
     codec = compile_spec(ARQ_PACKET)
     packet = next(p for n, s, p in corpus() if n == "arq")
     benchmark(codec.build, packet.values)
+
+
+def test_make_per_checksum_algorithm(benchmark):
+    rows = []
+    makes = {}
+    for algorithm in ("xor8", "internet", "fletcher16", "crc16-ccitt", "crc32", "adler32"):
+        spec = PacketSpec(
+            f"Make_{algorithm.replace('-', '_')}",
+            fields=[
+                UInt("seq", bits=16),
+                ChecksumField("chk", algorithm=algorithm, over=("seq", "length", "payload")),
+                UInt("length", bits=8),
+                Bytes("payload", length=this.length),
+            ],
+        )
+        make = makes[algorithm] = partial(spec.make, seq=1, length=255, payload=bytes(range(255)))
+        with fastpath.use(mode="off"):
+            interp = min(_time(make) for _ in range(3))
+        with fastpath.use(mode="always"):
+            compiled = min(_time(make) for _ in range(3))
+        kernel = min(_time(CHECKSUM_ALGORITHMS[algorithm].compute, bytes(258)) for _ in range(3))
+        rows.append(
+            (
+                algorithm,
+                f"{interp / REPEATS * 1e6:.1f}",
+                f"{compiled / REPEATS * 1e6:.1f}",
+                f"{kernel / REPEATS * 1e6:.2f}",
+                f"{interp / compiled:.2f}x",
+            )
+        )
+        assert compiled < interp  # one shared kernel: compiling never loses
+    record_table(
+        "E13c",
+        f"make() of a 255-byte payload frame per checksum algorithm ({REPEATS} ops per cell, best of 3)",
+        ["algorithm", "interpreted us", "compiled us", "kernel us", "compiled speedup"],
+        rows,
+        notes="both tiers call the same kernel from repro.wire.checksums",
+    )
+    with fastpath.use(mode="always"):
+        benchmark(makes["crc16-ccitt"])

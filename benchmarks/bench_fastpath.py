@@ -9,7 +9,8 @@ the full harness run (``BENCH_perf.json``) is trusted for:
 
 * every spec report carries all three tiers plus speedup ratios,
 * every spec actually reaches the compiled tier (no silent refusals),
-* the compiled tier is never slower than the interpreter.
+* the compiled tier is never slower than the interpreter, and its
+  checksum computation holds ``perf_harness.CHECKSUM_FLOOR``.
 """
 
 import perf_harness
@@ -45,6 +46,10 @@ def test_fastpath_tiers(benchmark):
             f"{name}: compiled tier slower than the interpreter "
             f"({row['compiled_speedup']:.2f}x)"
         )
+        checksum = row.get("checksum_speedup")
+        assert checksum is None or checksum >= perf_harness.CHECKSUM_FLOOR, (
+            f"{name}: compiled checksums at {checksum:.2f}x the interpreter's"
+        )
         rows.append(
             (
                 name,
@@ -53,6 +58,7 @@ def test_fastpath_tiers(benchmark):
                 f"{row['batch']['packets_per_second']:,.0f}",
                 f"{row['compiled_speedup']:.2f}x",
                 f"{row['batch_speedup']:.2f}x",
+                f"{checksum:.2f}x" if checksum else "--",
             )
         )
     stats = report["fastpath_stats"]
@@ -60,7 +66,7 @@ def test_fastpath_tiers(benchmark):
     record_table(
         "E15",
         f"fast-path tiers, round-trip packets/sec ({BUDGET_SECONDS}s budget/cell)",
-        ["spec", "interp pps", "compiled pps", "batch pps", "comp x", "batch x"],
+        ["spec", "interp pps", "compiled pps", "batch pps", "comp x", "batch x", "cksum x"],
         rows,
         notes=(
             "full-budget artifact: BENCH_perf.json "

@@ -14,6 +14,10 @@ encode + one decode per packet) across the tier ladder:
 ``batch``
     ``encode_many``/``decode_many`` — compiled closures plus amortized
     per-call overhead.
+``checksum_interpreted`` / ``checksum_compiled``
+    for specs with checksum fields, ``compute_checksums`` (the ``make``
+    path) per tier.  A round trip computes no checksum, so only these
+    cells can see a slow checksum kernel in either tier.
 ``parallel``
     the same batch APIs routed through the ``repro.parallel`` sharded
     pool — compiled codecs fanned out across worker processes.  The
@@ -32,7 +36,8 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_harness.py --check  # CI gate
 
 ``--check`` fails (exit 1) when any spec's compiled tier is slower than
-its interpreted tier, when any tier drops below its tolerance band
+its interpreted tier (round trip), or below ``CHECKSUM_FLOOR`` of it
+(checksums), when any tier drops below its tolerance band
 versus the committed baseline, or — on machines with enough cores —
 when the parallel tier fails to scale over single-process batch.
 """
@@ -53,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import fastpath, parallel
 from repro.conformance.registry import all_spec_entries
 from repro.core import codec
-from repro.core.fields import Bytes, UInt
+from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import this
 from repro.fastpath import batch
@@ -148,6 +153,12 @@ def _roundtrip_batch(spec: Any, values: List[dict], wires: List[bytes]) -> None:
     batch.decode_many(spec, wires)
 
 
+def _checksums_single(spec: Any, values: List[dict], wires: List[bytes]) -> None:
+    compute = codec.compute_checksums
+    for value_env in values:
+        compute(spec, value_env)
+
+
 def measure(
     runner: Callable[[Any, List[dict], List[bytes]], None],
     spec: Any,
@@ -224,6 +235,16 @@ def run(seed: int, budget_seconds: float, workers: int = 0) -> Dict[str, Any]:
                 # calling it parallel.
                 per_spec["parallel"] = None
                 per_spec["parallel_scale_vs_batch"] = None
+        if any(isinstance(field, ChecksumField) for field in spec.fields):
+            for tier, mode in (("checksum_interpreted", "off"), ("checksum_compiled", "always")):
+                with fastpath.use(mode=mode):
+                    per_spec[tier] = measure(
+                        _checksums_single, spec, values, wires, budget_seconds
+                    )
+            per_spec["checksum_speedup"] = (
+                per_spec["checksum_compiled"]["packets_per_second"]
+                / per_spec["checksum_interpreted"]["packets_per_second"]
+            )
         interp = per_spec["interpreted"]["packets_per_second"]
         per_spec["compiled_speedup"] = (
             per_spec["compiled"]["packets_per_second"] / interp
@@ -247,11 +268,13 @@ def render(report: Dict[str, Any]) -> str:
     lines = [
         f"cores={report['cpu_count']} parallel workers={report['workers']}",
         f"{'spec':<18} {'interp pps':>12} {'compiled pps':>13} "
-        f"{'batch pps':>12} {'par pps':>12} {'comp x':>7} {'par/bat':>8}  tier",
+        f"{'batch pps':>12} {'par pps':>12} {'comp x':>7} {'par/bat':>8} "
+        f"{'cksum x':>8}  tier",
     ]
     for name, row in report["specs"].items():
         par = row.get("parallel")
         scale = row.get("parallel_scale_vs_batch")
+        checksum = row.get("checksum_speedup")
         lines.append(
             f"{name:<18} "
             f"{row['interpreted']['packets_per_second']:>12.0f} "
@@ -259,7 +282,8 @@ def render(report: Dict[str, Any]) -> str:
             f"{row['batch']['packets_per_second']:>12.0f} "
             f"{par['packets_per_second'] if par else 0:>12.0f} "
             f"{row['compiled_speedup']:>6.2f}x "
-            f"{f'{scale:.2f}x' if scale else '--':>8}  {row['tier_used']}"
+            f"{f'{scale:.2f}x' if scale else '--':>8} "
+            f"{f'{checksum:.2f}x' if checksum else '--':>8}  {row['tier_used']}"
         )
     return "\n".join(lines)
 
@@ -278,6 +302,12 @@ TOLERANCE = {
     "batch_big": 0.35,
     "parallel": 0.30,
 }
+
+#: Least compiled/interpreted ratio for ``compute_checksums``.  Below
+#: 1.0 because UdpDatagram's checksum covers up to 64 KiB, so both tiers
+#: spend nearly all their time in the same kernel and sit at ~1.1x;
+#: header-sized specs run 2-5x.
+CHECKSUM_FLOOR = 0.8
 
 
 def _tier_pps(row: Optional[Dict[str, Any]], tier: str) -> Optional[float]:
@@ -299,6 +329,12 @@ def check_report(
             problems.append(
                 f"{name}: compiled tier slower than interpreted "
                 f"({row['compiled_speedup']:.2f}x)"
+            )
+        checksum = row.get("checksum_speedup")
+        if checksum is not None and checksum < CHECKSUM_FLOOR:
+            problems.append(
+                f"{name}: compiled checksums at {checksum:.2f}x the "
+                f"interpreter's, below {CHECKSUM_FLOOR}x"
             )
     if baseline and baseline.get("schema") == report.get("schema"):
         for name, base_row in sorted(baseline.get("specs", {}).items()):

@@ -12,7 +12,10 @@ functions.
 Because the generator walks the *same* spec the interpreted codec walks,
 the two implementations are differentially testable: for every packet,
 ``generated.build == spec.encode`` and ``generated.parse == spec.decode``
-(experiment E13 sweeps this and measures the speedup).
+(experiment E13 sweeps this and measures the speedup).  Checksums are not
+generated at all: a module embeds the kernel source of each algorithm it
+uses, the same source ``repro.wire.checksums`` defines the interpreter's
+function from.
 
 Generated modules contain:
 
@@ -87,67 +90,6 @@ def _patch_uint(out, bit, width, value):
         byte_end - first, "big")
 '''
 
-_ALGORITHM_SOURCES: Dict[str, str] = {
-    "xor8": '''
-def _ck_xor8(data):
-    value = 0
-    for byte in data:
-        value ^= byte
-    return value
-''',
-    "internet": '''
-def _ck_internet(data):
-    if len(data) % 2:
-        data = bytes(data) + b"\\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-''',
-    "fletcher16": '''
-def _ck_fletcher16(data):
-    c0 = c1 = 0
-    for byte in data:
-        c0 = (c0 + byte) % 255
-        c1 = (c1 + c0) % 255
-    return (c1 << 8) | c0
-''',
-    "crc16-ccitt": '''
-def _ck_crc16_ccitt(data):
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
-''',
-    "crc32": '''
-def _ck_crc32(data):
-    import zlib
-    return zlib.crc32(data) & 0xFFFFFFFF
-''',
-    "adler32": '''
-def _ck_adler32(data):
-    import zlib
-    return zlib.adler32(data) & 0xFFFFFFFF
-''',
-}
-
-_ALGORITHM_FUNCTIONS: Dict[str, str] = {
-    "xor8": "_ck_xor8",
-    "internet": "_ck_internet",
-    "fletcher16": "_ck_fletcher16",
-    "crc16-ccitt": "_ck_crc16_ccitt",
-    "crc32": "_ck_crc32",
-    "adler32": "_ck_adler32",
-}
-
-
 class CodegenError(ValueError):
     """Raised when a spec uses features the generator does not stage."""
 
@@ -217,6 +159,24 @@ def _check_checksum_alignment(spec: Any) -> None:
                 )
 
 
+def _check_checksum_kernels(spec: Any) -> None:
+    """Refuse checksum algorithms that have no kernel source to stage.
+
+    A built-in algorithm carries the standalone source its interpreted
+    function was defined from (``repro.wire.checksums``), and generated
+    modules embed that same source.  An algorithm registered at run time
+    is only a callable, which a standalone module cannot embed, so its
+    specs stay on the interpreted tier.
+    """
+    for field in spec.fields:
+        if isinstance(field, ChecksumField) and field.algorithm.source is None:
+            raise CodegenError(
+                f"spec {spec.name!r}: checksum {field.name!r} uses "
+                f"{field.algorithm.name!r}, a registered algorithm with no "
+                "kernel source for the code generator to stage"
+            )
+
+
 _EXACT_FIELD_TYPES = (UInt, Flag, Reserved, Bytes, UIntList, ChecksumField)
 
 
@@ -244,18 +204,17 @@ def generate_codec_source(spec: Any) -> str:
     """Emit standalone Python source implementing ``spec``'s codec."""
     _check_exact_field_types(spec)
     _check_checksum_alignment(spec)
+    _check_checksum_kernels(spec)
     name = spec.name.lower()
     parse_lines = _generate_parse(spec)
     build_lines = _generate_build(spec)
     finalize_lines = _generate_finalize(spec)
     validate_lines = _generate_validate(spec)
-    algorithms = sorted(
-        {
-            field.algorithm.name
-            for field in spec.fields
-            if isinstance(field, ChecksumField)
-        }
-    )
+    kernels = {
+        field.algorithm.name: field.algorithm.source
+        for field in spec.fields
+        if isinstance(field, ChecksumField)
+    }
     residual = [
         constraint.name
         for constraint in spec.constraints
@@ -277,7 +236,7 @@ def generate_codec_source(spec: Any) -> str:
     parts = [
         "\n".join(header),
         _HELPERS,
-        "".join(_ALGORITHM_SOURCES[a] for a in algorithms),
+        "\n\n".join(kernels[algorithm] for algorithm in sorted(kernels)),
         "\n".join(parse_lines),
         "",
         "\n".join(build_lines),
@@ -716,6 +675,30 @@ def _build_field(spec: Any, field: Any) -> List[str]:
     return lines
 
 
+def _cover_code(spec: Any, field: ChecksumField, view: str) -> str:
+    """Source for the bytes a checksum covers, sliced from memoryview ``view``.
+
+    Covered fields that sit next to each other on the wire form one
+    contiguous byte range, so each run of them is a single slice.  A
+    cover that is one run is handed to the kernel as that memoryview,
+    without a copy; only covers with gaps are joined.
+    """
+    position = {f.name: index for index, f in enumerate(spec.fields)}
+    runs: List[List[str]] = []
+    for covered in field.over or ():
+        if runs and position[covered] == position[runs[-1][-1]] + 1:
+            runs[-1].append(covered)
+        else:
+            runs.append([covered])
+    slices = [
+        f"{view}[spans[{run[0]!r}][0] // 8:spans[{run[-1]!r}][1] // 8]"
+        for run in runs
+    ]
+    if len(slices) == 1:
+        return slices[0]
+    return f"b''.join(({', '.join(slices)}))"
+
+
 def _generate_finalize(spec: Any) -> List[str]:
     name = spec.name.lower()
     checksum_fields = [f for f in spec.fields if isinstance(f, ChecksumField)]
@@ -730,24 +713,27 @@ def _generate_finalize(spec: Any) -> List[str]:
     for field in checksum_fields:
         lines.append(f"    work[{field.name!r}] = 0")
     lines.append("    spans = {}")
-    lines.append(f"    buf = bytearray(build_{name}(work, spans))")
-    for field in checksum_fields:
-        function = _ALGORITHM_FUNCTIONS[field.algorithm.name]
-        lines.append(f"    _s, _e = spans[{field.name!r}]")
+    if len(checksum_fields) == 1:
+        # No later checksum reads the buffer: no patch, so no copy.
+        lines.append(f"    _b = memoryview(build_{name}(work, spans))")
+    else:
+        lines.append(f"    buf = bytearray(build_{name}(work, spans))")
         # A memoryview cover: zero-copy, and it tracks the _patch_uint
         # updates of earlier checksums (same-size patches never resize
         # the bytearray, so the exported view stays valid).
         lines.append("    _b = memoryview(buf)")
+    for field in checksum_fields:
         if field.covers_whole_packet:
             lines.append("    cover = _b")
             lines.append("    # checksum field is still zero in buf, per over='*'")
         else:
-            lines.append("    cover = b''.join(")
-            lines.append("        _b[spans[_n][0] // 8:spans[_n][1] // 8]")
-            lines.append(f"        for _n in {list(field.over)!r})")
-        lines.append(f"    _v = {function}(cover)")
+            lines.append(f"    cover = {_cover_code(spec, field, '_b')}")
+        lines.append(f"    _v = {field.algorithm.compute.__name__}(cover)")
         lines.append(f"    work[{field.name!r}] = _v")
-        lines.append(f"    _patch_uint(buf, _s, {field.bits}, _v)")
+        if field is not checksum_fields[-1]:
+            lines.append(
+                f"    _patch_uint(buf, spans[{field.name!r}][0], {field.bits}, _v)"
+            )
     lines.append("    return work")
     return lines
 
@@ -761,19 +747,16 @@ def _generate_validate(spec: Any) -> List[str]:
     ]
     for field in spec.fields:
         if isinstance(field, ChecksumField):
-            function = _ALGORITHM_FUNCTIONS[field.algorithm.name]
+            function = field.algorithm.compute.__name__
             lines.append("    spans = {}")
-            lines.append(f"    buf = bytearray(build_{name}(values, spans))")
-            lines.append(f"    _s, _e = spans[{field.name!r}]")
             if field.covers_whole_packet:
+                lines.append(f"    buf = bytearray(build_{name}(values, spans))")
+                lines.append(f"    _s, _e = spans[{field.name!r}]")
                 lines.append("    _patch_uint(buf, _s, _e - _s, 0)")
                 lines.append("    cover = memoryview(buf)")
             else:
-                lines.append("    cover = b''.join(")
-                lines.append(
-                    "        memoryview(buf)[spans[_n][0] // 8:spans[_n][1] // 8]"
-                )
-                lines.append(f"        for _n in {list(field.over)!r})")
+                lines.append(f"    _b = memoryview(build_{name}(values, spans))")
+                lines.append(f"    cover = {_cover_code(spec, field, '_b')}")
             lines.append(f"    if {function}(cover) != values[{field.name!r}]:")
             lines.append(f"        violations.append('{field.name}_valid')")
         elif isinstance(field, UInt):

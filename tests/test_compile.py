@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import fastpath
+from repro.core import codec
 from repro.core.compile import CodegenError, compile_spec, generate_codec_source
 from repro.core.constraints import Constraint
 from repro.core.fields import Bytes, ChecksumField, Flag, Reserved, UInt, UIntList
@@ -10,6 +12,8 @@ from repro.core.packet import PacketSpec
 from repro.core.symbolic import this
 from repro.protocols.arq import ARQ_PACKET
 from repro.protocols.headers import IPV4_HEADER, UDP_HEADER
+from repro.protocols.sliding import SLIDING_ACK, SLIDING_PACKET
+from repro.wire.checksums import CHECKSUM_ALGORITHMS, register_algorithm
 
 SPECS = {
     "arq": ARQ_PACKET,
@@ -163,3 +167,94 @@ class TestGeneratorLimits:
         )
         with pytest.raises(CodegenError, match="byte-aligned"):
             generate_codec_source(spec)
+
+
+BUILTIN_ALGORITHMS = ("xor8", "internet", "fletcher16", "crc16-ccitt", "crc32", "adler32")
+
+
+def _checksummed_spec(algorithm, over):
+    """seq | chk | length | payload, with ``chk`` computed by ``algorithm``."""
+    return PacketSpec(
+        f"Ck_{algorithm.replace('-', '_')}",
+        fields=[
+            UInt("seq", bits=16),
+            ChecksumField("chk", algorithm=algorithm, over=over),
+            UInt("length", bits=16),
+            Bytes("payload", length=this.length),
+        ],
+    )
+
+
+COVERS = (("seq", "length", "payload"), ("length", "payload"), "*")
+
+
+class TestSharedChecksumKernels:
+    @pytest.mark.parametrize("algorithm", BUILTIN_ALGORITHMS)
+    def test_generated_module_embeds_the_interpreter_kernel(self, algorithm):
+        kernel = CHECKSUM_ALGORITHMS[algorithm]
+        compiled = compile_spec(_checksummed_spec(algorithm, COVERS[0]))
+        assert kernel.source in compiled.source
+        generated = getattr(compiled.module, kernel.compute.__name__)
+        if hasattr(kernel.compute, "__code__"):
+            assert generated.__code__.co_code == kernel.compute.__code__.co_code
+        else:  # a C function of the standard library, bound by name
+            assert generated is kernel.compute
+
+    @pytest.mark.parametrize("over", COVERS, ids=("gap", "run", "whole"))
+    @pytest.mark.parametrize("algorithm", BUILTIN_ALGORITHMS)
+    @given(seq=st.integers(0, 0xFFFF), payload=st.binary(max_size=300))
+    def test_finalize_and_validate_match_the_interpreter(
+        self, algorithm, over, seq, payload
+    ):
+        spec = _checksummed_spec(algorithm, over)
+        compiled = compile_spec(spec)
+        values = {"seq": seq, "chk": 0, "length": len(payload), "payload": payload}
+        with fastpath.use(mode="off"):
+            expected = codec.compute_checksums(spec, values)
+        assert compiled.finalize(values) == expected
+        assert compiled.validate(expected) == []
+        forged = dict(expected, chk=expected["chk"] ^ 1)
+        assert compiled.validate(forged) == ["chk_valid"]
+
+    @given(seq=st.integers(0, 0xFFFF), payload=st.binary(max_size=64))
+    def test_a_later_checksum_covers_an_earlier_one(self, seq, payload):
+        spec = PacketSpec(
+            "TwoChecksums",
+            fields=[
+                UInt("seq", bits=16),
+                UInt("length", bits=16),
+                ChecksumField("body", algorithm="crc16-ccitt", over=("length", "payload")),
+                ChecksumField("whole", algorithm="internet", over="*"),
+                Bytes("payload", length=this.length),
+            ],
+        )
+        compiled = compile_spec(spec)
+        values = {"seq": seq, "length": len(payload), "body": 0, "whole": 0,
+                  "payload": payload}
+        with fastpath.use(mode="off"):
+            expected = codec.compute_checksums(spec, values)
+        assert compiled.finalize(values) == expected
+        assert compiled.validate(expected) == []
+
+    def test_adjacent_covered_fields_are_sliced_once(self):
+        ack = generate_codec_source(SLIDING_ACK)  # covers kind, seq: one run
+        assert "b''.join" not in ack
+        data = generate_codec_source(SLIDING_PACKET)  # seq | chk | length, payload
+        cover = next(line for line in data.splitlines() if "cover = " in line)
+        assert cover.count("_b[") == 2
+        assert "spans['length'][0] // 8:spans['payload'][1] // 8" in cover
+
+    def test_registered_algorithm_is_refused_and_stays_interpreted(self):
+        name = "test-compile-sum8"
+        if name not in CHECKSUM_ALGORITHMS:
+            register_algorithm(name, 8, lambda data: sum(data) & 0xFF)
+        spec = PacketSpec(
+            "CustomSum",
+            fields=[UInt("a", bits=8), ChecksumField("c", algorithm=name, over=("a",))],
+        )
+        with pytest.raises(CodegenError, match="no kernel source"):
+            generate_codec_source(spec)
+        with fastpath.use(mode="always"):
+            packet = spec.make(a=3)
+            assert packet.c == 3
+            assert fastpath.state_of(spec).status == "interpreted"

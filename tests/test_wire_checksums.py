@@ -1,4 +1,9 @@
-"""Checksum algorithms against published test vectors and basic laws."""
+"""Checksum algorithms against published test vectors and basic laws.
+
+Each built-in kernel is also checked against a per-byte reference written
+from the algorithm's textbook definition, on every bytes-like input type
+the codec tiers hand it.
+"""
 
 import zlib
 
@@ -15,6 +20,113 @@ from repro.wire.checksums import (
     register_algorithm,
     xor8,
 )
+
+
+def _ref_xor8(data):
+    value = 0
+    for byte in data:
+        value ^= byte
+    return value
+
+
+def _ref_internet(data):
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def _ref_fletcher16(data):
+    c0 = c1 = 0
+    for byte in data:
+        c0 = (c0 + byte) % 255
+        c1 = (c1 + c0) % 255
+    return (c1 << 8) | c0
+
+
+def _ref_crc16_ccitt(data, initial=0xFFFF):
+    crc = initial
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+    return crc
+
+
+def _ref_crc32(data):
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFF
+
+
+def _ref_adler32(data):
+    a, b = 1, 0
+    for byte in data:
+        a = (a + byte) % 65521
+        b = (b + a) % 65521
+    return (b << 16) | a
+
+
+REFERENCES = {
+    "xor8": _ref_xor8,
+    "internet": _ref_internet,
+    "fletcher16": _ref_fletcher16,
+    "crc16-ccitt": _ref_crc16_ccitt,
+    "crc32": _ref_crc32,
+    "adler32": _ref_adler32,
+}
+
+BYTES_LIKE = (bytes, bytearray, lambda data: memoryview(bytearray(data)))
+
+
+class TestKernelsMatchReferences:
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @given(data=st.binary(max_size=600))
+    def test_kernel_matches_reference_on_every_buffer_type(self, name, data):
+        expected = REFERENCES[name](data)
+        for wrap in BYTES_LIKE:
+            assert CHECKSUM_ALGORITHMS[name].compute(wrap(data)) == expected
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_edge_inputs(self, name):
+        # Empty, all-zero and all-ones inputs hit the special cases of the
+        # whole-integer kernels (an Internet checksum of 0 vs 0xFFFF).
+        for data in (b"", b"\x00", b"\xff", b"\x00" * 7, b"\xff" * 2,
+                     b"\xff" * 6, b"\xff\xfe\x00\x01", bytes(range(256)) * 6):
+            assert CHECKSUM_ALGORITHMS[name].compute(data) == REFERENCES[name](data)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_kernel_source_is_standalone_and_identical(self, name):
+        algorithm = CHECKSUM_ALGORITHMS[name]
+        assert "repro" not in algorithm.source
+        namespace = {}
+        exec(compile(algorithm.source, "<kernel>", "exec"), namespace)
+        function = namespace[algorithm.compute.__name__]
+        data = bytes(range(256)) * 2 + b"odd"
+        assert function(data) == algorithm.compute(data) == REFERENCES[name](data)
+
+    def test_public_functions_are_the_registry_kernels(self):
+        for name, function in (
+            ("xor8", xor8),
+            ("internet", internet_checksum),
+            ("fletcher16", fletcher16),
+            ("crc16-ccitt", crc16_ccitt),
+            ("crc32", crc32),
+            ("adler32", adler32),
+        ):
+            assert CHECKSUM_ALGORITHMS[name].compute is function
+
+    def test_crcs_and_adler_run_in_the_standard_library(self):
+        assert crc32 is zlib.crc32
+        assert adler32 is zlib.adler32
+        assert "crc_hqx" in CHECKSUM_ALGORITHMS["crc16-ccitt"].source
 
 
 class TestXor8:
@@ -73,6 +185,10 @@ class TestCrc:
         # The standard check input "123456789" -> 0x29B1 for CCITT-FALSE.
         assert crc16_ccitt(b"123456789") == 0x29B1
 
+    def test_crc16_initial_value_is_honoured(self):
+        # Same polynomial from init 0: the CRC-16/XMODEM check value.
+        assert crc16_ccitt(b"123456789", 0) == 0x31C3
+
     def test_crc32_matches_zlib(self):
         for data in (b"", b"a", b"123456789", b"the quick brown fox"):
             assert crc32(data) == zlib.crc32(data) & 0xFFFFFFFF
@@ -85,6 +201,9 @@ class TestAdler32:
     def test_matches_zlib(self):
         for data in (b"", b"Wikipedia", b"123456789", bytes(range(256))):
             assert adler32(data) == zlib.adler32(data) & 0xFFFFFFFF
+
+    def test_check_value(self):
+        assert adler32(b"Wikipedia") == 0x11E60398
 
 
 class TestRegistry:
@@ -112,3 +231,4 @@ class TestRegistry:
         if name not in CHECKSUM_ALGORITHMS:
             register_algorithm(name, 8, lambda data: sum(data) & 0xFF)
         assert CHECKSUM_ALGORITHMS[name].compute(b"\x01\x02") == 3
+        assert CHECKSUM_ALGORITHMS[name].source is None

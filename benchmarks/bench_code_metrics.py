@@ -4,8 +4,10 @@ or other software control functions" (paper §1).
 One impartial AST classifier measures the error-handling line fraction of
 (a) the hand-coded sockets-style ARQ, (b) the DSL protocol *definitions*
 (packet spec + machine builders — where the paper says protocol logic
-should live), and (c) the DSL driver code.  Expected shape: baseline
-highest; pure definitions near zero; drivers in between.
+should live), and (c) the ARQ role classes, the one copy of the driver
+code that the simulator, the serve session manager and the socket
+client all host.  Expected shape: baseline highest; pure definitions
+near zero; roles in between.
 """
 
 import inspect
@@ -27,14 +29,14 @@ def definition_source():
     return "\n".join(pieces)
 
 
-def driver_source():
+def role_source():
     return inspect.getsource(arq.ArqSender) + inspect.getsource(arq.ArqReceiver)
 
 
 def test_error_handling_density(benchmark):
     baseline_metrics = measure_module(baseline_module)
     definitions = measure_source(definition_source(), name="dsl definitions")
-    drivers = measure_source(driver_source(), name="dsl drivers")
+    roles = measure_source(role_source(), name="dsl roles")
     rows = [
         (
             "sockets-style baseline",
@@ -49,10 +51,10 @@ def test_error_handling_density(benchmark):
             f"{definitions.error_fraction:.1%}",
         ),
         (
-            "DSL drivers (IO glue)",
-            drivers.code_lines,
-            drivers.error_handling_lines,
-            f"{drivers.error_fraction:.1%}",
+            "DSL roles (IO glue)",
+            roles.code_lines,
+            roles.error_handling_lines,
+            f"{roles.error_fraction:.1%}",
         ),
     ]
     record_table(
@@ -62,11 +64,11 @@ def test_error_handling_density(benchmark):
         rows,
         notes=(
             "paper claims >=50% for C sockets code; Python's exceptions "
-            "compress that, but the ordering (baseline >> drivers >> "
+            "compress that, but the ordering (baseline >> roles >> "
             "definitions ~ 0%) is the claim's shape"
         ),
     )
     assert definitions.error_fraction == 0.0
     assert baseline_metrics.error_fraction > definitions.error_fraction
-    assert baseline_metrics.error_fraction > drivers.error_fraction
+    assert baseline_metrics.error_fraction > roles.error_fraction
     benchmark(measure_module, baseline_module)

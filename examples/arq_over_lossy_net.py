@@ -19,6 +19,7 @@ from repro.protocols.arq import (
     ArqSender,
     run_transfer,
 )
+from repro.protocols.role import on_node
 
 MESSAGES = [f"message-{i:02d}".encode() for i in range(12)]
 
@@ -56,8 +57,11 @@ link = DuplexLink(
 capture = Capture(specs=[ARQ_PACKET, ACK_PACKET])
 capture.tap(link.forward)
 capture.tap(link.backward)
-receiver = ArqReceiver(sim, receiver_node, "alice")
-sender = ArqSender(sim, sender_node, "bob", [b"alpha", b"beta"], rto=0.4)
+# The same role classes the serving plane runs on real sockets, hosted
+# on simulator nodes: sends go through the node, timers are simulator
+# timers.
+receiver = on_node(receiver_node, "alice", ArqReceiver)
+sender = on_node(sender_node, "bob", ArqSender, messages=[b"alpha", b"beta"], rto=0.4)
 sender.start()
 sim.run_until(lambda: sender.done or sender.failed, max_events=200_000)
 

@@ -15,6 +15,7 @@ Run:  python examples/observe_arq.py
 from repro import obs
 from repro.netsim import Capture, ChannelConfig, DuplexLink, Node, Simulator
 from repro.protocols.arq import ACK_PACKET, ARQ_PACKET, ArqReceiver, ArqSender
+from repro.protocols.role import on_node
 
 # Switch the process-wide instrumentation on *before* building anything:
 # every Machine, Simulator, Channel and Timer constructed afterwards
@@ -31,10 +32,12 @@ capture = Capture(specs=[ARQ_PACKET, ACK_PACKET], tracer=instr.tracer)
 capture.tap(link.forward)
 capture.tap(link.backward)
 
-receiver = ArqReceiver(sim, bob, "alice")
-sender = ArqSender(
-    sim, alice, "bob",
-    [f"msg-{i}".encode() for i in range(6)],
+# Host the ARQ roles on the two nodes (the serving plane hosts the same
+# classes on sockets).
+receiver = on_node(bob, "alice", ArqReceiver)
+sender = on_node(
+    alice, "bob", ArqSender,
+    messages=[f"msg-{i}".encode() for i in range(6)],
     rto=0.4,
 )
 sender.start()

@@ -13,7 +13,7 @@ from repro.netsim.timers import Timer
 from repro.netsim.channel import Channel, ChannelConfig, ChannelStats
 from repro.netsim.node import DuplexLink, Node
 from repro.netsim.capture import Capture, CapturedFrame, describe_frame
-from repro.netsim.replay import ScriptedHost, replay_frames
+from repro.netsim.replay import ScriptedHost
 
 __all__ = [
     "BudgetExhausted",
@@ -29,5 +29,4 @@ __all__ = [
     "CapturedFrame",
     "describe_frame",
     "ScriptedHost",
-    "replay_frames",
 ]

@@ -94,21 +94,3 @@ class ScriptedHost:
             )
         return [frame.data for frame in self.capture.frames]
 
-
-def replay_frames(
-    frames: Sequence[TimedFrame],
-    handler_factory: Callable[[Callable[[bytes], None]], Callable[[bytes], None]],
-    specs: Sequence[Any] = (),
-    seed: int = 0,
-) -> List[bytes]:
-    """One-call replay: script ``frames`` at a handler, return its responses.
-
-    ``handler_factory`` receives a ``send`` callable and returns the
-    per-frame handler — the same shape the serving plane's session apps
-    are built from, so a live behaviour replays without adaptation.
-    """
-    host = ScriptedHost(specs=specs, seed=seed)
-    send = host.host(lambda frame: handler(frame))
-    handler = handler_factory(send)
-    host.feed(frames)
-    return host.run()

@@ -3,10 +3,13 @@
 * :mod:`repro.protocols.headers` — classic wire formats: the RFC 791 IPv4
   header (the paper's Figure 1), UDP, the TCP header, ICMP echo.
 * :mod:`repro.protocols.arq` — the paper's §3.4 stop-and-wait ARQ, both
-  machines, plus runnable sender/receiver endpoints over the simulator.
+  machines and their sender/receiver roles.
 * :mod:`repro.protocols.sliding` — Go-Back-N and Selective Repeat, the
   "build new protocols quickly" extensions of §5.1.
 * :mod:`repro.protocols.handshake` — a three-way connection handshake.
+* :mod:`repro.protocols.role` — the host surface every role is written
+  against; one role class runs on the simulator (:func:`on_node`), the
+  serve session manager and the serve socket clients.
 """
 
 from repro.protocols.headers import (
@@ -42,6 +45,7 @@ from repro.protocols.handshake import (
     HandshakeResponder,
     run_handshake,
 )
+from repro.protocols.role import Role, on_node
 
 __all__ = [
     "IPV4_HEADER",
@@ -69,4 +73,6 @@ __all__ = [
     "HandshakeInitiator",
     "HandshakeResponder",
     "run_handshake",
+    "Role",
+    "on_node",
 ]

@@ -21,15 +21,19 @@ is ready to try again") and the receiver's ``DUP_ACK`` (re-acknowledging a
 duplicate of the previous packet, required for progress when the *ack*
 direction loses frames).
 
-:class:`ArqSender` / :class:`ArqReceiver` drive the machines over the
-network simulator, and :func:`run_transfer` packages a full experiment:
-deliver a list of messages across a faulty link and report what happened.
+:class:`ArqSender` / :class:`ArqReceiver` are the two roles that drive
+the machines (:mod:`repro.protocols.role`): the same classes run on the
+network simulator, on the serving plane's sessions and in its socket
+client.  :func:`run_transfer` hosts them on simulator nodes for a full
+experiment: deliver a list of messages across a faulty link and report
+what happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, List, Optional, Sequence
 
 from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.machine import Machine
@@ -39,7 +43,7 @@ from repro.core.symbolic import Var, this
 from repro.netsim.channel import ChannelConfig
 from repro.netsim.node import DuplexLink, Node
 from repro.netsim.simulator import Simulator
-from repro.netsim.timers import Timer
+from repro.protocols.role import Role, Send, on_node
 
 SEQ_BITS = 8  # the paper's sequence numbers are Bytes
 MAX_PAYLOAD = 255
@@ -164,6 +168,14 @@ def build_receiver_spec(max_seq_bits: int = SEQ_BITS) -> MachineSpec:
     return spec.seal()
 
 
+# One sealed spec per role, shared by every instance: the compiled
+# dispatch table and codec state key off the spec *object*, so a fresh
+# spec per instance would recompile per session (it was ~75% of the
+# serving plane's accept cost).
+_sender_spec = lru_cache(maxsize=None)(build_sender_spec)
+_receiver_spec = lru_cache(maxsize=None)(build_receiver_spec)
+
+
 def send_packet_op(spec: MachineSpec) -> "ProtocolOp":
     """The paper's ``sendPacket`` contract as a first-class operation.
 
@@ -190,46 +202,48 @@ def send_packet_op(spec: MachineSpec) -> "ProtocolOp":
     )
 
 
-class ArqSender:
-    """Drives the sender machine over a simulator node.
+class ArqSender(Role):
+    """The sender role: one outstanding packet, one retransmission timer.
 
     The machine's *context* is the outstanding send queue — the paper's
     ``sendMachine : List (List Byte) -> (s : SendSt) -> SendMachine s``.
+    Host services (``timer``, ``clock``, ``on_done``) are described in
+    :mod:`repro.protocols.role`.
     """
+
+    protocol = "arq"
+    specs = (ARQ_PACKET, ACK_PACKET)
 
     def __init__(
         self,
-        sim: Simulator,
-        node: Node,
-        peer_name: str,
-        messages: Sequence[bytes],
+        send: Send,
+        *,
+        messages: Sequence[bytes] = (),
         rto: float = 0.5,
         max_retries: int = 25,
         adaptive_rto: bool = False,
         max_rto: float = 60.0,
+        **host: Any,
     ) -> None:
+        super().__init__(send, **host)
         for index, message in enumerate(messages):
             if len(message) > MAX_PAYLOAD:
                 raise ValueError(
                     f"message {index} is {len(message)} bytes; stop-and-wait "
                     f"frames carry at most {MAX_PAYLOAD}"
                 )
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.spec = build_sender_spec()
+        self.spec = _sender_spec()
         self.machine = Machine(self.spec, context=list(messages))
         self.queue: List[bytes] = list(messages)
         self.rto = rto
         self.max_retries = max_retries
         self.retries_used = 0
         self.retransmissions = 0
-        self.frames_sent = 0
         self.failed = False
         # The §1.1 "tuning protocol operation" hook: Jacobson/Karn RTT
         # estimation replaces the fixed timeout when requested.
         self.estimator = None
-        self._send_time: Optional[float] = None
+        self._send_time = 0.0
         self._sample_valid = False  # Karn: no samples from retransmissions
         if adaptive_rto:
             from repro.adapt.timers import RttEstimator
@@ -238,8 +252,7 @@ class ArqSender:
             # loss (not congestion) unbounded doubling is punitive, which
             # the E7c ablation measures.
             self.estimator = RttEstimator(initial_rto=rto, max_rto=max_rto)
-        self.timer = Timer(sim, rto, self._on_timeout, name="arq-rto")
-        node.on_receive(self._on_frame)
+        self.timer = self._timer(rto, self._on_timeout, name="arq-rto")
 
     # -- driving ---------------------------------------------------------
 
@@ -269,12 +282,14 @@ class ArqSender:
         if not self.queue:
             self.machine.exec_trans("FINISH")
             self.timer.stop()
+            self._on_done(True)
             return
         payload = self.queue[0]
         self.machine.exec_trans("SEND", payload)
         self._transmit(payload)
-        self._send_time = self.sim.now
-        self._sample_valid = True  # a fresh, unretransmitted exchange
+        if self.estimator is not None:
+            self._send_time = self._clock()
+            self._sample_valid = True  # a fresh, unretransmitted exchange
         self.retries_used = 0
         self.timer.start(self.current_rto)
 
@@ -291,15 +306,15 @@ class ArqSender:
         packet = ARQ_PACKET.make(
             seq=self.current_seq, length=len(payload), payload=payload
         )
-        self.node.send(self.peer_name, ARQ_PACKET.encode(packet))
-        self.frames_sent += 1
+        self.send(ARQ_PACKET.encode(packet))
 
     # -- events -----------------------------------------------------------
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
         if not self.machine.in_state("Wait"):
             return  # stale ack after we already advanced (or finished)
-        verified = ACK_PACKET.try_parse(frame)
+        verified = ACK_PACKET.try_parse(data)
         if verified is not None and verified.value.seq != self.current_seq:
             # A verified but stale acknowledgement (a duplicate of the
             # previous exchange, reordered or re-acked).  Dropping it is
@@ -313,12 +328,8 @@ class ArqSender:
             self._retransmit()
             return
         self.timer.stop()
-        if (
-            self.estimator is not None
-            and self._sample_valid
-            and self._send_time is not None
-        ):
-            rtt = self.sim.now - self._send_time
+        if self.estimator is not None and self._sample_valid:
+            rtt = self._clock() - self._send_time
             if rtt > 0:
                 self.estimator.sample(rtt)
         self.machine.exec_trans("OK", verified)
@@ -335,51 +346,43 @@ class ArqSender:
             # Consistent failure: the machine rests in Timeout(seq), which
             # is exactly the paper's "Failure" outcome of sendPacket.
             self.failed = True
+            self._on_done(False)
             return
         self.retries_used += 1
         self.machine.exec_trans("RETRY")
         self._retransmit()
 
 
-class ArqReceiver:
-    """Drives the receiver machine; delivers verified payloads in order."""
+class ArqReceiver(Role):
+    """The receiver role: deliver in order, acknowledge, re-ack duplicates."""
 
-    def __init__(self, sim: Simulator, node: Node, peer_name: str) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.spec = build_receiver_spec()
-        self.machine = Machine(self.spec)
+    protocol = "arq"
+    specs = (ARQ_PACKET, ACK_PACKET)
+    initiator = ArqSender
+
+    def __init__(self, send: Send, **host: Any) -> None:
+        super().__init__(send, **host)
+        self.machine = Machine(_receiver_spec())
         self.delivered: List[bytes] = []
-        self.acks_sent = 0
-        self.rejected = 0
-        node.on_receive(self._on_frame)
 
-    @property
-    def expected_seq(self) -> int:
-        """The sequence number the receiver is waiting for."""
-        return self.machine.current.values[0]
-
-    def _on_frame(self, frame: bytes, sender: str) -> None:
-        verified = ARQ_PACKET.try_parse(frame)
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
+        verified = ARQ_PACKET.try_parse(data)
         if verified is None:
-            self.rejected += 1  # unverified packets are never processed
+            self.rejected += 1  # unverifiable bytes never reach the machine
             return
-        packet = verified.value
-        if packet.seq == self.expected_seq:
-            self.machine.exec_trans("RECV", verified)
-            self.delivered.append(packet.payload)
-            self._send_ack(packet.seq)
-        elif packet.seq == (self.expected_seq - 1) % (1 << SEQ_BITS):
-            self.machine.exec_trans("DUP_ACK", verified)
-            self._send_ack(packet.seq)
+        # Probe the machine: RECV consumes the expected packet, DUP_ACK a
+        # duplicate of the previous one; the guards decide, not the driver.
+        if self.machine.try_exec("RECV", verified) is not None:
+            self.delivered.append(verified.value.payload)
+            self._ack(verified.value.seq)
+        elif self.machine.try_exec("DUP_ACK", verified) is not None:
+            self._ack(verified.value.seq)
         else:
-            self.rejected += 1
+            self.rejected += 1  # verified but outside the window discipline
 
-    def _send_ack(self, seq: int) -> None:
-        ack = ACK_PACKET.make(seq=seq)
-        self.node.send(self.peer_name, ACK_PACKET.encode(ack))
-        self.acks_sent += 1
+    def _ack(self, seq: int) -> None:
+        self.send(ACK_PACKET.encode(ACK_PACKET.make(seq=seq)))
 
 
 @dataclass
@@ -454,9 +457,9 @@ def run_transfer(
     link = DuplexLink(
         sim, sender_node, receiver_node, config or ChannelConfig(), seed=seed
     )
-    receiver = ArqReceiver(sim, receiver_node, "sender")
-    sender = ArqSender(
-        sim, sender_node, "receiver", messages, rto=rto,
+    receiver = on_node(receiver_node, "sender", ArqReceiver)
+    sender = on_node(
+        sender_node, "receiver", ArqSender, messages=messages, rto=rto,
         max_retries=max_retries, adaptive_rto=adaptive_rto, max_rto=max_rto,
     )
     sender.start()
@@ -470,8 +473,8 @@ def run_transfer(
         messages=list(messages),
         delivered=delivered,
         retransmissions=sender.retransmissions,
-        data_frames_sent=sender.frames_sent,
-        ack_frames_sent=receiver.acks_sent,
+        data_frames_sent=sender.frames_out,
+        ack_frames_sent=receiver.frames_out,
         rejected_frames=receiver.rejected,
         duration=sim.now,
         violations=violations,

@@ -11,13 +11,18 @@ nonces, and the types guarantee that:
   is *indexed by the nonce*, so a stale or forged SYN-ACK cannot move the
   machine — the guard compares against the dependent state parameter);
 * both machines end in a consistent state: ``Established`` or ``Failed``.
+
+:class:`HandshakeInitiator` and :class:`HandshakeResponder` are roles
+(:mod:`repro.protocols.role`), the same classes the serving plane runs on
+sockets; :func:`run_handshake` hosts them on simulator nodes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Any, Optional
 
 from repro.core.fields import ChecksumField, UInt
 from repro.core.machine import Machine
@@ -28,6 +33,7 @@ from repro.netsim.channel import ChannelConfig
 from repro.netsim.node import DuplexLink, Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.timers import Timer
+from repro.protocols.role import Role, Send, on_node
 
 MSG_SYN = 1
 MSG_SYN_ACK = 2
@@ -121,25 +127,41 @@ def build_responder_spec() -> MachineSpec:
     return spec.seal()
 
 
-class HandshakeInitiator:
-    """Drives the initiator machine over a simulator node."""
+# One sealed spec per role, shared by every instance (see the note in
+# :mod:`repro.protocols.arq`).
+_initiator_spec = lru_cache(maxsize=None)(build_initiator_spec)
+_responder_spec = lru_cache(maxsize=None)(build_responder_spec)
+
+
+class HandshakeInitiator(Role):
+    """The initiator role: SYN, retransmit the same SYN, ACK the SYN-ACK.
+
+    ``max_retries`` SYN retransmissions are a driver policy (the machine
+    stays in SynSent); the timer expiry after the last one is the
+    machine's GIVE_UP.  ``max_retries=0`` gives up on the first expiry.
+    """
+
+    protocol = "handshake"
+    specs = (HANDSHAKE_PACKET,)
 
     def __init__(
         self,
-        sim: Simulator,
-        node: Node,
-        peer_name: str,
-        rng: random.Random,
-        timeout: float = 2.0,
+        send: Send,
+        *,
+        rng: Optional[random.Random] = None,
+        rto: float = 0.25,
+        max_retries: int = 8,
+        **host: Any,
     ) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.rng = rng
-        self.machine = Machine(build_initiator_spec())
-        self.timer = Timer(sim, timeout, self._on_timeout, name="hs-initiator")
-        self.frames_sent = 0
-        node.on_receive(self._on_frame)
+        super().__init__(send, **host)
+        self.machine = Machine(_initiator_spec())
+        self.rng = rng if rng is not None else random.Random(self.seed)
+        self.rto = rto
+        self.max_retries = max_retries
+        self.retries_used = 0
+        self.retransmissions = 0
+        self._syn_frame = b""
+        self.timer = self._timer(rto, self._on_timeout, name="hs-initiator")
 
     @property
     def established(self) -> bool:
@@ -151,21 +173,22 @@ class HandshakeInitiator:
         """True when the handshake gave up."""
         return self.machine.in_state("Failed")
 
-    def connect(self) -> None:
+    def start(self) -> None:
         """Kick off the handshake with a fresh nonce."""
         nonce = self.rng.randrange(1, 1 << 16)
         self.machine.exec_trans("CONNECT", nonce=nonce)
         packet = HANDSHAKE_PACKET.make(
             msg_type=MSG_SYN, initiator_nonce=nonce, responder_nonce=0
         )
-        self.node.send(self.peer_name, HANDSHAKE_PACKET.encode(packet))
-        self.frames_sent += 1
-        self.timer.start()
+        self._syn_frame = HANDSHAKE_PACKET.encode(packet)
+        self.send(self._syn_frame)
+        self.timer.start(self.rto)
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
         if not self.machine.in_state("SynSent"):
             return
-        verified = HANDSHAKE_PACKET.try_parse(frame)
+        verified = HANDSHAKE_PACKET.try_parse(data)
         if verified is None or verified.value.msg_type != MSG_SYN_ACK:
             return
         if verified.value.initiator_nonce != self.machine.current.values[0]:
@@ -177,64 +200,91 @@ class HandshakeInitiator:
             initiator_nonce=verified.value.initiator_nonce,
             responder_nonce=verified.value.responder_nonce,
         )
-        self.node.send(self.peer_name, HANDSHAKE_PACKET.encode(reply))
-        self.frames_sent += 1
+        self.send(HANDSHAKE_PACKET.encode(reply))
+        self._on_done(True)
 
     def _on_timeout(self) -> None:
-        if self.machine.in_state("SynSent"):
+        if not self.machine.in_state("SynSent"):
+            return
+        if self.retries_used >= self.max_retries:
+            # The machine's GIVE_UP: a consistent, inspectable failure.
             self.machine.exec_trans("GIVE_UP")
+            self._on_done(False)
+            return
+        # Resend the *same* SYN so the nonce doesn't fork.
+        self.retries_used += 1
+        self.retransmissions += 1
+        self.send(self._syn_frame)
+        self.timer.start(self.rto)
 
 
-class HandshakeResponder:
-    """Drives the responder machine over a simulator node."""
+class HandshakeResponder(Role):
+    """The responder role; its nonces flow from the host's seed or RNG.
+
+    It owns no timer: the host calls :meth:`on_timer` when a half-open
+    exchange should return to Listen, so the role stays a deterministic
+    function of (inbound frames, seed) — what the replay oracle needs.
+    """
+
+    protocol = "handshake"
+    specs = (HANDSHAKE_PACKET,)
+    initiator = HandshakeInitiator
 
     def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        peer_name: str,
-        rng: random.Random,
-        timeout: float = 4.0,
+        self, send: Send, *, rng: Optional[random.Random] = None, **host: Any
     ) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.rng = rng
-        self.machine = Machine(build_responder_spec())
-        self.timer = Timer(sim, timeout, self._on_timeout, name="hs-responder")
-        self.frames_sent = 0
-        node.on_receive(self._on_frame)
+        super().__init__(send, **host)
+        self.machine = Machine(_responder_spec())
+        self.rng = rng if rng is not None else random.Random(self.seed)
+        self._synack_frame = b""
+        self._synack_for = -1  # initiator nonce the cached SYN-ACK answers
 
     @property
     def established(self) -> bool:
         """True when the handshake completed."""
         return self.machine.in_state("Established")
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
-        verified = HANDSHAKE_PACKET.try_parse(frame)
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
+        verified = HANDSHAKE_PACKET.try_parse(data)
         if verified is None:
+            self.rejected += 1
             return
         message = verified.value
-        if self.machine.in_state("Listen") and message.msg_type == MSG_SYN:
+        if message.msg_type == MSG_SYN:
             nonce = self.rng.randrange(1, 1 << 16)
-            self.machine.exec_trans("SYN", verified, nonce=nonce)
+            if self.machine.try_exec("SYN", verified, nonce=nonce) is None:
+                # The machine refuses a SYN outside Listen.  A *retransmit*
+                # of the SYN we already answered means our SYN-ACK was
+                # probably lost: resend the cached frame (driver policy —
+                # the machine's nonce state must not fork).  Any other SYN
+                # is noise.
+                if (
+                    self.machine.in_state("SynReceived")
+                    and message.initiator_nonce == self._synack_for
+                ):
+                    self.send(self._synack_frame)
+                else:
+                    self.rejected += 1
+                return
             reply = HANDSHAKE_PACKET.make(
                 msg_type=MSG_SYN_ACK,
                 initiator_nonce=message.initiator_nonce,
                 responder_nonce=nonce,
             )
-            self.node.send(self.peer_name, HANDSHAKE_PACKET.encode(reply))
-            self.frames_sent += 1
-            self.timer.start()
-        elif self.machine.in_state("SynReceived") and message.msg_type == MSG_ACK:
-            if message.responder_nonce != self.machine.current.values[0]:
-                return
-            self.machine.exec_trans("ACK", verified)
-            self.timer.stop()
+            self._synack_frame = HANDSHAKE_PACKET.encode(reply)
+            self._synack_for = message.initiator_nonce
+            self.send(self._synack_frame)
+        elif message.msg_type == MSG_ACK:
+            if self.machine.try_exec("ACK", verified) is None:
+                self.rejected += 1
+        else:
+            self.rejected += 1  # a SYN-ACK aimed at a responder is noise
 
-    def _on_timeout(self) -> None:
-        if self.machine.in_state("SynReceived"):
-            self.machine.exec_trans("RESET")
+    def on_timer(self) -> None:
+        # Half-open handshake expired: return to Listen (the machine's
+        # RESET transition), so the session can serve a fresh attempt.
+        self.machine.try_exec("RESET")
 
 
 @dataclass
@@ -253,20 +303,37 @@ def run_handshake(
     seed: int = 0,
     timeout: float = 2.0,
 ) -> HandshakeReport:
-    """Run one three-way handshake over a (possibly faulty) link."""
+    """Run one three-way handshake over a (possibly faulty) link.
+
+    Both roles draw from one ``random.Random(seed)``.  The initiator
+    gives up on its first timer expiry; the responder's half-open RESET
+    is a simulator timer armed while its machine waits in SynReceived.
+    """
     sim = Simulator()
     a = Node(sim, "initiator")
     b = Node(sim, "responder")
     DuplexLink(sim, a, b, config or ChannelConfig(), seed=seed)
     rng = random.Random(seed)
-    initiator = HandshakeInitiator(sim, a, "responder", rng, timeout=timeout)
-    responder = HandshakeResponder(sim, b, "initiator", rng, timeout=2 * timeout)
-    initiator.connect()
+    initiator = on_node(
+        a, "responder", HandshakeInitiator, rng=rng, rto=timeout, max_retries=0
+    )
+    responder = HandshakeResponder(partial(b.send, "initiator"), rng=rng)
+    reset = Timer(sim, 2 * timeout, responder.on_timer, name="hs-responder")
+
+    def deliver(frame: bytes, sender: str) -> None:
+        responder.on_frame(frame)
+        if not responder.machine.in_state("SynReceived"):
+            reset.stop()
+        elif not reset.running:
+            reset.start()
+
+    b.on_receive(deliver)
+    initiator.start()
     sim.run()
     return HandshakeReport(
         established=initiator.established and responder.established,
         initiator_state=initiator.machine.current.name,
         responder_state=responder.machine.current.name,
-        frames_sent=initiator.frames_sent + responder.frames_sent,
+        frames_sent=initiator.frames_out + responder.frames_out,
         duration=sim.now,
     )

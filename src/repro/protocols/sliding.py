@@ -19,12 +19,19 @@ only in their state indexing:
 Sequence numbers here are 16-bit and the runs are finite, so window
 arithmetic never wraps; the machines use unbounded parameters and the
 specs' guards enforce the window discipline symbolically.
+
+The four drivers are roles (:mod:`repro.protocols.role`): the Selective
+Repeat pair is also what the serving plane runs on sockets (protocol
+``sliding``); Go-Back-N runs on the simulator only.
+:func:`run_sr_transfer` and :func:`run_gbn_transfer` host them on
+simulator nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.machine import Machine
@@ -34,7 +41,7 @@ from repro.core.symbolic import Var, this
 from repro.netsim.channel import ChannelConfig
 from repro.netsim.node import DuplexLink, Node
 from repro.netsim.simulator import Simulator
-from repro.netsim.timers import Timer
+from repro.protocols.role import Role, Send, on_node
 
 SEQ_BITS = 16
 
@@ -189,34 +196,39 @@ def _delivery_violations(
     return violations
 
 
-class GoBackNSender:
-    """Go-Back-N sender: one timer for the window base, cumulative acks."""
+# One sealed spec per role and window, shared by every instance (see
+# the note in :mod:`repro.protocols.arq`).
+_window_sender_spec = lru_cache(maxsize=None)(build_gbn_sender_spec)
+_window_receiver_spec = lru_cache(maxsize=None)(build_window_receiver_spec)
+
+
+class _WindowSender(Role):
+    """What both window senders share: the window machine and its edges.
+
+    The control machine is the Go-Back-N window machine for both
+    variants; how a lost packet is resent is each subclass's policy.
+    """
+
+    specs = (SLIDING_PACKET, SLIDING_ACK)
 
     def __init__(
         self,
-        sim: Simulator,
-        node: Node,
-        peer_name: str,
-        messages: Sequence[bytes],
+        send: Send,
+        *,
+        messages: Sequence[bytes] = (),
         window: int = 8,
         rto: float = 0.5,
         max_retries: int = 50,
+        **host: Any,
     ) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
+        super().__init__(send, **host)
         self.messages = list(messages)
         self.window = window
-        self.spec = build_gbn_sender_spec(window)
-        self.machine = Machine(self.spec, context=self.messages)
+        self.machine = Machine(_window_sender_spec(window), context=self.messages)
         self.rto = rto
         self.max_retries = max_retries
-        self.retries_used = 0
         self.retransmissions = 0
-        self.frames_sent = 0
         self.failed = False
-        self.timer = Timer(sim, rto, self._on_timeout, name="gbn-rto")
-        node.on_receive(self._on_frame)
 
     @property
     def base(self) -> int:
@@ -226,11 +238,8 @@ class GoBackNSender:
     @property
     def nxt(self) -> int:
         """Next sequence number to transmit."""
-        return (
-            self.machine.current.values[1]
-            if len(self.machine.current.values) > 1
-            else self.base
-        )
+        values = self.machine.current.values
+        return values[1] if len(values) > 1 else self.base
 
     @property
     def done(self) -> bool:
@@ -241,6 +250,35 @@ class GoBackNSender:
         """Begin the transfer."""
         self._fill_window()
         self._maybe_finish()
+
+    def _fill_window(self) -> None:
+        raise NotImplementedError
+
+    def _transmit(self, seq: int, payload: bytes) -> None:
+        packet = SLIDING_PACKET.make(seq=seq, length=len(payload), payload=payload)
+        self.send(SLIDING_PACKET.encode(packet))
+
+    def _maybe_finish(self) -> None:
+        if (
+            not self.machine.is_finished
+            and self.base == self.nxt
+            and self.base >= len(self.messages)
+        ):
+            self.machine.exec_trans("FINISH")
+            self._on_done(True)
+
+    def _give_up(self) -> None:
+        self.failed = True
+        self._on_done(False)
+
+
+class GoBackNSender(_WindowSender):
+    """Go-Back-N sender: one timer for the window base, cumulative acks."""
+
+    def __init__(self, send: Send, **params: Any) -> None:
+        super().__init__(send, **params)
+        self.retries_used = 0
+        self.timer = self._timer(self.rto, self._on_timeout, name="gbn-rto")
 
     def _fill_window(self) -> None:
         while (
@@ -255,24 +293,16 @@ class GoBackNSender:
         if self.base < self.nxt and not self.timer.running:
             self.timer.start(self.rto)
 
-    def _transmit(self, seq: int, payload: bytes) -> None:
-        packet = SLIDING_PACKET.make(seq=seq, length=len(payload), payload=payload)
-        self.node.send(self.peer_name, SLIDING_PACKET.encode(packet))
-        self.frames_sent += 1
-
     def _maybe_finish(self) -> None:
-        if (
-            not self.machine.is_finished
-            and self.base == self.nxt
-            and self.base >= len(self.messages)
-        ):
-            self.machine.exec_trans("FINISH")
+        super()._maybe_finish()
+        if self.machine.is_finished:
             self.timer.stop()
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
         if self.machine.is_finished:
             return
-        verified = SLIDING_ACK.try_parse(frame)
+        verified = SLIDING_ACK.try_parse(data)
         if verified is None or verified.value.kind != KIND_CUMULATIVE:
             return  # unverifiable acks are dropped; the timer recovers
         ack = verified.value.seq
@@ -292,7 +322,7 @@ class GoBackNSender:
         if self.machine.is_finished or self.base == self.nxt:
             return
         if self.retries_used >= self.max_retries:
-            self.failed = True
+            self._give_up()
             return
         self.retries_used += 1
         resend_from = self.base
@@ -307,27 +337,26 @@ class GoBackNSender:
         self.timer.start(self.rto)
 
 
-class GoBackNReceiver:
+class GoBackNReceiver(Role):
     """Go-Back-N receiver: accepts in order, cumulative acknowledgements."""
 
-    def __init__(self, sim: Simulator, node: Node, peer_name: str) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.spec = build_window_receiver_spec("GbnReceiver")
-        self.machine = Machine(self.spec)
+    specs = (SLIDING_PACKET, SLIDING_ACK)
+
+    def __init__(self, send: Send, **host: Any) -> None:
+        super().__init__(send, **host)
+        self.machine = Machine(_window_receiver_spec("GbnReceiver"))
         self.delivered: List[bytes] = []
-        self.acks_sent = 0
-        node.on_receive(self._on_frame)
 
     @property
     def expected(self) -> int:
         """Next in-order sequence number."""
         return self.machine.current.values[0]
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
-        verified = SLIDING_PACKET.try_parse(frame)
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
+        verified = SLIDING_PACKET.try_parse(data)
         if verified is None:
+            self.rejected += 1
             return
         if verified.value.seq == self.expected:
             self.machine.exec_trans("RECV", verified)
@@ -340,66 +369,23 @@ class GoBackNReceiver:
 
     def _ack(self, seq: int) -> None:
         ack = SLIDING_ACK.make(kind=KIND_CUMULATIVE, seq=seq)
-        self.node.send(self.peer_name, SLIDING_ACK.encode(ack))
-        self.acks_sent += 1
+        self.send(SLIDING_ACK.encode(ack))
 
 
-class SelectiveRepeatSender:
-    """Selective Repeat sender: per-packet timers, selective acks."""
+class SelectiveRepeatSender(_WindowSender):
+    """Selective Repeat sender: per-packet timers, selective acks.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        peer_name: str,
-        messages: Sequence[bytes],
-        window: int = 8,
-        rto: float = 0.5,
-        max_retries: int = 50,
-    ) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.messages = list(messages)
-        self.window = window
-        # The control machine is the GBN window machine minus GO_BACK
-        # semantics — base slides over *acked* packets; per-packet resend
-        # policy lives here, keyed by the acked set.
-        self.spec = build_gbn_sender_spec(window)
-        self.machine = Machine(self.spec, context=self.messages)
-        self.rto = rto
-        self.max_retries = max_retries
-        self.retransmissions = 0
-        self.frames_sent = 0
-        self.failed = False
+    The base slides over *acked* packets; the per-packet resend policy
+    lives here, keyed by the acked set.
+    """
+
+    protocol = "sliding"
+
+    def __init__(self, send: Send, **params: Any) -> None:
+        super().__init__(send, **params)
         self.acked: Dict[int, bool] = {}
-        self.timers: Dict[int, Timer] = {}
+        self.timers: Dict[int, Any] = {}
         self.retries: Dict[int, int] = {}
-        node.on_receive(self._on_frame)
-
-    @property
-    def base(self) -> int:
-        """Lower window edge."""
-        return self.machine.current.values[0]
-
-    @property
-    def nxt(self) -> int:
-        """Next sequence number to transmit."""
-        return (
-            self.machine.current.values[1]
-            if len(self.machine.current.values) > 1
-            else self.base
-        )
-
-    @property
-    def done(self) -> bool:
-        """True once the machine reached Done."""
-        return self.machine.is_finished
-
-    def start(self) -> None:
-        """Begin the transfer."""
-        self._fill_window()
-        self._maybe_finish()
 
     def _fill_window(self) -> None:
         while (
@@ -413,31 +399,18 @@ class SelectiveRepeatSender:
             self._transmit(seq, payload)
             self._arm_timer(seq)
 
-    def _transmit(self, seq: int, payload: bytes) -> None:
-        packet = SLIDING_PACKET.make(seq=seq, length=len(payload), payload=payload)
-        self.node.send(self.peer_name, SLIDING_PACKET.encode(packet))
-        self.frames_sent += 1
-
     def _arm_timer(self, seq: int) -> None:
         if seq not in self.timers:
-            self.timers[seq] = Timer(
-                self.sim, self.rto, lambda s=seq: self._on_timeout(s),
-                name=f"sr-rto-{seq}",
+            self.timers[seq] = self._timer(
+                self.rto, lambda s=seq: self._on_timeout(s), name=f"sr-rto-{seq}"
             )
         self.timers[seq].start(self.rto)
 
-    def _maybe_finish(self) -> None:
-        if (
-            not self.machine.is_finished
-            and self.base == self.nxt
-            and self.base >= len(self.messages)
-        ):
-            self.machine.exec_trans("FINISH")
-
-    def _on_frame(self, frame: bytes, sender: str) -> None:
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
         if self.machine.is_finished:
             return
-        verified = SLIDING_ACK.try_parse(frame)
+        verified = SLIDING_ACK.try_parse(data)
         if verified is None or verified.value.kind != KIND_SELECTIVE:
             return
         seq = verified.value.seq
@@ -462,7 +435,7 @@ class SelectiveRepeatSender:
             return
         used = self.retries.get(seq, 0)
         if used >= self.max_retries:
-            self.failed = True
+            self._give_up()
             return
         self.retries[seq] = used + 1
         self._transmit(seq, self.messages[seq])
@@ -470,7 +443,7 @@ class SelectiveRepeatSender:
         self._arm_timer(seq)
 
 
-class SelectiveRepeatReceiver:
+class SelectiveRepeatReceiver(Role):
     """Selective Repeat receiver: buffers verified out-of-order packets.
 
     The buffer's type tells the story: it maps sequence numbers to
@@ -478,42 +451,46 @@ class SelectiveRepeatReceiver:
     delivered — paper §3.4 guarantee 2, extended to buffered operation.
     """
 
-    def __init__(
-        self, sim: Simulator, node: Node, peer_name: str, window: int = 8
-    ) -> None:
-        self.sim = sim
-        self.node = node
-        self.peer_name = peer_name
-        self.window = window
-        self.spec = build_window_receiver_spec("SrReceiver")
-        self.machine = Machine(self.spec)
-        self.buffer: Dict[int, object] = {}  # seq -> Verified[SlidingData]
+    protocol = "sliding"
+    specs = (SLIDING_PACKET, SLIDING_ACK)
+    initiator = SelectiveRepeatSender
+
+    def __init__(self, send: Send, *, window: int = 8, **host: Any) -> None:
+        super().__init__(send, **host)
+        self.window = int(window)
+        self.machine = Machine(_window_receiver_spec("SrReceiver"))
+        self.buffer: Dict[int, Any] = {}  # seq -> Verified[SlidingData]
         self.delivered: List[bytes] = []
-        self.acks_sent = 0
-        node.on_receive(self._on_frame)
 
     @property
     def expected(self) -> int:
         """Next in-order sequence number."""
         return self.machine.current.values[0]
 
-    def _on_frame(self, frame: bytes, sender: str) -> None:
-        verified = SLIDING_PACKET.try_parse(frame)
+    def on_frame(self, data: bytes) -> None:
+        self.frames_in += 1
+        verified = SLIDING_PACKET.try_parse(data)
         if verified is None:
+            self.rejected += 1
             return
         seq = verified.value.seq
-        if seq == self.expected:
-            self.machine.exec_trans("RECV", verified)
+        if self.machine.try_exec("RECV", verified) is not None:
             self.delivered.append(verified.value.payload)
             self._ack(seq)
             self._drain_buffer()
-        elif self.expected < seq < self.expected + self.window:
-            self.machine.exec_trans("OUT_OF_ORDER", verified)
+            return
+        # Not the expected packet; OUT_OF_ORDER admits any other verified
+        # frame without advancing — buffering/ack policy lives here.
+        if self.machine.try_exec("OUT_OF_ORDER", verified) is None:
+            self.rejected += 1
+            return
+        if self.expected < seq < self.expected + self.window:
             self.buffer[seq] = verified
             self._ack(seq)
         elif seq < self.expected:
-            self.machine.exec_trans("OUT_OF_ORDER", verified)
-            self._ack(seq)  # re-ack: the earlier ack was probably lost
+            self._ack(seq)  # the earlier ack was probably lost: re-ack
+        else:
+            self.rejected += 1  # beyond the advertised window
 
     def _drain_buffer(self) -> None:
         while self.expected in self.buffer:
@@ -523,8 +500,7 @@ class SelectiveRepeatReceiver:
 
     def _ack(self, seq: int) -> None:
         ack = SLIDING_ACK.make(kind=KIND_SELECTIVE, seq=seq)
-        self.node.send(self.peer_name, SLIDING_ACK.encode(ack))
-        self.acks_sent += 1
+        self.send(SLIDING_ACK.encode(ack))
 
 
 def _run_sliding(
@@ -542,19 +518,14 @@ def _run_sliding(
     receiver_node = Node(sim, "receiver")
     DuplexLink(sim, sender_node, receiver_node, config or ChannelConfig(), seed=seed)
     if protocol == "gbn":
-        receiver = GoBackNReceiver(sim, receiver_node, "sender")
-        sender = GoBackNSender(
-            sim, sender_node, "receiver", messages,
-            window=window, rto=rto, max_retries=max_retries,
-        )
+        sender_role, receiver_role = GoBackNSender, GoBackNReceiver
     else:
-        receiver = SelectiveRepeatReceiver(
-            sim, receiver_node, "sender", window=window
-        )
-        sender = SelectiveRepeatSender(
-            sim, sender_node, "receiver", messages,
-            window=window, rto=rto, max_retries=max_retries,
-        )
+        sender_role, receiver_role = SelectiveRepeatSender, SelectiveRepeatReceiver
+    receiver = on_node(receiver_node, "sender", receiver_role, window=window)
+    sender = on_node(
+        sender_node, "receiver", sender_role, messages=messages,
+        window=window, rto=rto, max_retries=max_retries,
+    )
     sender.start()
     sim.run_until(lambda: sender.done or sender.failed, max_events=max_events)
     sim.run(until=sim.now + 2 * rto)
@@ -565,8 +536,8 @@ def _run_sliding(
         success=sender.done and delivered == list(messages),
         messages=list(messages),
         delivered=delivered,
-        data_frames_sent=sender.frames_sent,
-        ack_frames_sent=receiver.acks_sent,
+        data_frames_sent=sender.frames_out,
+        ack_frames_sent=receiver.frames_out,
         retransmissions=sender.retransmissions,
         duration=sim.now,
         violations=_delivery_violations(messages, delivered),

@@ -5,9 +5,11 @@ cannot: *do the DSL machines behave identically when the substrate is a
 real kernel socket instead of a discrete-event channel?*  The plane is
 built so the question is decidable:
 
-* session apps (:mod:`~repro.serve.apps`) are written against
-  ``send(bytes)``/``on_frame(bytes)`` only, so the same behaviour runs
-  live and under the simulator;
+* the protocol roles (:mod:`repro.protocols.role`, registered in
+  :mod:`~repro.serve.apps`) are written against
+  ``send(bytes)``/``on_frame(bytes)`` only, so the same classes run
+  live — responders under the session manager, initiators in the
+  socket clients — and under the simulator;
 * every live session can record its exchange
   (:mod:`~repro.serve.record`) in a form the simulator replays
   (:mod:`~repro.serve.replay`);
@@ -25,10 +27,11 @@ live server's export stream).
 CLI: ``python -m repro.serve {serve,client,loopback}``.
 """
 
-from repro.serve.apps import APPS, SessionApp, build_app
+from repro.serve.apps import APPS, build_app
 from repro.serve.client import (
     ArqClient,
     HandshakeClient,
+    RoleClient,
     SlidingClient,
     WheelRunner,
     build_client,
@@ -80,9 +83,9 @@ __all__ = [
     "LossyDatagramTransport",
     "ReplayResult",
     "ServeConfig",
+    "RoleClient",
     "Server",
     "Session",
-    "SessionApp",
     "SessionManager",
     "SlidingClient",
     "StreamDeframer",

@@ -7,7 +7,7 @@ Three subcommands:
   as JSONL for offline differential replay.  Point
   ``REPRO_OBS_EXPORT`` at a path and ``python -m repro.obs top`` at the
   same path for a live dashboard.
-* ``client`` drives one DSL sender machine against a server.
+* ``client`` hosts one protocol's initiator role against a server.
 * ``loopback`` runs the full differential experiment — server + N
   clients + seeded impairment + simulator replay — and exits non-zero
   on any divergence; this is the command CI's serve-smoke lane runs.
@@ -23,6 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.obs.instrument import enable as obs_enable
+from repro.serve.apps import APPS
 from repro.serve.client import WheelRunner, build_client
 from repro.serve.loop import LOOP_CHOICES, choose_loop, run as run_under_loop
 from repro.serve.loopback import LoopbackConfig, run_loopback
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="bind a listener and serve sessions")
-    serve.add_argument("protocol", choices=["arq", "handshake", "sliding"])
+    serve.add_argument("protocol", choices=sorted(APPS))
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=9300)
     serve.add_argument(
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     client = sub.add_parser("client", help="run one DSL client against a server")
-    client.add_argument("protocol", choices=["arq", "handshake", "sliding"])
+    client.add_argument("protocol", choices=sorted(APPS))
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, default=9300)
     client.add_argument("--messages", type=int, default=8)
@@ -75,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loopback",
         help="differential experiment: live server vs simulator oracle",
     )
-    loop.add_argument(
-        "protocol", choices=["arq", "handshake", "sliding", "all"]
-    )
+    loop.add_argument("protocol", choices=[*sorted(APPS), "all"])
     loop.add_argument("--clients", type=int, default=4)
     loop.add_argument("--messages", type=int, default=6)
     loop.add_argument("--payload-size", type=int, default=24)
@@ -172,11 +171,7 @@ async def _client(args: argparse.Namespace) -> int:
 
 
 async def _loopback(args: argparse.Namespace) -> int:
-    protocols = (
-        ["arq", "handshake", "sliding"]
-        if args.protocol == "all"
-        else [args.protocol]
-    )
+    protocols = sorted(APPS) if args.protocol == "all" else [args.protocol]
     exit_code = 0
     for protocol in protocols:
         config = LoopbackConfig(

@@ -1,14 +1,16 @@
-"""Socket clients: the DSL *sender* machines driven over real UDP.
+"""Socket clients: the protocols' initiator roles hosted on real UDP.
 
-Each client hosts the same sender machine the simulator drivers use
-(:class:`~repro.protocols.arq.ArqSender` and friends) but swaps the
-substrate: ``node.send`` becomes ``transport.sendto``, the simulator
-:class:`~repro.netsim.timers.Timer` becomes a
-:class:`~repro.serve.wheel.WheelTimer` riding the hashed wheel, and
-completion is an :class:`asyncio.Future` instead of ``sim.run()``
-draining.  The protocol reasoning — which transition fires, what a
-verified frame proves — is untouched, which is the whole point: the
-machine doesn't know it moved from the simulator to a socket.
+A :class:`RoleClient` hosts one initiator role — the very class the
+simulator runs (:class:`~repro.protocols.arq.ArqSender`,
+:class:`~repro.protocols.sliding.SelectiveRepeatSender`,
+:class:`~repro.protocols.handshake.HandshakeInitiator`) — and supplies
+only the substrate: ``send`` is ``transport.sendto``, the timer factory
+builds a :class:`~repro.serve.wheel.WheelTimer` on the shared wheel,
+and completion resolves an :class:`asyncio.Future`.  The protocol
+reasoning — which transition fires, what a verified frame proves — is
+the role's alone: it doesn't know it moved from the simulator to a
+socket.  :class:`ArqClient`, :class:`SlidingClient` and
+:class:`HandshakeClient` fix the role and its parameters.
 
 All clients share one :class:`WheelRunner` (one tick task advancing one
 wheel off ``loop.time()``); 500 concurrent clients cost 500 wheel
@@ -18,33 +20,15 @@ entries, not 500 ``call_later`` handles churning the loop's heap.
 from __future__ import annotations
 
 import asyncio
-import random
-from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
-from repro.core.machine import Machine
-from repro.protocols.arq import ACK_PACKET, ARQ_PACKET, build_sender_spec
-from repro.protocols.handshake import (
-    HANDSHAKE_PACKET,
-    MSG_ACK,
-    MSG_SYN,
-    MSG_SYN_ACK,
-    build_initiator_spec,
-)
-from repro.protocols.sliding import (
-    KIND_SELECTIVE,
-    SLIDING_ACK,
-    SLIDING_PACKET,
-    build_gbn_sender_spec,
-)
+from repro.protocols.arq import ArqSender
+from repro.protocols.handshake import HandshakeInitiator
+from repro.protocols.role import Role
+from repro.protocols.sliding import SelectiveRepeatSender
+from repro.serve.apps import app_class
 from repro.serve.wheel import TimerWheel, WheelTimer
-
-# One sealed spec (and so one staged dispatch table, one compiled codec
-# state) per sender role, shared by every client — the same per-protocol
-# spec constant the server apps use; machine state stays per-instance.
-_sender_spec = lru_cache(maxsize=None)(build_sender_spec)
-_initiator_spec = lru_cache(maxsize=None)(build_initiator_spec)
-_gbn_sender_spec = lru_cache(maxsize=None)(build_gbn_sender_spec)
 
 
 class WheelRunner:
@@ -94,27 +78,47 @@ class _ClientProtocol(asyncio.DatagramProtocol):
         pass  # ICMP unreachable etc.; the retransmission timer covers it
 
 
-class BaseClient:
-    """Shared socket/future plumbing for the concrete protocol clients."""
+class RoleClient:
+    """One initiator role hosted on a datagram endpoint.
 
-    protocol: str = ""
+    The role (:mod:`repro.protocols.role`) sends through :meth:`_sendto`,
+    its timers ride the runner's wheel, its clock is ``loop.time`` and
+    its completion resolves :attr:`done`, an :class:`asyncio.Future`.
+    ``params`` go to the role's constructor.
+    """
 
-    def __init__(self, runner: WheelRunner) -> None:
+    def __init__(self, runner: WheelRunner, role: Type[Role], **params: Any) -> None:
         self.runner = runner
         self.loop = runner.loop
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.done: "asyncio.Future[bool]" = self.loop.create_future()
         self.frames_sent = 0
-        self.retransmissions = 0
         self.failed = False
+        self.role = role(
+            self._sendto,
+            timer=partial(WheelTimer, runner.wheel),
+            clock=self.loop.time,
+            on_done=self._finish,
+            **params,
+        )
 
-    async def connect(self, host: str, port: int) -> "BaseClient":
+    @property
+    def retransmissions(self) -> int:
+        return self.role.retransmissions
+
+    async def connect(self, host: str, port: int) -> "RoleClient":
         transport, _ = await self.loop.create_datagram_endpoint(
             lambda: _ClientProtocol(self._on_frame),
             remote_addr=(host, port),
         )
         self.transport = transport
         return self
+
+    def start(self) -> None:
+        self.role.start()
+
+    def _on_frame(self, data: bytes) -> None:
+        self.role.on_frame(data)
 
     def _sendto(self, data: bytes) -> None:
         if self.transport is not None and not self.transport.is_closing():
@@ -139,22 +143,17 @@ class BaseClient:
             self.transport.close()
             self.transport = None
 
-    def _on_frame(self, data: bytes) -> None:
-        raise NotImplementedError
-
     def summary(self) -> Dict[str, Any]:
         return {
-            "protocol": self.protocol,
+            "protocol": self.role.protocol,
             "ok": self.done.done() and not self.failed and self.done.result(),
             "frames_sent": self.frames_sent,
             "retransmissions": self.retransmissions,
         }
 
 
-class ArqClient(BaseClient):
-    """Stop-and-wait sender machine over a datagram endpoint."""
-
-    protocol = "arq"
+class ArqClient(RoleClient):
+    """The stop-and-wait sender over a datagram endpoint."""
 
     def __init__(
         self,
@@ -163,79 +162,13 @@ class ArqClient(BaseClient):
         rto: float = 0.25,
         max_retries: int = 25,
     ) -> None:
-        super().__init__(runner)
-        self.machine = Machine(_sender_spec(), context=list(messages))
-        self.queue: List[bytes] = list(messages)
-        self.rto = rto
-        self.max_retries = max_retries
-        self.retries_used = 0
-        self.timer = WheelTimer(
-            runner.wheel, rto, self._on_timeout, name="arq-rto"
+        super().__init__(
+            runner, ArqSender, messages=messages, rto=rto, max_retries=max_retries
         )
 
-    @property
-    def current_seq(self) -> int:
-        return self.machine.current.values[0]
 
-    def start(self) -> None:
-        self._advance()
-
-    def _advance(self) -> None:
-        if not self.queue:
-            self.machine.exec_trans("FINISH")
-            self.timer.stop()
-            self._finish(True)
-            return
-        payload = self.queue[0]
-        self.machine.exec_trans("SEND", payload)
-        self._transmit(payload)
-        self.retries_used = 0
-        self.timer.start(self.rto)
-
-    def _retransmit(self) -> None:
-        payload = self.queue[0]
-        self.machine.exec_trans("SEND", payload)
-        self._transmit(payload)
-        self.retransmissions += 1
-        self.timer.start(self.rto)
-
-    def _transmit(self, payload: bytes) -> None:
-        packet = ARQ_PACKET.make(
-            seq=self.current_seq, length=len(payload), payload=payload
-        )
-        self._sendto(ARQ_PACKET.encode(packet))
-
-    def _on_frame(self, data: bytes) -> None:
-        if not self.machine.in_state("Wait"):
-            return  # stale ack after we already advanced (or finished)
-        verified = ACK_PACKET.try_parse(data)
-        if verified is not None and verified.value.seq != self.current_seq:
-            return  # verified but stale: dropping avoids a duplicate storm
-        if verified is None:
-            self.machine.exec_trans("FAIL")
-            self._retransmit()
-            return
-        self.timer.stop()
-        self.machine.exec_trans("OK", verified)
-        self.queue.pop(0)
-        self._advance()
-
-    def _on_timeout(self) -> None:
-        if not self.machine.in_state("Wait"):
-            return  # stale timer
-        self.machine.exec_trans("TIMEOUT")
-        if self.retries_used >= self.max_retries:
-            self._finish(False)  # rests in Timeout(seq): consistent failure
-            return
-        self.retries_used += 1
-        self.machine.exec_trans("RETRY")
-        self._retransmit()
-
-
-class HandshakeClient(BaseClient):
-    """Three-way handshake initiator over a datagram endpoint."""
-
-    protocol = "handshake"
+class HandshakeClient(RoleClient):
+    """The three-way handshake initiator over a datagram endpoint."""
 
     def __init__(
         self,
@@ -244,69 +177,17 @@ class HandshakeClient(BaseClient):
         rto: float = 0.25,
         max_retries: int = 8,
     ) -> None:
-        super().__init__(runner)
-        self.machine = Machine(_initiator_spec())
-        self.rng = random.Random(seed)
-        self.rto = rto
-        self.max_retries = max_retries
-        self.retries_used = 0
-        self._syn_frame = b""
-        self.timer = WheelTimer(
-            runner.wheel, rto, self._on_timeout, name="hs-rto"
+        super().__init__(
+            runner, HandshakeInitiator, seed=seed, rto=rto, max_retries=max_retries
         )
 
     @property
     def established(self) -> bool:
-        return self.machine.in_state("Established")
-
-    def start(self) -> None:
-        nonce = self.rng.randrange(1, 1 << 16)
-        self.machine.exec_trans("CONNECT", nonce=nonce)
-        packet = HANDSHAKE_PACKET.make(
-            msg_type=MSG_SYN, initiator_nonce=nonce, responder_nonce=0
-        )
-        self._syn_frame = HANDSHAKE_PACKET.encode(packet)
-        self._sendto(self._syn_frame)
-        self.timer.start(self.rto)
-
-    def _on_frame(self, data: bytes) -> None:
-        if not self.machine.in_state("SynSent"):
-            return
-        verified = HANDSHAKE_PACKET.try_parse(data)
-        if verified is None or verified.value.msg_type != MSG_SYN_ACK:
-            return
-        if verified.value.initiator_nonce != self.machine.current.values[0]:
-            return  # stale or forged SYN-ACK: the guard would reject it too
-        self.machine.exec_trans("SYNACK", verified)
-        self.timer.stop()
-        reply = HANDSHAKE_PACKET.make(
-            msg_type=MSG_ACK,
-            initiator_nonce=verified.value.initiator_nonce,
-            responder_nonce=verified.value.responder_nonce,
-        )
-        self._sendto(HANDSHAKE_PACKET.encode(reply))
-        self._finish(True)
-
-    def _on_timeout(self) -> None:
-        if not self.machine.in_state("SynSent"):
-            return
-        if self.retries_used >= self.max_retries:
-            # The machine's GIVE_UP: a consistent, inspectable failure.
-            self.machine.exec_trans("GIVE_UP")
-            self._finish(False)
-            return
-        # SYN retransmission is a driver policy (the machine stays in
-        # SynSent): resend the *same* SYN so the nonce doesn't fork.
-        self.retries_used += 1
-        self.retransmissions += 1
-        self._sendto(self._syn_frame)
-        self.timer.start(self.rto)
+        return self.role.established
 
 
-class SlidingClient(BaseClient):
-    """Selective-repeat sender machine over a datagram endpoint."""
-
-    protocol = "sliding"
+class SlidingClient(RoleClient):
+    """The selective-repeat sender over a datagram endpoint."""
 
     def __init__(
         self,
@@ -316,98 +197,14 @@ class SlidingClient(BaseClient):
         rto: float = 0.25,
         max_retries: int = 50,
     ) -> None:
-        super().__init__(runner)
-        self.messages = list(messages)
-        self.window = window
-        self.machine = Machine(_gbn_sender_spec(window), context=self.messages)
-        self.rto = rto
-        self.max_retries = max_retries
-        self.acked: Dict[int, bool] = {}
-        self.timers: Dict[int, WheelTimer] = {}
-        self.retries: Dict[int, int] = {}
-
-    @property
-    def base(self) -> int:
-        return self.machine.current.values[0]
-
-    @property
-    def nxt(self) -> int:
-        values = self.machine.current.values
-        return values[1] if len(values) > 1 else self.base
-
-    def start(self) -> None:
-        self._fill_window()
-        self._maybe_finish()
-
-    def _fill_window(self) -> None:
-        while (
-            not self.machine.is_finished
-            and self.nxt < len(self.messages)
-            and self.nxt - self.base < self.window
-        ):
-            seq = self.nxt
-            payload = self.messages[seq]
-            self.machine.exec_trans("SEND", payload)
-            self._transmit(seq, payload)
-            self._arm_timer(seq)
-
-    def _transmit(self, seq: int, payload: bytes) -> None:
-        packet = SLIDING_PACKET.make(seq=seq, length=len(payload), payload=payload)
-        self._sendto(SLIDING_PACKET.encode(packet))
-
-    def _arm_timer(self, seq: int) -> None:
-        if seq not in self.timers:
-            self.timers[seq] = WheelTimer(
-                self.runner.wheel,
-                self.rto,
-                lambda s=seq: self._on_timeout(s),
-                name=f"sr-rto-{seq}",
-            )
-        self.timers[seq].start(self.rto)
-
-    def _maybe_finish(self) -> None:
-        if (
-            not self.machine.is_finished
-            and self.base == self.nxt
-            and self.base >= len(self.messages)
-        ):
-            self.machine.exec_trans("FINISH")
-            self._finish(True)
-
-    def _on_frame(self, data: bytes) -> None:
-        if self.machine.is_finished:
-            return
-        verified = SLIDING_ACK.try_parse(data)
-        if verified is None or verified.value.kind != KIND_SELECTIVE:
-            return
-        seq = verified.value.seq
-        if not self.base <= seq < self.nxt or self.acked.get(seq):
-            if seq < self.base:
-                self.machine.exec_trans("ACK_OLD", verified, ack=seq)
-            return
-        self.acked[seq] = True
-        if seq in self.timers:
-            self.timers[seq].stop()
-        # Slide the base over the contiguous acked prefix: each step is
-        # the machine's ACK transition with the base packet's number.
-        while self.base < self.nxt and self.acked.get(self.base):
-            self.machine.exec_trans("ACK", verified, ack=self.base)
-        self._fill_window()
-        self._maybe_finish()
-
-    def _on_timeout(self, seq: int) -> None:
-        if self.machine.is_finished or self.acked.get(seq):
-            return
-        if not self.base <= seq < self.nxt:
-            return
-        used = self.retries.get(seq, 0)
-        if used >= self.max_retries:
-            self._finish(False)
-            return
-        self.retries[seq] = used + 1
-        self._transmit(seq, self.messages[seq])
-        self.retransmissions += 1
-        self._arm_timer(seq)
+        super().__init__(
+            runner,
+            SelectiveRepeatSender,
+            messages=messages,
+            window=window,
+            rto=rto,
+            max_retries=max_retries,
+        )
 
 
 def build_client(
@@ -418,14 +215,13 @@ def build_client(
     seed: int = 0,
     rto: float = 0.25,
     window: int = 8,
-) -> BaseClient:
-    """Instantiate the right client for a serve protocol name."""
-    if protocol == "arq":
-        return ArqClient(runner, messages, rto=rto)
-    if protocol == "handshake":
-        return HandshakeClient(runner, seed=seed, rto=rto)
-    if protocol == "sliding":
-        return SlidingClient(runner, messages, window=window, rto=rto)
-    raise ValueError(
-        f"unknown serve protocol {protocol!r}; known: arq, handshake, sliding"
+) -> RoleClient:
+    """A client hosting the initiator role :data:`~repro.serve.apps.APPS` names."""
+    return RoleClient(
+        runner,
+        app_class(protocol).initiator,
+        messages=messages,
+        seed=seed,
+        rto=rto,
+        window=window,
     )

@@ -4,7 +4,8 @@ One call stands up the whole experiment on 127.0.0.1:
 
 1. a recording :class:`~repro.serve.transport.Server` on an ephemeral
    UDP port;
-2. N concurrent DSL clients (:mod:`repro.serve.client`), each with
+2. N concurrent clients hosting the initiator role
+   (:mod:`repro.serve.client`), each with
    deterministically derived payloads and seeds, optionally speaking
    through seeded loss/duplication/reorder impairment in both
    directions (outbound via
@@ -28,7 +29,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.serve.client import BaseClient, WheelRunner, build_client
+from repro.serve.client import RoleClient, WheelRunner, build_client
 from repro.serve.manager import session_seed
 from repro.serve.record import ExchangeRecord
 from repro.serve.replay import DifferentialReport, replay_records
@@ -135,7 +136,7 @@ async def run_loopback(config: LoopbackConfig) -> LoopbackReport:
     )
     runner = WheelRunner(loop).start()
     report = LoopbackReport(config=config)
-    clients: List[BaseClient] = []
+    clients: List[RoleClient] = []
     impaired = config.loss_rate or config.duplication_rate or config.reorder_rate
     try:
         port = server.udp_port

@@ -37,7 +37,9 @@ Responsibilities, in the order a frame meets them:
    idempotent: if the slot was re-allocated before a stale firing, it
    runs the new occupant's pending drain early, and the occupant's own
    deferred firing becomes a no-op — delivery is exactly-once either
-   way.
+   way.  Each session is a fault domain: a role that raises while its
+   queue drains closes that session (reason ``app_error``), drops the
+   rest of its queue and still resumes a paused connection.
 4. **Idle reaping** rides the hashed timer wheel lazily: one
    preallocated per-slot timer callback per session, rescheduled only
    when it fires early — no cancel churn and no closure allocation on
@@ -226,7 +228,7 @@ class SessionManager:
         protocol timer (the handshake responder's half-open RESET fires
         on reaping).
     app_params:
-        Extra keyword arguments for the session app (e.g. ``window``).
+        Extra keyword arguments for the responder role (e.g. ``window``).
     record:
         Attach an exchange recorder to every session (the loopback
         differential mode).
@@ -350,26 +352,37 @@ class SessionManager:
             recorder = slab.recorder[slot]
             slab.last_activity[slot] = self.clock()
             obs = self.obs
-            if obs.enabled:
-                frames_in = self._handles().frames_in
-                span = obs.tracer.span
-                peer_name = str(slab.peer[slot])
-                protocol = self.protocol
-                while queue:
-                    data = queue.popleft()
-                    if recorder is not None:
-                        recorder.frame_in(data)
-                    frames_in.inc()
-                    with span(
-                        "serve.dispatch", protocol=protocol, peer=peer_name
-                    ):
+            try:
+                if obs.enabled:
+                    frames_in = self._handles().frames_in
+                    span = obs.tracer.span
+                    peer_name = str(slab.peer[slot])
+                    protocol = self.protocol
+                    while queue:
+                        data = queue.popleft()
+                        if recorder is not None:
+                            recorder.frame_in(data)
+                        frames_in.inc()
+                        with span(
+                            "serve.dispatch", protocol=protocol, peer=peer_name
+                        ):
+                            app.on_frame(data)
+                else:
+                    while queue:
+                        data = queue.popleft()
+                        if recorder is not None:
+                            recorder.frame_in(data)
                         app.on_frame(data)
-            else:
-                while queue:
-                    data = queue.popleft()
-                    if recorder is not None:
-                        recorder.frame_in(data)
-                    app.on_frame(data)
+            except Exception:
+                # Each session is a fault domain: a raising app loses its
+                # own session (and the rest of its queue, which the close
+                # clears) and nobody else's.  A paused connection still
+                # resumes, so its transport is not stranded.
+                resume = slab.resume[slot] if slab.congested[slot] else None
+                self.close(slab.peer[slot], reason="app_error")
+                if resume is not None:
+                    resume()
+                return
         if slab.congested[slot]:
             slab.congested[slot] = False
             resume = slab.resume[slot]

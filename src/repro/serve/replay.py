@@ -1,9 +1,9 @@
 """The differential oracle: replay a live exchange through the simulator.
 
-Session apps are deterministic functions of (inbound frame sequence,
+Responder roles are deterministic functions of (inbound frame sequence,
 seed): every free choice flows from the seeded RNG, every protocol step
 from the DSL machine.  So a recorded live session replays exactly —
-build the *same* app type with the *same* seed and params under
+build the *same* role class with the *same* seed and params under
 :class:`~repro.netsim.replay.ScriptedHost`, feed it the frames the live
 session actually consumed at their recorded relative times, and the
 oracle must emit byte-for-byte the frames the live session sent.  Any
@@ -27,7 +27,8 @@ from repro.core.machine import Machine, TraceStep
 from repro.modelcheck.explicit import successors_of
 from repro.netsim.capture import describe_frame
 from repro.netsim.replay import ScriptedHost
-from repro.serve.apps import SessionApp, app_class
+from repro.protocols.role import Role
+from repro.serve.apps import app_class
 from repro.serve.record import ExchangeRecord
 
 
@@ -133,7 +134,7 @@ def replay_record(
     # host() needs the handler and the app needs host()'s send callable;
     # the holder breaks the cycle (the closure resolves at delivery time,
     # after the app exists).
-    holder: List[SessionApp] = []
+    holder: List[Role] = []
     send = host.host(lambda frame: holder[0].on_frame(frame))
     app = app_cls(send, seed=record.seed, **record.params)
     holder.append(app)

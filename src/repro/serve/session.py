@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from repro.serve.apps import SessionApp
+from repro.protocols.role import Role
 from repro.serve.record import ExchangeRecorder
 
 
@@ -71,7 +71,7 @@ class SessionSlab:
     def __init__(self, max_queue: int = 1 << 30) -> None:
         self.max_queue = max_queue
         self.peer: List[Any] = []
-        self.app: List[Optional[SessionApp]] = []
+        self.app: List[Optional[Role]] = []
         self.recorder: List[Optional[ExchangeRecorder]] = []
         self.queue: List[Deque[bytes]] = []
         self.opened_at: List[float] = []
@@ -99,7 +99,7 @@ class SessionSlab:
     def alloc(
         self,
         peer: Any,
-        app: SessionApp,
+        app: Role,
         send: Callable[[bytes], None],
         opened_at: float,
         recorder: Optional[ExchangeRecorder] = None,
@@ -210,7 +210,7 @@ class Session:
         return slab.peer[self._slot] if slab is not None else self._frozen["peer"]
 
     @property
-    def app(self) -> SessionApp:
+    def app(self) -> Role:
         slab = self._slab
         return slab.app[self._slot] if slab is not None else self._frozen["app"]
 

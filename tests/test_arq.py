@@ -166,11 +166,12 @@ class TestTransfers:
 
     def test_oversized_message_rejected(self):
         from repro.protocols.arq import ArqSender
+        from repro.protocols.role import on_node
         from repro.netsim import Node, Simulator
 
         sim = Simulator()
         with pytest.raises(ValueError, match="at most"):
-            ArqSender(sim, Node(sim, "s"), "r", [b"x" * 300])
+            on_node(Node(sim, "s"), "r", ArqSender, messages=[b"x" * 300])
 
     def test_more_than_256_messages_wraps_sequence_space(self):
         messages = [bytes([i % 256]) for i in range(300)]
@@ -221,13 +222,15 @@ class TestAdaptiveRto:
         """Samples are suppressed after retransmissions (no poisoned RTTs)."""
         from repro.netsim import DuplexLink, Node, Simulator
         from repro.protocols.arq import ArqReceiver, ArqSender
+        from repro.protocols.role import on_node
 
         sim = Simulator()
         s, r = Node(sim, "s"), Node(sim, "r")
         DuplexLink(sim, s, r, ChannelConfig(loss_rate=0.4, delay=0.05), seed=4)
-        ArqReceiver(sim, r, "s")
-        sender = ArqSender(
-            sim, s, "r", self.MESSAGES, max_retries=300, adaptive_rto=True
+        on_node(r, "s", ArqReceiver)
+        sender = on_node(
+            s, "r", ArqSender, messages=self.MESSAGES, max_retries=300,
+            adaptive_rto=True,
         )
         sender.start()
         sim.run_until(lambda: sender.done or sender.failed)

@@ -3,6 +3,7 @@
 from repro.netsim import ChannelConfig, DuplexLink, Node, Simulator
 from repro.netsim.capture import Capture
 from repro.protocols.arq import ACK_PACKET, ARQ_PACKET, ArqReceiver, ArqSender
+from repro.protocols.role import on_node
 
 
 def run_captured_transfer(config=None, seed=0, messages=None):
@@ -14,9 +15,10 @@ def run_captured_transfer(config=None, seed=0, messages=None):
     capture = Capture(specs=[ARQ_PACKET, ACK_PACKET])
     capture.tap(link.forward)
     capture.tap(link.backward)
-    receiver = ArqReceiver(sim, receiver_node, "alice")
-    sender = ArqSender(
-        sim, sender_node, "bob", messages or [b"one", b"two"], max_retries=50
+    receiver = on_node(receiver_node, "alice", ArqReceiver)
+    sender = on_node(
+        sender_node, "bob", ArqSender, messages=messages or [b"one", b"two"],
+        max_retries=50,
     )
     sender.start()
     sim.run_until(lambda: sender.done or sender.failed)
@@ -114,9 +116,10 @@ class TestCapture:
         sim = Simulator()
         s, r = Node(sim, "alice"), Node(sim, "bob")
         DuplexLink(sim, s, r, ChannelConfig(loss_rate=0.25), seed=9)
-        receiver = ArqReceiver(sim, r, "alice")
-        sender = ArqSender(
-            sim, s, "bob", [bytes([i]) for i in range(8)], max_retries=50
+        receiver = on_node(r, "alice", ArqReceiver)
+        sender = on_node(
+            s, "bob", ArqSender, messages=[bytes([i]) for i in range(8)],
+            max_retries=50,
         )
         sender.start()
         sim.run_until(lambda: sender.done or sender.failed)

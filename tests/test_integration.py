@@ -14,6 +14,7 @@ from repro.protocols.arq import (
     build_sender_spec,
     run_transfer,
 )
+from repro.protocols.role import on_node
 from repro.baseline.sockets_arq import run_baseline_transfer
 
 
@@ -28,7 +29,7 @@ class TestDslAndBaselineInteroperate:
         DuplexLink(sim, sender_node, receiver_node, ChannelConfig(), seed=0)
         receiver = SocketsStyleReceiver(sim, receiver_node, "s")
         messages = [b"alpha", b"beta", b"gamma"]
-        sender = ArqSender(sim, sender_node, "r", messages)
+        sender = on_node(sender_node, "r", ArqSender, messages=messages)
         sender.start()
         sim.run_until(lambda: sender.done or sender.failed)
         assert sender.done
@@ -40,7 +41,7 @@ class TestDslAndBaselineInteroperate:
         sim = Simulator()
         sender_node, receiver_node = Node(sim, "s"), Node(sim, "r")
         DuplexLink(sim, sender_node, receiver_node, ChannelConfig(), seed=0)
-        receiver = ArqReceiver(sim, receiver_node, "s")
+        receiver = on_node(receiver_node, "s", ArqReceiver)
         messages = [b"alpha", b"beta", b"gamma"]
         sender = SocketsStyleSender(sim, sender_node, "r", messages)
         sender.start()
@@ -65,8 +66,8 @@ class TestGeneratedCodecInLiveTransfer:
             original_send(frame)
 
         link.forward.send = tap
-        receiver = ArqReceiver(sim, receiver_node, "s")
-        sender = ArqSender(sim, sender_node, "r", [b"one", b"two"])
+        receiver = on_node(receiver_node, "s", ArqReceiver)
+        sender = on_node(sender_node, "r", ArqSender, messages=[b"one", b"two"])
         sender.start()
         sim.run_until(lambda: sender.done)
         assert frames
@@ -83,8 +84,8 @@ class TestTraceAuditOfRealRun:
             sim, sender_node, receiver_node,
             ChannelConfig(loss_rate=0.2), seed=3,
         )
-        ArqReceiver(sim, receiver_node, "s")
-        sender = ArqSender(sim, sender_node, "r", [b"a", b"b", b"c"])
+        on_node(receiver_node, "s", ArqReceiver)
+        sender = on_node(sender_node, "r", ArqSender, messages=[b"a", b"b", b"c"])
         sender.start()
         sim.run_until(lambda: sender.done or sender.failed)
         assert sender.done
@@ -109,8 +110,8 @@ class TestModelCheckerAgreesWithRuntime:
             sim, sender_node, receiver_node,
             ChannelConfig(loss_rate=0.3), seed=5,
         )
-        ArqReceiver(sim, receiver_node, "s")
-        sender = ArqSender(sim, sender_node, "r", [b"x"] * 5)
+        on_node(receiver_node, "s", ArqReceiver)
+        sender = on_node(sender_node, "r", ArqSender, messages=[b"x"] * 5)
         observed = set()
         sender.machine.add_observer(
             lambda m, step, payload: observed.add(

@@ -31,7 +31,7 @@ from repro.baseline.sockets_arq import BlockingArqClient
 from repro.core.machine import Machine
 from repro.modelcheck.explicit import successors_of
 from repro.protocols.arq import ARQ_PACKET, build_receiver_spec
-from repro.serve.apps import ArqResponderApp, build_app
+from repro.serve.apps import APPS, ArqResponderApp, build_app
 from repro.serve.framing import FramingError, StreamDeframer, encode_frame
 from repro.serve.loopback import (
     LoopbackConfig,
@@ -352,6 +352,94 @@ class TestSlabStorage:
         h.manager.frame_from("b", _data_frame(0), factory)
         assert built == ["a", "b"]  # once per open, never per frame
         assert len(sent) == 3  # every frame was acked
+
+
+class _RaisingReceiver(ArqResponderApp):
+    """An ARQ responder that raises after delivering ``b"boom"``."""
+
+    def on_frame(self, data):
+        super().on_frame(data)
+        if self.delivered and self.delivered[-1] == b"boom":
+            raise RuntimeError("injected role failure")
+
+
+class TestSessionFaultDomain:
+    """A raising role loses its own session, never anyone else's."""
+
+    def test_raising_session_closes_and_others_are_served(self, monkeypatch):
+        from repro.obs.instrument import Instrumentation
+
+        monkeypatch.setitem(APPS, "arq", _RaisingReceiver)
+        instr = Instrumentation()
+        pending = []
+        h = _Harness(defer=pending.append, obs=instr)
+        h.offer("a", _data_frame(0, b"boom"))
+        h.offer("a", _data_frame(1, b"never"))
+        h.offer("b", _data_frame(0, b"fine"))
+        view_a = h.manager.sessions["a"]
+        for drain in pending:
+            drain()  # a's drain raises inside; b's must still run
+        assert "a" not in h.manager.sessions
+        assert view_a.app.delivered == [b"boom"]  # the rest was dropped
+        assert h.manager.sessions["b"].app.delivered == [b"fine"]
+        assert instr.registry.value(
+            "serve.sessions_closed", protocol="arq", reason="app_error"
+        ) == 1
+        pending.clear()
+        h.offer("a", _data_frame(0, b"again"))  # a fresh session serves a
+        for drain in pending:
+            drain()
+        assert h.manager.sessions["a"].app.delivered == [b"again"]
+
+    def test_full_tcp_queue_resumes_after_an_app_error(self, monkeypatch):
+        monkeypatch.setitem(APPS, "arq", _RaisingReceiver)
+
+        async def main():
+            server = await Server.start(
+                ServeConfig(protocol="arq", kind="tcp", max_queue=2)
+            )
+            closed = []
+            original_close = server.manager.close
+
+            def keeping_close(peer, reason="peer"):
+                session = original_close(peer, reason=reason)
+                if session is not None:
+                    closed.append((reason, session))
+                return session
+
+            server.manager.close = keeping_close
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.tcp_port
+            )
+            # One write, one chunk: the queue (2) fills, the connection
+            # pauses, the third frame is dropped; the first one raises.
+            writer.write(
+                b"".join(
+                    encode_frame(_data_frame(seq, b"boom" if seq == 0 else b"x"))
+                    for seq in range(3)
+                )
+            )
+            await writer.drain()
+            deframer = StreamDeframer()
+            acks = []
+            while not acks:
+                acks += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
+            # The paused connection must have resumed: a new frame is read
+            # and served by a fresh session.
+            writer.write(encode_frame(_data_frame(0, b"after")))
+            await writer.drain()
+            while len(acks) < 2:
+                acks += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
+            delivered = [s.app.delivered for s in server.manager.sessions.values()]
+            writer.close()
+            await server.close()
+            return closed, delivered
+
+        closed, delivered = asyncio.run(main())
+        assert closed[0][0] == "app_error"
+        assert closed[0][1].drops == 1  # the queue really was full
+        assert closed[0][1].app.delivered == [b"boom"]
+        assert delivered == [[b"after"]]
 
 
 # ---------------------------------------------------------------------------

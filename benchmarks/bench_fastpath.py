@@ -29,17 +29,12 @@ def test_fastpath_tiers(benchmark):
     assert report["schema"] == perf_harness.SCHEMA
     specs = report["specs"]
     # The harness corpus may carry extra synthetic specs (e.g. the
-    # BulkStream parallel workload) beyond the registry set.
+    # payload-heavy BulkStream) beyond the registry set.
     assert set(specs) >= {entry.name for entry in all_spec_entries()}
 
     rows = []
     for name, row in specs.items():
         for tier in perf_harness.TIERS:
-            if row.get(tier) is None:
-                # The parallel tier records None when the host has no
-                # cores to shard over (workers=0) — an honest gap.
-                assert tier == "parallel"
-                continue
             assert row[tier]["packets_per_second"] > 0
         assert row["tier_used"] == "compiled", f"{name} never compiled"
         assert row["compiled_speedup"] >= 1.0, (

@@ -1,4 +1,4 @@
-"""Packets-per-second harness: interpreted, compiled, batch, parallel.
+"""Packets-per-second harness: interpreted, compiled, batch.
 
 The ROADMAP's north star says generated implementations should run "as
 fast as the hardware allows"; this harness turns that into a number and
@@ -18,14 +18,6 @@ encode + one decode per packet) across the tier ladder:
     for specs with checksum fields, ``compute_checksums`` (the ``make``
     path) per tier.  A round trip computes no checksum, so only these
     cells can see a slow checksum kernel in either tier.
-``parallel``
-    the same batch APIs routed through the ``repro.parallel`` sharded
-    pool — compiled codecs fanned out across worker processes.  The
-    parallel tier runs on a *big* corpus (the per-spec corpus repeated
-    to a few thousand packets) so sharding overhead amortizes, and is
-    compared against ``batch_big``: the single-process batch tier on
-    that same big corpus, which makes ``parallel_scale_vs_batch`` an
-    apples-to-apples multi-core scaling factor.
 
 Results go to ``BENCH_perf.json`` (schema ``repro.fastpath/perf/v2``),
 the baseline every future perf PR is compared against.
@@ -37,9 +29,8 @@ Usage::
 
 ``--check`` fails (exit 1) when any spec's compiled tier is slower than
 its interpreted tier (round trip), or below ``CHECKSUM_FLOOR`` of it
-(checksums), when any tier drops below its tolerance band
-versus the committed baseline, or — on machines with enough cores —
-when the parallel tier fails to scale over single-process batch.
+(checksums), or when any tier drops below its tolerance band versus the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -51,11 +42,11 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import fastpath, parallel
+from repro import fastpath
 from repro.conformance.registry import all_spec_entries
 from repro.core import codec
 from repro.core.fields import Bytes, ChecksumField, UInt
@@ -65,8 +56,6 @@ from repro.fastpath import batch
 
 SCHEMA = "repro.fastpath/perf/v2"
 CORPUS_SIZE = 64  # distinct packets per spec, round-robined each rep
-BIG_CORPUS_PACKETS = 4096  # parallel-tier corpus, capped by bytes below
-BIG_CORPUS_BYTES = 16 * 2**20
 
 #: Payload-heavy synthetic spec: a 8-byte header in front of kilobytes
 #: of opaque payload, so throughput is memcpy-bound rather than
@@ -120,23 +109,6 @@ def build_corpus(seed: int) -> Dict[str, Dict[str, Any]]:
     return corpus
 
 
-def big_corpus(bundle: Dict[str, Any]) -> Tuple[List[dict], List[bytes]]:
-    """The bundle's corpus repeated until it is worth sharding.
-
-    Target ``BIG_CORPUS_PACKETS`` packets, capped so the wire image stays
-    under ``BIG_CORPUS_BYTES`` — fork-and-pickle a corpus, not a dataset.
-    """
-    values, wires = bundle["values"], bundle["wires"]
-    factor = max(
-        1,
-        min(
-            BIG_CORPUS_PACKETS // len(values),
-            BIG_CORPUS_BYTES // max(1, bundle["bytes"]),
-        ),
-    )
-    return values * factor, wires * factor
-
-
 def _roundtrip_single(spec: Any, values: List[dict], wires: List[bytes]) -> None:
     # Retain results just like the batch APIs do — discarding each 33KB
     # UdpDatagram blob immediately would recycle one cache-hot allocator
@@ -167,7 +139,7 @@ def measure(
     budget_seconds: float,
 ) -> Dict[str, Any]:
     """Best-of-reps round-trip rate, spending ~``budget_seconds``."""
-    runner(spec, values, wires)  # warm-up: compiles, caches, allocator, pool
+    runner(spec, values, wires)  # warm-up: compiles, caches, allocator
     reps = 0
     best = float("inf")
     spent = 0.0
@@ -189,10 +161,10 @@ def measure(
     }
 
 
-TIERS = ("interpreted", "compiled", "batch", "batch_big", "parallel")
+TIERS = ("interpreted", "compiled", "batch")
 
 
-def run(seed: int, budget_seconds: float, workers: int = 0) -> Dict[str, Any]:
+def run(seed: int, budget_seconds: float) -> Dict[str, Any]:
     corpus = build_corpus(seed)
     results: Dict[str, Any] = {}
     for name, bundle in sorted(corpus.items()):
@@ -214,27 +186,6 @@ def run(seed: int, budget_seconds: float, workers: int = 0) -> Dict[str, Any]:
             per_spec["batch"] = measure(
                 _roundtrip_batch, spec, values, wires, budget_seconds
             )
-            big_values, big_wires = big_corpus(bundle)
-            per_spec["big_corpus_packets"] = len(big_values)
-            with parallel.use(workers=0):
-                per_spec["batch_big"] = measure(
-                    _roundtrip_batch, spec, big_values, big_wires, budget_seconds
-                )
-            if workers >= 2:
-                with parallel.use(workers=workers, min_batch=256):
-                    per_spec["parallel"] = measure(
-                        _roundtrip_batch, spec, big_values, big_wires, budget_seconds
-                    )
-                per_spec["parallel_scale_vs_batch"] = (
-                    per_spec["parallel"]["packets_per_second"]
-                    / per_spec["batch_big"]["packets_per_second"]
-                )
-            else:
-                # Not enough cores (or --workers off): record the gap
-                # honestly instead of benchmarking a serial fallback and
-                # calling it parallel.
-                per_spec["parallel"] = None
-                per_spec["parallel_scale_vs_batch"] = None
         if any(isinstance(field, ChecksumField) for field in spec.fields):
             for tier, mode in (("checksum_interpreted", "off"), ("checksum_compiled", "always")):
                 with fastpath.use(mode=mode):
@@ -257,32 +208,25 @@ def run(seed: int, budget_seconds: float, workers: int = 0) -> Dict[str, Any]:
         "budget_seconds": budget_seconds,
         "metric": "round-trip packets/sec (1 encode + 1 decode per packet)",
         "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
         "specs": results,
         "fastpath_stats": fastpath.stats(),
-        "parallel_stats": parallel.stats(),
     }
 
 
 def render(report: Dict[str, Any]) -> str:
     lines = [
-        f"cores={report['cpu_count']} parallel workers={report['workers']}",
+        f"cores={report['cpu_count']}",
         f"{'spec':<18} {'interp pps':>12} {'compiled pps':>13} "
-        f"{'batch pps':>12} {'par pps':>12} {'comp x':>7} {'par/bat':>8} "
-        f"{'cksum x':>8}  tier",
+        f"{'batch pps':>12} {'comp x':>7} {'cksum x':>8}  tier",
     ]
     for name, row in report["specs"].items():
-        par = row.get("parallel")
-        scale = row.get("parallel_scale_vs_batch")
         checksum = row.get("checksum_speedup")
         lines.append(
             f"{name:<18} "
             f"{row['interpreted']['packets_per_second']:>12.0f} "
             f"{row['compiled']['packets_per_second']:>13.0f} "
             f"{row['batch']['packets_per_second']:>12.0f} "
-            f"{par['packets_per_second'] if par else 0:>12.0f} "
             f"{row['compiled_speedup']:>6.2f}x "
-            f"{f'{scale:.2f}x' if scale else '--':>8} "
             f"{f'{checksum:.2f}x' if checksum else '--':>8}  {row['tier_used']}"
         )
     return "\n".join(lines)
@@ -294,13 +238,11 @@ def render(report: Dict[str, Any]) -> str:
 #: packets/sec.  Wide bands: CI machines differ from the machine that
 #: wrote the baseline, and best-of-reps still jitters.  The gate exists
 #: to catch tier collapses (a codegen path silently demoting to the
-#: interpreter, sharding overhead swamping the pool), not 10% noise.
+#: interpreter), not 10% noise.
 TOLERANCE = {
     "interpreted": 0.35,
     "compiled": 0.40,
     "batch": 0.40,
-    "batch_big": 0.35,
-    "parallel": 0.30,
 }
 
 #: Least compiled/interpreted ratio for ``compute_checksums``.  Below
@@ -346,7 +288,7 @@ def check_report(
                 base_pps = _tier_pps(base_row, tier)
                 new_pps = _tier_pps(row, tier)
                 if base_pps is None or new_pps is None:
-                    continue  # tier absent on either side (e.g. 1-core box)
+                    continue  # tier absent on either side
                 if new_pps < base_pps * band:
                     problems.append(
                         f"{name}/{tier}: {new_pps:,.0f} pps < "
@@ -357,38 +299,7 @@ def check_report(
             f"baseline schema {baseline.get('schema')!r} != {report['schema']!r}; "
             "regenerate BENCH_perf.json"
         )
-    problems.extend(_check_scaling(report))
     return problems
-
-
-def _check_scaling(report: Dict[str, Any]) -> List[str]:
-    """Parallel-vs-batch scaling gate; skipped without real cores."""
-    workers = report["workers"]
-    if workers < 2 or report["cpu_count"] < 2:
-        return []  # nothing to assert: the pool never actually fans out
-    scales = {
-        name: row["parallel_scale_vs_batch"]
-        for name, row in report["specs"].items()
-        if row.get("parallel_scale_vs_batch") is not None
-    }
-    if not scales:
-        return ["parallel tier produced no scaling numbers despite workers >= 2"]
-    # At 4+ real cores the tentpole target applies (>= 2.5x on most
-    # specs); at 2 workers IPC eats a chunk of the win on header-sized
-    # packets, so only require that sharding is not pathological on at
-    # least half of them.
-    if workers >= 4 and report["cpu_count"] >= 4:
-        target, need = 2.5, (2 * len(scales)) // 3
-    else:
-        target, need = 0.8, len(scales) // 2
-    good = [name for name, scale in scales.items() if scale >= target]
-    if len(good) < need:
-        lagging = {n: round(s, 2) for n, s in sorted(scales.items()) if s < target}
-        return [
-            f"parallel tier >= {target}x batch on only {len(good)}/{len(scales)} "
-            f"specs (needed {need}); lagging: {lagging}"
-        ]
-    return []
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -400,14 +311,6 @@ def main(argv: List[str] | None = None) -> int:
         default=0.2,
         metavar="SECONDS",
         help="measurement budget per spec per tier (default: 0.2)",
-    )
-    parser.add_argument(
-        "--workers",
-        default="auto",
-        help=(
-            "worker processes for the parallel tier: an integer, 'auto' "
-            "(one per core), or 'off' (default: auto)"
-        ),
     )
     parser.add_argument(
         "--output",
@@ -428,12 +331,11 @@ def main(argv: List[str] | None = None) -> int:
         "--check",
         action="store_true",
         help=(
-            "exit 1 on a tier regression versus the baseline, a compiled "
-            "tier slower than interpreted, or missing parallel scaling"
+            "exit 1 on a tier regression versus the baseline, or a "
+            "compiled tier or checksum lane slower than its floor"
         ),
     )
     args = parser.parse_args(argv)
-    workers = parallel.resolve_workers(args.workers)
     baseline = None
     if args.check:
         baseline_path = Path(args.baseline or args.output)
@@ -441,7 +343,7 @@ def main(argv: List[str] | None = None) -> int:
             baseline = json.loads(baseline_path.read_text())
         else:
             print(f"no baseline at {baseline_path}; absolute checks only")
-    report = run(args.seed, args.budget, workers)
+    report = run(args.seed, args.budget)
     output_path = Path(args.output)
     if output_path.exists():
         # Sibling harnesses (benchmarks/bench_megasim.py) keep their own

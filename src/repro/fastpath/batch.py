@@ -9,15 +9,6 @@ up front (``active_state(force=True)``), closures and the output list's
 histogram plus aggregate packet/byte counters instead of per-packet
 samples.
 
-Large batches go one rung further: when the ``repro.parallel`` policy is
-on (``REPRO_PARALLEL``) and the batch clears its ``min_batch`` bar, the
-compiled codec is dispatched across the sharded worker pool — chunked,
-order-preserving, fingerprint-keyed — and any pool-side problem falls
-back to the in-process loop below, which owns the canonical error
-semantics.  Small batches never leave the process, so the single-core
-numbers of the batch tier are preserved exactly; ``REPRO_PARALLEL=off``
-makes this module behave bit-for-bit as it did before the pool existed.
-
 Semantics are identical to calling the single-packet functions in a
 loop: each item still gets the full fallback/verify treatment, and specs
 the generator refuses simply run interpreted.  Errors propagate as-is,
@@ -30,7 +21,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro import parallel as _parallel
 from repro.core import codec as _codec
 from repro.fastpath.cache import COMPILED, active_state
 from repro.obs.instrument import Instrumentation, get_default
@@ -75,38 +65,6 @@ def _record_batch(
     byte_counter.inc(size)
 
 
-def _shardable(state: Any) -> bool:
-    """Only compiled, non-verify specs may leave the process.
-
-    ``verify`` needs the interpreter beside every compiled call, and a
-    demoted/interpreted spec has no standalone source to ship — both run
-    the in-process loop, which handles them canonically.
-    """
-    return state is not None and state.status == COMPILED and not state.verify
-
-
-def _pool_run(
-    pool: Any, op: str, state: Any, spec_name: str, items: List[Any]
-) -> Optional[List[Any]]:
-    """One sharded attempt; None means 'rerun in-process' (canonical)."""
-    try:
-        return pool.run_codec(
-            op, state.fingerprint, state.codec.source, spec_name, items
-        )
-    except _parallel.ParallelFallback as exc:
-        from repro.obs.live.flightrec import record_crash
-
-        # The in-process rerun makes fallbacks invisible to callers;
-        # the flight recorder (when armed) keeps them diagnosable.
-        record_crash(
-            "parallel_fallback",
-            subject=spec_name,
-            detail=str(exc),
-            extra={"op": op, "items": len(items)},
-        )
-        return None
-
-
 def encode_many(
     spec: Any,
     packets: Iterable[Any],
@@ -123,31 +81,19 @@ def encode_many(
     enabled = obs.enabled
     start = time.perf_counter() if enabled else 0.0
     state = active_state(spec, force=True)
-    out: Optional[List[bytes]] = None
-    if _shardable(state) and _parallel.get_policy().workers >= 2:
-        if not isinstance(packets, list):
-            packets = list(packets)
-        pool = _parallel.maybe_pool(len(packets))
-        if pool is not None:
-            values = [
-                item if type(item) is dict else _as_values(item)
-                for item in packets
-            ]
-            out = _pool_run(pool, "encode", state, spec.name, values)
-    if out is None:
-        out = []
-        append = out.append
-        fast = _codec._fast_encode
-        interp = _codec._encode_fields
-        for item in packets:
-            # Exact-type check first: ``isinstance(x, Mapping)`` is an ABC
-            # walk costing as much as a small spec's entire compiled build.
-            values = item if type(item) is dict else _as_values(item)
-            # Re-check per item: a divergence can demote the spec mid-batch.
-            if state is not None and state.status == COMPILED:
-                append(fast(spec, state, values, obs))
-            else:
-                append(interp(spec, values)[0])
+    out: List[bytes] = []
+    append = out.append
+    fast = _codec._fast_encode
+    interp = _codec._encode_fields
+    for item in packets:
+        # Exact-type check first: ``isinstance(x, Mapping)`` is an ABC
+        # walk costing as much as a small spec's entire compiled build.
+        values = item if type(item) is dict else _as_values(item)
+        # Re-check per item: a divergence can demote the spec mid-batch.
+        if state is not None and state.status == COMPILED:
+            append(fast(spec, state, values, obs))
+        else:
+            append(interp(spec, values)[0])
     if enabled:
         elapsed = time.perf_counter() - start
         _record_batch(
@@ -172,28 +118,17 @@ def decode_many(
     enabled = obs.enabled
     start = time.perf_counter() if enabled else 0.0
     state = active_state(spec, force=True)
-    out: Optional[List[Dict[str, Any]]] = None
+    out: List[Dict[str, Any]] = []
     total = 0
-    if _shardable(state) and _parallel.get_policy().workers >= 2:
-        if not isinstance(blobs, list):
-            blobs = list(blobs)
-        pool = _parallel.maybe_pool(len(blobs))
-        if pool is not None:
-            out = _pool_run(pool, "decode", state, spec.name, blobs)
-            if out is not None:
-                total = sum(map(len, blobs))
-    if out is None:
-        out = []
-        total = 0
-        append = out.append
-        fast = _codec._fast_decode
-        interp = _codec._decode_fields
-        for data in blobs:
-            total += len(data)
-            if state is not None and state.status == COMPILED:
-                append(fast(spec, state, data, obs))
-            else:
-                append(interp(spec, data))
+    append = out.append
+    fast = _codec._fast_decode
+    interp = _codec._decode_fields
+    for data in blobs:
+        total += len(data)
+        if state is not None and state.status == COMPILED:
+            append(fast(spec, state, data, obs))
+        else:
+            append(interp(spec, data))
     if enabled:
         elapsed = time.perf_counter() - start
         _record_batch(obs, "decode", spec.name, len(out), total, elapsed)

@@ -8,7 +8,7 @@ changes) that tracks where the spec sits in the tier ladder:
 
 ``counting``
     Interpreted; under ``mode="auto"`` each call increments a counter
-    until the policy threshold triggers compilation.
+    until ``policy.AUTO_THRESHOLD`` triggers compilation.
 ``compiled``
     ``state.codec`` holds the :class:`~repro.core.compile.CompiledCodec`
     closures; the codec layer dispatches to them.
@@ -94,7 +94,7 @@ def active_state(spec: Any, force: bool = False) -> Optional[SpecState]:
         return None
     if not (force or policy.mode == "always"):
         state.calls += 1
-        if state.calls < policy.threshold:
+        if state.calls < _policy.AUTO_THRESHOLD:
             return None
     _promote(spec, state)
     return state if state.status == COMPILED else None

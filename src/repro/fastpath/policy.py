@@ -3,9 +3,10 @@
 A :class:`FastPath` value decides *when* a spec graduates from the
 interpreted codec to its compiled closures:
 
-* ``mode="auto"`` (default) — compile a spec after ``threshold``
-  interpreted calls, so one-shot scripts never pay codegen latency while
-  steady-state traffic always ends up on the fast tier;
+* ``mode="auto"`` (default) — compile a spec after
+  :data:`AUTO_THRESHOLD` interpreted calls, so one-shot scripts never
+  pay codegen latency while steady-state traffic always ends up on the
+  fast tier;
 * ``mode="always"`` — compile on first use;
 * ``mode="off"`` — interpret everything (the compiled tier is inert).
 
@@ -31,23 +32,22 @@ from typing import Iterator, Tuple
 
 _MODES = ("off", "auto", "always")
 
+#: Interpreted calls before ``mode="auto"`` compiles a spec.  Codegen
+#: costs milliseconds per spec; the ramp spares one-shot callers that.
+AUTO_THRESHOLD = 64
+
 
 @dataclass(frozen=True)
 class FastPath:
     """When and how the compiled codec tier engages."""
 
     mode: str = "auto"
-    threshold: int = 64  # interpreted calls before "auto" compiles a spec
     verify: bool = False  # cross-check every compiled result vs the interpreter
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(
                 f"fastpath mode must be one of {_MODES}, got {self.mode!r}"
-            )
-        if self.threshold < 1:
-            raise ValueError(
-                f"fastpath threshold must be at least 1, got {self.threshold}"
             )
 
 

@@ -17,8 +17,7 @@ process boundaries:
   serving the merged registry over a localhost socket and/or an
   append-only JSONL stream;
 * :mod:`~repro.obs.live.flightrec` — the flight recorder: on any
-  undeclared crash (fuzzer bug bucket, fast-path demotion, parallel
-  fallback) dump the trace ring, recent wire frames, a metric snapshot
+  undeclared crash (fuzzer bug bucket, fast-path demotion) dump the trace ring, recent wire frames, a metric snapshot
   and the run seed to a replayable JSONL bundle (opt-in via
   ``REPRO_OBS_FLIGHTREC``);
 * :mod:`~repro.obs.live.top` — the live TTY dashboard behind

@@ -1,10 +1,9 @@
 """The flight recorder: crash-time state, dumped replayably.
 
-An undeclared failure — a fuzzer ``bug_*`` classification, a compiled
-codec demoted for diverging from the interpreter, a sharded batch
-falling back to in-process execution — is exactly the moment the
-post-mortem tools need state that no longer exists by the time a human
-looks.  A :class:`FlightRecorder` keeps the cheap-to-maintain context (a
+An undeclared failure — a fuzzer ``bug_*`` classification, or a
+compiled codec demoted for diverging from the interpreter — is exactly
+the moment the post-mortem tools need state that no longer exists by
+the time a human looks.  A :class:`FlightRecorder` keeps the cheap-to-maintain context (a
 ring of recent wire frames) and, on a crash hook, dumps one JSONL
 *bundle*:
 
@@ -286,8 +285,8 @@ def replay_bundle(bundle: FlightBundle) -> Tuple[str, str]:
 
     ``status`` is ``"reproduced"`` (the recorded failure recurs),
     ``"drifted"`` (it no longer does — the bug moved or was fixed), or
-    ``"unreplayable"`` (the bundle is operational context with no
-    deterministic re-execution, e.g. a parallel fallback).
+    ``"unreplayable"`` (the bundle has nothing to re-execute: a kind
+    with no replay, or a spec that has left the registry).
 
     Imports the conformance/fastpath machinery lazily: loading a bundle
     is cheap, replaying one pulls in the full stack.

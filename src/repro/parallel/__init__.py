@@ -1,110 +1,20 @@
-"""``repro.parallel`` — the sharded multi-process execution plane.
+"""``repro.parallel`` — whole units of work across forked workers.
 
-The single-process tier ladder (interpreted → compiled → batch, PR 3)
-ends at one core.  This package adds the fourth rung: a
-:class:`~repro.parallel.pool.ShardedPool` of forked workers that the
-batch codec APIs and the conformance runner dispatch into transparently
-when the process-wide :class:`~repro.parallel.policy.Parallel` policy
-allows it (``REPRO_PARALLEL`` env: ``off`` / ``auto`` / N).
-
-Design rule: **fingerprints, not closures, cross the process
-boundary.**  Workers receive a spec's structural fingerprint plus (once
-per worker) the generated standalone codec source — never pickled
-closures or spec objects — so the plane stays correct under
-``fork``/``spawn`` alike and a worker's cache can be warmed, audited,
-and discarded by content hash.  See DESIGN.md.
+A :class:`~repro.parallel.pool.ShardedPool` runs calls named by dotted
+path (``"package.module:function"``) with picklable keyword arguments in
+worker processes and returns their results in unit order.  Two callers
+size a pool for one run and close it afterwards:
+``python -m repro.conformance --workers N`` runs one fuzz, differential
+or machine unit per call (:mod:`repro.parallel.confrun`), and
+``python -m repro.megasim --workers N`` runs one shard epoch per call
+(:mod:`repro.megasim.shard`).  A unit that fails comes back as a
+:class:`~repro.parallel.pool.CallError`; conformance reruns it
+in-process and megasim rebuilds the shard from its inbox history, so
+both produce the serial run's output byte for byte.  See DESIGN.md.
 """
 
 from __future__ import annotations
 
-import atexit
-from typing import Optional
+from repro.parallel.pool import CallError, ShardedPool
 
-from repro.parallel.policy import (
-    Parallel,
-    configure,
-    get_policy,
-    resolve_workers,
-    set_policy,
-    use,
-)
-from repro.parallel.pool import CallError, ParallelFallback, ShardedPool
-
-__all__ = [
-    "Parallel",
-    "ParallelFallback",
-    "CallError",
-    "ShardedPool",
-    "configure",
-    "get_policy",
-    "get_pool",
-    "maybe_pool",
-    "resolve_workers",
-    "set_policy",
-    "shutdown",
-    "stats",
-    "use",
-]
-
-_pool: Optional[ShardedPool] = None
-
-
-def get_pool() -> Optional[ShardedPool]:
-    """The process-wide pool sized by the current policy (or None if off).
-
-    Rebuilt lazily whenever the policy's worker count changes, so tests
-    and CLIs can flip ``configure(workers=...)`` and get a matching pool
-    on the next batch.
-    """
-    global _pool
-    policy = get_policy()
-    if policy.workers < 2:
-        if _pool is not None:
-            _pool.close()
-            _pool = None
-        return None
-    # Dead workers are the pool's own problem (it respawns them during
-    # collection); only a size change warrants a rebuild here, so crash
-    # bookkeeping in ``pool.stats`` survives across batches.
-    if _pool is not None and _pool.size != policy.workers:
-        _pool.close()
-        _pool = None
-    if _pool is None:
-        _pool = ShardedPool(policy.workers, chunk_timeout=policy.chunk_timeout)
-    return _pool
-
-
-def maybe_pool(batch_size: int) -> Optional[ShardedPool]:
-    """The pool iff policy says this batch is worth sharding, else None."""
-    policy = get_policy()
-    if policy.workers < 2 or batch_size < policy.min_batch:
-        return None
-    return get_pool()
-
-
-def stats() -> dict:
-    """Pool counters (zeros when no pool has been started)."""
-    base = {
-        "workers": 0,
-        "batches_sharded": 0,
-        "chunks": 0,
-        "calls": 0,
-        "worker_failures": 0,
-        "fallbacks": 0,
-        "source_ships": 0,
-    }
-    if _pool is not None:
-        base.update(_pool.stats)
-        base["workers"] = _pool.size
-    return base
-
-
-def shutdown() -> None:
-    """Stop the process-wide pool (restarted lazily on next use)."""
-    global _pool
-    if _pool is not None:
-        _pool.close()
-        _pool = None
-
-
-atexit.register(shutdown)
+__all__ = ["CallError", "ShardedPool"]

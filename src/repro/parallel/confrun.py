@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import parallel as _parallel
 from repro.conformance.corpus import Corpus
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.runner import (
@@ -36,6 +35,7 @@ from repro.conformance.runner import (
     run_all,
 )
 from repro.obs.instrument import get_default
+from repro.parallel.pool import CallError, ShardedPool
 
 _EXECUTE = "repro.parallel.confrun:execute_unit"
 
@@ -170,10 +170,11 @@ def run_all_parallel(
 ) -> ConformanceReport:
     """Like ``run_all`` but with units sharded over ``workers`` processes.
 
-    Degrades to the serial runner when the pool cannot start (one core,
-    ``workers < 2``) or gets wedged; individual unit failures re-run
-    in-process.  The report — findings, case counts, coverage summary,
-    corpus file — is byte-identical to the serial run's.
+    The run owns its :class:`ShardedPool` and closes it before
+    returning.  With ``workers < 2`` (or nothing to run) it is the
+    serial runner; individual unit failures re-run in-process.  The
+    report — findings, case counts, coverage summary, corpus file — is
+    byte-identical to the serial run's.
 
     ``exporter`` (a :class:`repro.obs.live.Exporter`) switches the live
     telemetry plane on: worker streamers' metric deltas are folded into
@@ -183,48 +184,10 @@ def run_all_parallel(
     touches the process-default registry, so the end-of-run merge stays
     byte-identical to a serial run whether or not exports are on.
     """
-    from repro.obs.live import flightrec
     from repro.obs.live.stream import LiveAggregator
 
     units = plan_units(budget, engines, specs, machines, shrink_budget)
-    results: Optional[List[Any]] = None
-    aggregator = LiveAggregator(exporter) if exporter is not None else None
-    with _parallel.use(workers=workers):
-        pool = _parallel.get_pool()
-        if pool is not None and units:
-            if aggregator is not None:
-                pool.telemetry_sink = aggregator.ingest
-            calls = [
-                (
-                    _EXECUTE,
-                    {
-                        "kind": unit["kind"],
-                        "name": unit["name"],
-                        "seed": seed,
-                        "budget": unit["budget"],
-                        "shrink_budget": unit["shrink_budget"],
-                    },
-                )
-                for unit in units
-            ]
-            try:
-                results = pool.run_calls(calls)
-            except _parallel.ParallelFallback as exc:
-                flightrec.record_crash(
-                    "parallel_fallback",
-                    subject="confrun",
-                    detail=str(exc),
-                    seed=seed,
-                    extra={"workers": workers, "units": len(units)},
-                )
-                results = None
-            finally:
-                if aggregator is not None:
-                    # Pick up the streamers' last periodic ticks before
-                    # the pool (and its result queue) go away.
-                    pool.drain_telemetry()
-                    pool.telemetry_sink = None
-    if results is None:
+    if workers < 2 or not units:
         report = run_all(
             seed=seed,
             budget=budget,
@@ -241,9 +204,34 @@ def run_all_parallel(
                 kind="final",
             )
         return report
+    aggregator = LiveAggregator(exporter) if exporter is not None else None
+    calls = [
+        (
+            _EXECUTE,
+            {
+                "kind": unit["kind"],
+                "name": unit["name"],
+                "seed": seed,
+                "budget": unit["budget"],
+                "shrink_budget": unit["shrink_budget"],
+            },
+        )
+        for unit in units
+    ]
+    pool = ShardedPool(workers)
+    try:
+        if aggregator is not None:
+            pool.telemetry_sink = aggregator.ingest
+        results = pool.run_calls(calls)
+        if aggregator is not None:
+            # Pick up the streamers' last periodic ticks before the
+            # pool (and its result queue) go away.
+            pool.drain_telemetry()
+    finally:
+        pool.close()
     merged: List[Dict[str, Any]] = []
     for unit, result in zip(units, results):
-        if isinstance(result, _parallel.CallError):
+        if isinstance(result, CallError):
             # The unit died with its worker or errored remotely; the
             # in-process rerun is deterministic, so nothing is lost.
             result = execute_unit(

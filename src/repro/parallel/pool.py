@@ -1,18 +1,15 @@
 """The parent-process half of the sharded execution plane.
 
 A :class:`ShardedPool` owns N forked workers (``repro.parallel.worker``),
-one private task queue each plus one shared result queue.  Work is
-sharded into contiguous chunks, shipped with spec *fingerprints* (plus
-generated source exactly once per worker), and reassembled in input
-order — callers cannot tell sharded results from in-process ones.
+one private task queue each plus one shared result queue.  Work arrives
+as whole units — ``(target, kwargs)`` calls named by dotted path — and
+comes back in unit order, so callers merge results exactly as a serial
+loop would have produced them.
 
-Failure policy is deliberately blunt: if any chunk of a codec batch
-errors, times out, or dies with its worker, the whole batch raises
-:class:`ParallelFallback` and the caller reruns it in-process, where the
-canonical tiers produce the canonical exception.  Workers are respawned
-(with cold codec caches) after a crash, so one bad batch never disables
-the plane.  Conformance calls degrade more gently: each failed unit is
-reported individually so only that unit reruns in-process.
+A unit that errors, times out, or dies with its worker comes back as a
+:class:`CallError` in its slot while every other unit still answers;
+the caller redoes just that unit.  Dead workers are respawned during
+collection, so one crash never disables the pool.
 """
 
 from __future__ import annotations
@@ -26,12 +23,13 @@ from repro.obs.instrument import get_default
 from repro.parallel.worker import worker_main
 
 
-class ParallelFallback(Exception):
-    """The pool could not finish a task; rerun the work in-process."""
+#: Seconds a :meth:`ShardedPool.run_calls` waits before every unit still
+#: unanswered becomes a :class:`CallError`.
+CALL_TIMEOUT = 120.0
 
 
 class CallError:
-    """One conformance unit failed in its worker (others are fine)."""
+    """One unit failed in its worker (the others are fine)."""
 
     __slots__ = ("message",)
 
@@ -43,14 +41,13 @@ class CallError:
 
 
 class _Worker:
-    """One slot in the pool: process, task queue, warmed fingerprints."""
+    """One slot in the pool: process and task queue."""
 
-    __slots__ = ("index", "process", "tasks", "warmed")
+    __slots__ = ("index", "process", "tasks")
 
     def __init__(self, index: int, ctx: Any, results: Any) -> None:
         self.index = index
         self.tasks = ctx.Queue()
-        self.warmed: set = set()
         self.process = ctx.Process(
             target=worker_main,
             args=(index, self.tasks, results),
@@ -60,30 +57,16 @@ class _Worker:
         self.process.start()
 
 
-def _chunk_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``range(count)`` into at most ``shards`` balanced slices."""
-    shards = min(shards, count)
-    base, extra = divmod(count, shards)
-    bounds = []
-    start = 0
-    for index in range(shards):
-        end = start + base + (1 if index < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
 class ShardedPool:
-    """N forked workers executing codec chunks and conformance units."""
+    """N forked workers executing whole units by dotted name."""
 
-    def __init__(self, workers: int, chunk_timeout: float = 120.0) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError(f"a pool needs at least 2 workers, got {workers}")
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # non-POSIX hosts: picklable args make spawn fine
             self._ctx = multiprocessing.get_context("spawn")
-        self.chunk_timeout = chunk_timeout
         self._results = self._ctx.Queue()
         self._workers: List[_Worker] = [
             _Worker(index, self._ctx, self._results) for index in range(workers)
@@ -95,12 +78,8 @@ class ShardedPool:
         #: ``repro.obs.live``).  ``None`` — the default — drops them.
         self.telemetry_sink: Optional[Any] = None
         self.stats: Dict[str, int] = {
-            "batches_sharded": 0,
-            "chunks": 0,
             "calls": 0,
             "worker_failures": 0,
-            "fallbacks": 0,
-            "source_ships": 0,
             "telemetry_updates": 0,
         }
 
@@ -124,12 +103,12 @@ class ShardedPool:
             ).inc()
 
     def _respawn(self, slot: int) -> None:
-        """Replace a dead worker; the replacement starts codec-cold."""
+        """Replace a dead worker; the replacement starts cold."""
         old = self._workers[slot]
         if old.process.is_alive():
             old.process.terminate()
         old.process.join(timeout=1.0)
-        # The dead worker's queue may hold pickled chunks its feeder
+        # The dead worker's queue may hold pickled units its feeder
         # thread can no longer flush; without cancel_join_thread the
         # feeder's exit-time join would hang the whole process.
         old.tasks.cancel_join_thread()
@@ -140,58 +119,19 @@ class ShardedPool:
         """Fault injection for tests: queue an ``os._exit`` in one worker."""
         self._workers[slot].tasks.put(("crash",))
 
-    # -- codec batches -----------------------------------------------------
-
-    def run_codec(
-        self,
-        op: str,
-        fingerprint: str,
-        source: str,
-        spec_name: str,
-        items: Sequence[Any],
-    ) -> List[Any]:
-        """Shard ``items`` across the workers; results in input order.
-
-        Raises :class:`ParallelFallback` on any chunk error, timeout, or
-        worker death — the caller owns the canonical in-process rerun.
-        """
-        if self._closed:
-            raise ParallelFallback("pool is closed")
-        task_id = self._next_task_id()
-        bounds = _chunk_bounds(len(items), len(self._workers))
-        pending: Dict[int, int] = {}  # chunk -> worker slot
-        shipped: Dict[int, Optional[str]] = {}  # chunk -> fingerprint if source sent
-        for chunk, (start, end) in enumerate(bounds):
-            worker = self._workers[chunk % len(self._workers)]
-            ship = None if fingerprint in worker.warmed else source
-            if ship is not None:
-                self.stats["source_ships"] += 1
-            worker.tasks.put(
-                ("codec", task_id, chunk, op, fingerprint, ship, list(items[start:end]))
-            )
-            pending[chunk] = worker.index
-            shipped[chunk] = fingerprint if ship is not None else None
-        self.stats["batches_sharded"] += 1
-        self.stats["chunks"] += len(bounds)
-        replies = self._collect(task_id, pending, shipped, strict=True)
-        out: List[Any] = []
-        for chunk in range(len(bounds)):
-            out.extend(replies[chunk])
-        return out
-
-    # -- conformance calls -------------------------------------------------
+    # -- calls -------------------------------------------------------------
 
     def run_calls(
         self, calls: Sequence[Tuple[str, Dict[str, Any]]]
     ) -> List[Any]:
         """Run ``(target, kwargs)`` units across workers, results in order.
 
-        A unit that fails (or dies with its worker) comes back as a
-        :class:`CallError` in its slot; the caller reruns just that unit
-        in-process.  Only a wedged pool raises :class:`ParallelFallback`.
+        Unit *i* goes to worker ``i % size``.  A unit that fails (or dies
+        with its worker, or outlives :data:`CALL_TIMEOUT`) comes back as
+        a :class:`CallError` in its slot.
         """
         if self._closed:
-            raise ParallelFallback("pool is closed")
+            raise RuntimeError("pool is closed")
         task_id = self._next_task_id()
         pending: Dict[int, int] = {}
         for chunk, (target, kwargs) in enumerate(calls):
@@ -199,7 +139,7 @@ class ShardedPool:
             worker.tasks.put(("call", task_id, chunk, target, kwargs))
             pending[chunk] = worker.index
         self.stats["calls"] += len(calls)
-        replies = self._collect(task_id, pending, {}, strict=False)
+        replies = self._collect(task_id, pending)
         return [replies[chunk] for chunk in range(len(calls))]
 
     # -- telemetry ---------------------------------------------------------
@@ -217,10 +157,11 @@ class ShardedPool:
     def drain_telemetry(self, timeout: float = 0.2) -> int:
         """Route queued telemetry with no task pending; returns count routed.
 
-        ``_collect`` only reads the result queue while chunks are
+        ``_collect`` only reads the result queue while units are
         outstanding, so worker streamers' final flush ticks (sent when
         their last unit ends) would otherwise sit unread.  Callers that
-        want a complete live view call this once after the last batch.
+        want a complete live view call this once after the last
+        :meth:`run_calls`.
         """
         routed = 0
         deadline = time.monotonic() + timeout
@@ -242,22 +183,14 @@ class ShardedPool:
         self._task_counter += 1
         return self._task_counter
 
-    def _collect(
-        self,
-        task_id: int,
-        pending: Dict[int, int],
-        shipped: Dict[int, Optional[str]],
-        strict: bool,
-    ) -> Dict[int, Any]:
-        """Drain the result queue until every pending chunk is answered.
+    def _collect(self, task_id: int, pending: Dict[int, int]) -> Dict[int, Any]:
+        """Drain the result queue until every pending unit is answered.
 
-        ``strict`` selects the failure policy: raise
-        :class:`ParallelFallback` on the first error (codec batches), or
-        substitute :class:`CallError` and keep going (conformance).
+        Errors, worker deaths and the :data:`CALL_TIMEOUT` deadline each
+        turn the affected units into :class:`CallError` replies.
         """
         replies: Dict[int, Any] = {}
-        deadline = time.monotonic() + self.chunk_timeout
-        failure: Optional[str] = None
+        deadline = time.monotonic() + CALL_TIMEOUT
         while pending:
             try:
                 message = self._results.get(timeout=0.05)
@@ -276,12 +209,7 @@ class ShardedPool:
                         replies[chunk] = CallError(
                             f"worker {slot} died holding chunk {chunk}"
                         )
-                    if strict and failure is None:
-                        failure = f"worker {slot} died mid-batch"
                 if time.monotonic() > deadline:
-                    if strict:
-                        failure = failure or "chunk timeout"
-                        break
                     for chunk, slot in list(pending.items()):
                         replies[chunk] = CallError(
                             f"chunk {chunk} timed out on worker {slot}"
@@ -296,23 +224,8 @@ class ShardedPool:
                 continue
             if reply_task != task_id or chunk not in pending:
                 continue  # stale reply from an aborted earlier task
-            slot = pending.pop(chunk)
-            if status == "ok":
-                replies[chunk] = payload
-                fingerprint = shipped.get(chunk)
-                if fingerprint is not None:
-                    self._workers[slot].warmed.add(fingerprint)
-            else:
-                replies[chunk] = CallError(str(payload))
-                if strict and failure is None:
-                    failure = str(payload)
-        if strict and failure is None:
-            failed = [c for c, r in replies.items() if isinstance(r, CallError)]
-            if failed:
-                failure = str(replies[failed[0]].message)
-        if strict and failure is not None:
-            self.stats["fallbacks"] += 1
-            raise ParallelFallback(failure)
+            pending.pop(chunk)
+            replies[chunk] = payload if status == "ok" else CallError(str(payload))
         return replies
 
     # -- lifecycle ---------------------------------------------------------

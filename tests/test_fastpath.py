@@ -18,6 +18,7 @@ from repro.core import codec
 from repro.core.codec import DecodeError
 from repro.core.fields import UInt
 from repro.core.packet import PacketSpec
+from repro.fastpath.policy import AUTO_THRESHOLD
 
 
 @pytest.fixture(autouse=True)
@@ -52,8 +53,6 @@ def _simple_spec(name="FpSimple"):
 def test_policy_rejects_bad_values():
     with pytest.raises(ValueError, match="mode"):
         fastpath.FastPath(mode="sometimes")
-    with pytest.raises(ValueError, match="threshold"):
-        fastpath.FastPath(threshold=0)
     with pytest.raises(TypeError):
         fastpath.set_policy("always")
 
@@ -71,11 +70,11 @@ def test_off_mode_never_compiles():
 def test_auto_mode_promotes_at_threshold():
     spec = _simple_spec()
     values = {"kind": 1, "count": 2}
-    with fastpath.use(mode="auto", threshold=5):
-        for _ in range(4):
+    with fastpath.use(mode="auto"):
+        for _ in range(AUTO_THRESHOLD - 1):
             codec.encode_verbatim(spec, values)
         assert fastpath.state_of(spec).status == "counting"
-        codec.encode_verbatim(spec, values)  # fifth call crosses the bar
+        codec.encode_verbatim(spec, values)  # this call crosses the bar
         assert fastpath.state_of(spec).status == "compiled"
 
 
@@ -231,9 +230,10 @@ def test_batch_matches_single_calls():
             assert fastpath.decode_many(entry.spec, wires) == loop_dec
 
 
-def test_batch_forces_compilation_even_when_auto_is_cold():
+def test_batch_forces_compilation_even_when_auto_is_cold(monkeypatch):
     spec = _simple_spec()
-    with fastpath.use(mode="auto", threshold=10_000):
+    monkeypatch.setattr(fastpath.policy, "AUTO_THRESHOLD", 10_000)
+    with fastpath.use(mode="auto"):
         fastpath.encode_many(spec, [{"kind": 1, "count": 2}])
         assert fastpath.state_of(spec).status == "compiled"
 

@@ -34,6 +34,7 @@ from repro.megasim.engine import route, shard_bounds
 from repro.megasim.shard import ShardedRun, reset_cache, run_epoch, run_sharded
 from repro.megasim.workloads import WORKLOADS, epoch_seed
 from repro.obs import NULL_OBS, Instrumentation
+from tests.test_obs_overhead import paired_ratio
 
 SMALL = RunConfig(workload="olsr", machines=400, epochs=4, seed=21)
 SMALL_TRUST = RunConfig(workload="trust", machines=400, epochs=4, seed=21)
@@ -270,12 +271,9 @@ class TestAmortizedObservability:
                 inbox = sorted(result.outbox)
             return time.perf_counter() - start
 
-        measure(NULL_OBS)  # warm caches before the first timed trial
-        armed_samples, baseline_samples = [], []
-        for _ in range(7):
-            baseline_samples.append(measure(NULL_OBS))
-            armed_samples.append(measure(Instrumentation()))
-        ratio = min(armed_samples) / min(baseline_samples)
+        ratio = paired_ratio(
+            lambda: measure(NULL_OBS), lambda: measure(Instrumentation())
+        )
         assert ratio <= 1.10, (
             f"armed megasim instrumentation is {ratio:.3f}x the no-op "
             f"baseline (bound 1.10x; flushes must stay per-epoch)"

@@ -24,7 +24,7 @@ import threading
 
 import pytest
 
-from repro import obs, parallel
+from repro import obs
 from repro.conformance.corpus import Corpus
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.mutate import BUG_NONVERBATIM, MutationFuzzer, classify
@@ -40,18 +40,14 @@ from repro.obs.live.expose import Exporter, JsonlSink, MetricsServer, prometheus
 from repro.obs.live.stream import LiveAggregator, TelemetryStreamer, stream_interval
 from repro.obs.live.top import load_export, render_frame, render_rates
 from repro.parallel.confrun import run_all_parallel
-from repro.parallel.policy import _from_env
 from repro.testing import random_packet
 
 
 @pytest.fixture(autouse=True)
 def _clean_plane():
-    """No leaked pool, policy, process obs state, or armed recorder."""
-    parallel.set_policy(parallel.Parallel(workers=0))
+    """No leaked process obs state or armed recorder."""
     flightrec.install_recorder(None)
     yield
-    parallel.shutdown()
-    parallel.set_policy(_from_env())
     flightrec.reset_env_cache()
     obs.get_default().reset()
     obs.disable()
@@ -536,7 +532,7 @@ class TestFlightRecorder:
 
     def test_operational_bundles_are_unreplayable(self, tmp_path):
         recorder = flightrec.FlightRecorder(str(tmp_path))
-        path = recorder.dump("parallel_fallback", detail="worker 1 died")
+        path = recorder.dump("operator_note", detail="worker 1 died")
         status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
         assert status == "unreplayable"
 
@@ -629,7 +625,7 @@ class TestCli:
         from repro.conformance.__main__ import main
 
         recorder = flightrec.FlightRecorder(str(tmp_path))
-        path = recorder.dump("parallel_fallback", detail="pool wedged")
+        path = recorder.dump("operator_note", detail="pool wedged")
         assert main(["--triage", path]) == 1  # unreplayable != reproduced
         out = capfd.readouterr().out
         assert "UNREPLAYABLE" in out

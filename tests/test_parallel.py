@@ -1,141 +1,117 @@
-"""``repro.parallel``: sharded batches, parallel conformance, crash recovery.
+"""``repro.parallel``: parallel conformance, crash recovery, pool lifetime.
 
-The contract under test everywhere here is *transparency*: turning the
-pool on (or having a worker die mid-batch) may change timing, but never
-results — batch outputs, conformance findings, coverage, and corpus
-files must be byte-identical to the serial run.
+The contract under test everywhere here is *transparency*: sharding a
+run over workers (or having a worker die mid-run) may change timing,
+but never results — conformance findings, coverage, and corpus files
+must be byte-identical to the serial run.  The codec batch APIs never
+leave the process.
 """
 
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from repro import fastpath, obs, parallel
+import repro
+from repro import fastpath, obs
 from repro.conformance.registry import all_spec_entries
 from repro.conformance.runner import run_all
-from repro.fastpath import batch
 from repro.parallel.confrun import execute_unit, plan_units, run_all_parallel
-from repro.parallel.policy import _from_env
-from repro.parallel.pool import CallError
-
-
-@pytest.fixture(autouse=True)
-def _clean_parallel():
-    """Every test starts serial and leaves no pool (or policy) behind."""
-    parallel.set_policy(parallel.Parallel(workers=0))
-    yield
-    parallel.shutdown()
-    parallel.set_policy(_from_env())
+from repro.parallel.pool import CallError, ShardedPool
 
 
 @pytest.fixture
-def tcp_corpus():
-    entry = next(e for e in all_spec_entries() if e.name == "TcpHeader")
-    rng = random.Random(11)
-    packets = [entry.generate(rng) for _ in range(300)]
-    values = [p._values for p in packets]
-    wires = [entry.spec.encode(p) for p in packets]
-    return entry.spec, values, wires
+def pool():
+    pool = ShardedPool(2)
+    yield pool
+    pool.close()
 
 
-class TestPolicy:
-    def test_token_resolution(self):
-        assert parallel.resolve_workers("off") == 0
-        assert parallel.resolve_workers("none") == 0
-        assert parallel.resolve_workers("0") == 0
-        assert parallel.resolve_workers("1") == 0  # one worker buys nothing
-        assert parallel.resolve_workers("3") == 3
-        assert parallel.resolve_workers("auto") >= 0
-
-    def test_use_restores_policy(self):
-        before = parallel.get_policy()
-        with parallel.use(workers=4, min_batch=7):
-            assert parallel.get_policy().workers == 4
-            assert parallel.get_policy().min_batch == 7
-        assert parallel.get_policy() == before
-
-    def test_small_batches_never_shard(self):
-        with parallel.use(workers=2, min_batch=1000):
-            assert parallel.maybe_pool(999) is None
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            parallel.Parallel(workers=-1)
-
-
-class TestShardedBatches:
-    def test_sharded_outputs_identical_to_serial(self, tcp_corpus):
-        spec, values, wires = tcp_corpus
-        with fastpath.use(mode="always"):
-            serial_enc = batch.encode_many(spec, values)
-            serial_dec = batch.decode_many(spec, wires)
-            with parallel.use(workers=2, min_batch=64):
-                sharded_enc = batch.encode_many(spec, values)
-                sharded_dec = batch.decode_many(spec, wires)
-        assert sharded_enc == serial_enc
-        assert sharded_dec == serial_dec
-        stats = parallel.stats()
-        assert stats["batches_sharded"] == 2
-        assert stats["chunks"] == 4
-        assert stats["worker_failures"] == 0
-
-    def test_source_shipped_once_per_worker(self, tcp_corpus):
-        spec, values, _ = tcp_corpus
-        with fastpath.use(mode="always"), parallel.use(workers=2, min_batch=64):
-            batch.encode_many(spec, values)
-            first = parallel.stats()["source_ships"]
-            batch.encode_many(spec, values)
-        assert first == 2  # one ship per worker
-        assert parallel.stats()["source_ships"] == 2  # warm cache: no re-ship
-
-    def test_off_policy_is_serial(self, tcp_corpus):
-        spec, values, _ = tcp_corpus
-        with fastpath.use(mode="always"), parallel.use(workers=0):
-            batch.encode_many(spec, values)
-        assert parallel.stats()["batches_sharded"] == 0
+def _live_children():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 class TestCrashRecovery:
-    def test_worker_crash_falls_back_then_recovers(self, tcp_corpus):
-        spec, values, _ = tcp_corpus
+    def test_worker_crash_falls_back_then_recovers(self, pool):
+        calls = [
+            ("repro.conformance.runner:derive_rng", {"seed": seed})
+            for seed in range(4)
+        ]
         instr = obs.enable()
         instr.registry.reset()
         try:
-            with fastpath.use(mode="always"):
-                expected = batch.encode_many(spec, values)
-                with parallel.use(workers=2, min_batch=64):
-                    pool = parallel.get_pool()
-                    pool.inject_crash(0)
-                    crashed = batch.encode_many(spec, values)
-                    assert crashed == expected  # in-process fallback, same bytes
-                    stats = parallel.stats()
-                    assert stats["worker_failures"] >= 1
-                    assert stats["fallbacks"] >= 1
-                    assert instr.registry.value(
-                        "parallel.worker_failures", reason="crash"
-                    ) >= 1
-                    # The pool respawned the dead slot: the next batch
-                    # shards again instead of limping along serial.
-                    sharded_before = stats["batches_sharded"]
-                    again = batch.encode_many(spec, values)
-                    assert again == expected
-                    assert parallel.stats()["batches_sharded"] > sharded_before
-                    assert pool.alive()
+            pool.inject_crash(0)
+            crashed = pool.run_calls(calls)
+            # Slot 0's worker died before its first unit: that unit (and
+            # any other it held) comes back as a CallError, the rest answer.
+            assert isinstance(crashed[0], CallError)
+            assert not isinstance(crashed[1], CallError)
+            assert pool.stats["worker_failures"] >= 1
+            assert instr.registry.value(
+                "parallel.worker_failures", reason="crash"
+            ) >= 1
+            # The pool respawned the dead slot: the next run answers
+            # every unit instead of limping along one worker short.
+            again = pool.run_calls(calls)
+            assert not any(isinstance(reply, CallError) for reply in again)
+            assert pool.alive()
         finally:
             obs.disable()
 
-    def test_call_errors_are_lenient(self):
-        with parallel.use(workers=2):
-            pool = parallel.get_pool()
-            results = pool.run_calls(
-                [
-                    ("repro.conformance.runner:derive_rng", {"seed": 1}),
-                    ("repro.no_such_module:missing", {}),
-                ]
-            )
+    def test_call_errors_are_lenient(self, pool):
+        results = pool.run_calls(
+            [
+                ("repro.conformance.runner:derive_rng", {"seed": 1}),
+                ("repro.no_such_module:missing", {}),
+            ]
+        )
         assert not isinstance(results[0], CallError)
         assert isinstance(results[1], CallError)
         assert "no_such_module" in results[1].message
+
+
+_BATCH_SCRIPT = """
+import multiprocessing, random
+from repro import fastpath
+from repro.conformance.registry import all_spec_entries
+
+entry = next(e for e in all_spec_entries() if e.name == "ArqAck")
+rng = random.Random(5)
+values = [entry.generate(rng)._values for _ in range(64)] * 64
+with fastpath.use(mode="always"):
+    print(len(fastpath.encode_many(entry.spec, values)))
+print(len(multiprocessing.active_children()))
+"""
+
+
+class TestPoolLifetime:
+    def test_one_worker_pool_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 workers"):
+            ShardedPool(1)
+
+    def test_parallel_run_leaves_no_live_workers(self):
+        before = _live_children()
+        run_all_parallel(workers=2, seed=3, budget=40, engines=("machine",))
+        assert _live_children() - before == set()
+
+    def test_batch_apis_start_no_process(self):
+        # A fresh interpreter with no REPRO_* variables: the default
+        # environment, and no pool left over from another test.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _BATCH_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.split() == ["4096", "0"]
 
 
 class TestParallelConformance:

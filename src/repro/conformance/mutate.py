@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.codec import DecodeError, encode_with_spans
+from repro.core.codec import DecodeError, _patch_bits, encode_with_spans
 from repro.core.packet import PacketSpec, VerificationError
 from repro.conformance.corpus import Corpus, CorpusEntry
 from repro.conformance.coverage import FIELD_MUTATIONS, CoverageMap
@@ -93,31 +93,36 @@ def classify(spec: PacketSpec, data: bytes) -> Tuple[str, str]:
     return ACCEPT, ""
 
 
+def _in_range(data: bytes, start: int, width: int) -> int:
+    """How many bits of ``[start, start + width)`` lie inside ``data``.
+
+    Pool inputs can be shorter than the spans they are mutated under, so
+    both helpers clip the range at the end of the buffer.
+    """
+    return max(0, min(width, 8 * len(data) - start))
+
+
 def _set_bits(data: bytes, start: int, width: int, value: int) -> bytes:
-    """Overwrite a bit range (big-endian within the range) in a copy."""
+    """Overwrite a bit range (big-endian within the range) in a copy.
+
+    A range running past the end writes only the top in-range bits of
+    ``value``, as if the field were cut at the end of the buffer.
+    """
     out = bytearray(data)
-    for offset in range(width):
-        bit = (value >> (width - 1 - offset)) & 1
-        position = start + offset
-        if position >= len(out) * 8:
-            break
-        mask = 1 << (7 - position % 8)
-        if bit:
-            out[position // 8] |= mask
-        else:
-            out[position // 8] &= ~mask & 0xFF
+    count = _in_range(data, start, width)
+    _patch_bits(out, start, count, value >> (width - count))
     return bytes(out)
 
 
 def _get_bits(data: bytes, start: int, width: int) -> int:
-    value = 0
-    for offset in range(width):
-        position = start + offset
-        if position >= len(data) * 8:
-            break
-        bit = (data[position // 8] >> (7 - position % 8)) & 1
-        value = (value << 1) | bit
-    return value
+    """Read a bit range big-endian; a clipped range yields its in-range bits."""
+    count = _in_range(data, start, width)
+    if count == 0:
+        return 0
+    end = start + count
+    byte_end = (end + 7) >> 3
+    span = int.from_bytes(data[start >> 3 : byte_end], "big")
+    return (span >> ((byte_end << 3) - end)) & ((1 << count) - 1)
 
 
 class MutationFuzzer:

@@ -30,16 +30,10 @@ also stays on as the **error oracle**: a staged miss or exception is
 re-run interpreted, which either produces the canonical error (the tiers
 agree) or succeeds — a divergence, which demotes that closure for the
 rest of the process and increments ``machine.staged_divergences``.
-
-``REPRO_MACHINE_STAGED=off`` disables the closures process-wide; the
-seal-time dispatch *index* on :class:`MachineSpec` (name → transition,
-state → transitions) stays on regardless, because it is a pure data
-structure with no semantic surface of its own.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.compile import CodegenError, _expr_code, _predicate_code
@@ -60,26 +54,6 @@ _stats = {
     "cohorts": 0,
     "demotions": 0,
 }
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_MACHINE_STAGED", "on").strip().lower()
-    return raw not in ("off", "0", "no", "false")
-
-
-_enabled = _env_enabled()
-
-
-def enabled() -> bool:
-    """Whether the staged-closure tier is on for this process."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle the staged tier (tests); existing machines re-check per call."""
-    global _enabled
-    _enabled = bool(flag)
-    return _enabled
 
 
 def _compile_matcher(
@@ -303,10 +277,8 @@ class StagedTable:
         }
 
 
-def staged_table(spec: Any) -> Optional[StagedTable]:
-    """The (cached) staged table for a sealed spec; None when disabled."""
-    if not _enabled:
-        return None
+def staged_table(spec: Any) -> StagedTable:
+    """The (cached) staged table for a sealed spec."""
     table = getattr(spec, _TABLE_ATTR, None)
     if table is None:
         table = StagedTable(spec)

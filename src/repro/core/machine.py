@@ -151,7 +151,8 @@ class Machine:
         self._observers: List[Observer] = []
         self._obs = obs if obs is not None else get_default()
         # Staged dispatch closures, built once per spec and shared by
-        # every machine over it; None when REPRO_MACHINE_STAGED is off.
+        # every machine over it.  A None table runs the interpreted
+        # reference path; tests get one by patching staged_table.
         self._staged = _dispatch.staged_table(spec)
 
     # -- inspection ---------------------------------------------------------

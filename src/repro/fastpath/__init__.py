@@ -15,7 +15,7 @@ Layout
 ------
 ``policy``
     The :class:`FastPath` dataclass and the process-wide current policy
-    (``REPRO_FASTPATH`` env var, ``configure``/``use`` helpers).
+    (``configure``/``use`` helpers).
 ``fingerprint``
     Structural spec fingerprints — the compiled-cache key.
 ``cache``

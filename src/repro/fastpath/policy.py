@@ -17,15 +17,11 @@ the spec back to the interpreter (see ``repro.fastpath.cache``).
 The policy is process-wide and cheap to read; changing it bumps a
 *generation* counter that invalidates every per-spec cached decision, so
 ``use(mode="off")`` in a test really does turn the tier off for specs
-that were already compiled.
-
-The environment variable ``REPRO_FASTPATH`` picks the starting policy:
-``off``, ``auto``, ``always`` or ``verify`` (= ``always`` + oracle).
+that were already compiled.  Every process starts on ``FastPath()``.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Tuple
@@ -51,19 +47,8 @@ class FastPath:
             )
 
 
-def _from_env() -> FastPath:
-    raw = os.environ.get("REPRO_FASTPATH", "").strip().lower()
-    if raw == "off":
-        return FastPath(mode="off")
-    if raw == "always":
-        return FastPath(mode="always")
-    if raw == "verify":
-        return FastPath(mode="always", verify=True)
-    return FastPath()
-
-
 # The policy and its generation, bundled so hot paths read one global.
-_state: Tuple[FastPath, int] = (_from_env(), 0)
+_state: Tuple[FastPath, int] = (FastPath(), 0)
 
 
 def state() -> Tuple[FastPath, int]:

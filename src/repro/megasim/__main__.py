@@ -45,10 +45,6 @@ def _parser() -> argparse.ArgumentParser:
         help="shard over a worker pool of this size (0 = serial, min 2)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="logical shard count (default: the worker count)",
-    )
-    parser.add_argument(
         "--verify-sharding", action="store_true",
         help="run serial AND sharded, demand byte-identical transcripts",
     )
@@ -63,14 +59,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_pooled(config: RunConfig, workers: int, shards: Optional[int]) -> RunResult:
+def _run_pooled(config: RunConfig, workers: int) -> RunResult:
     from repro.parallel.pool import ShardedPool
 
     from repro.megasim.shard import run_sharded
 
     pool = ShardedPool(workers=max(2, workers))
     try:
-        return run_sharded(config, pool, shards=shards)
+        return run_sharded(config, pool)
     finally:
         pool.close()
 
@@ -95,7 +91,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.verify_sharding:
         workers = max(2, args.workers)
         serial = run_serial(config)
-        sharded = _run_pooled(config, workers, args.shards)
+        sharded = _run_pooled(config, workers)
         if not args.quiet:
             sys.stdout.write(serial.text())
         sys.stdout.write(_summarize(serial, "serial") + "\n")
@@ -115,7 +111,7 @@ def main(argv: Optional[list] = None) -> int:
         )
         result = serial
     elif args.workers >= 2:
-        result = _run_pooled(config, args.workers, args.shards)
+        result = _run_pooled(config, args.workers)
         if not args.quiet:
             sys.stdout.write(result.text())
         sys.stdout.write(_summarize(result, f"{args.workers} workers") + "\n")

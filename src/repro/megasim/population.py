@@ -17,9 +17,10 @@ Three kernel tiers, best available wins per transition:
 2. the per-instance **staged closures** (``match``/``guard``/``target``)
    from the same :class:`~repro.core.dispatch.StagedTransition`, driven
    by a loop here;
-3. the fully **interpreted** pattern/guard path, used when staging is
-   disabled (``REPRO_MACHINE_STAGED=off``) — the semantics oracle the
-   differential tests compare against.
+3. the fully **interpreted** pattern/guard path, used when there is no
+   staged table — the semantics oracle the differential tests compare
+   against (they patch :func:`~repro.core.dispatch.staged_table` to
+   return ``None``).
 
 Every tier applies candidates of an event group in declaration order
 and passes guard-rejected indices to the next candidate, mirroring how

@@ -102,19 +102,12 @@ def run_epoch(
 class ShardedRun:
     """The parent half: one megasim run fanned over a worker pool."""
 
-    def __init__(
-        self,
-        config: RunConfig,
-        pool: ShardedPool,
-        shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: RunConfig, pool: ShardedPool) -> None:
         self.config = config
         self.pool = pool
-        self.shards = shards if shards is not None else pool.size
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard, got {self.shards}")
-        self.bounds = shard_bounds(config.machines, self.shards)
-        self.shards = len(self.bounds)  # tiny populations clamp the count
+        # One shard per worker; tiny populations clamp the count.
+        self.bounds = shard_bounds(config.machines, pool.size)
+        self.shards = len(self.bounds)
         self.token = f"megasim-{os.getpid()}-{next(_tokens)}"
         self._config_dict = config.to_dict()
         # Inbox history per shard, one entry per completed epoch — the
@@ -190,12 +183,10 @@ class EpochTotals:
         self.digest = digest
 
 
-def run_sharded(
-    config: RunConfig, pool: ShardedPool, shards: Optional[int] = None
-) -> RunResult:
+def run_sharded(config: RunConfig, pool: ShardedPool) -> RunResult:
     """Run a full scenario over ``pool``; transcript matches the serial run."""
     started = time.perf_counter()
-    run = ShardedRun(config, pool, shards=shards)
+    run = ShardedRun(config, pool)
     lines = [config.header()]
     fired = emitted = 0
     for epoch in range(config.epochs):

@@ -33,18 +33,8 @@ from repro.obs.metrics import MergeError, MetricsRegistry
 
 STREAM_SCHEMA = "repro.obs/worker-stream/v1"
 
-#: Default seconds between worker delta ticks (``REPRO_OBS_INTERVAL``).
+#: Default seconds between worker delta ticks.
 DEFAULT_INTERVAL = 0.25
-
-
-def stream_interval(env: Optional[Dict[str, str]] = None) -> float:
-    """The telemetry tick interval, from ``REPRO_OBS_INTERVAL`` if set."""
-    raw = (env if env is not None else os.environ).get("REPRO_OBS_INTERVAL", "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return max(0.01, value) if value > 0 else DEFAULT_INTERVAL
 
 
 class TelemetryStreamer:
@@ -61,12 +51,12 @@ class TelemetryStreamer:
         worker_index: int,
         results: Any,
         obs: Optional[Instrumentation] = None,
-        interval: Optional[float] = None,
+        interval: float = DEFAULT_INTERVAL,
     ) -> None:
         self.worker_index = worker_index
         self.results = results
         self.obs = obs if obs is not None else get_default()
-        self.interval = interval if interval is not None else stream_interval()
+        self.interval = interval
         self._tracker = DeltaTracker(self.obs.registry)
         self._last_span_id = 0
         self._seq = 0

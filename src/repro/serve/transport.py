@@ -34,6 +34,11 @@ from repro.serve.framing import FramingError, StreamDeframer, encode_frame
 from repro.serve.manager import SendFactory, SessionManager
 from repro.serve.wheel import TimerWheel
 
+#: The server's timer wheel: seconds per tick and slot count (a 2.56 s
+#: horizon before deadlines wrap to a later lap).
+WHEEL_TICK = 0.005
+WHEEL_SLOTS = 512
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -46,8 +51,6 @@ class ServeConfig:
     max_sessions: int = 1024
     max_queue: int = 64
     idle_timeout: float = 30.0
-    wheel_tick: float = 0.005
-    wheel_slots: int = 512
     seed: int = 0
     record: bool = False
     app_params: Dict[str, Any] = dataclass_field(default_factory=dict)
@@ -233,9 +236,7 @@ class Server:
         self.config = config
         self.loop = loop
         self.obs = obs if obs is not None else get_default()
-        self.wheel = TimerWheel(
-            tick=config.wheel_tick, slots=config.wheel_slots, now=loop.time()
-        )
+        self.wheel = TimerWheel(tick=WHEEL_TICK, slots=WHEEL_SLOTS, now=loop.time())
         self.managers: list[SessionManager] = []
         self.manager = self._make_manager(config)
         self.udp_transport: Optional[asyncio.DatagramTransport] = None
@@ -329,10 +330,9 @@ class Server:
         return self.tcp_server.sockets[0].getsockname()[1]
 
     async def _tick_forever(self) -> None:
-        tick = self.config.wheel_tick
         try:
             while True:
-                await asyncio.sleep(tick)
+                await asyncio.sleep(WHEEL_TICK)
                 now = self.loop.time()
                 self.wheel.advance(now)
                 exporter = self._exporter

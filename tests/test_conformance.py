@@ -13,6 +13,7 @@ Three kinds of test:
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.conformance.differential as differential_module
 from repro.conformance import (
@@ -30,7 +31,7 @@ from repro.conformance import (
     shrink_sequence,
 )
 from repro.conformance.machineconf import decode_ops, encode_ops
-from repro.conformance.mutate import ACCEPT, BUG_NONVERBATIM
+from repro.conformance.mutate import ACCEPT, BUG_NONVERBATIM, _get_bits, _set_bits
 from repro.conformance.registry import SpecEntry
 from repro.conformance.runner import replay_corpus
 from repro.core.fields import Bytes, UInt
@@ -197,6 +198,74 @@ class TestMutationFuzzer:
         persisted = [e for e in corpus.failures() if e.subject == "BrokenDemo"]
         assert persisted
         assert classify(broken, persisted[0].reproducer())[0] == BUG_NONVERBATIM
+
+
+# The per-bit loops the fuzzer used before its bit helpers went bulk: the
+# reference the helpers must match, clipping at the end of the buffer.
+
+
+def _ref_set_bits(data, start, width, value):
+    out = bytearray(data)
+    for offset in range(width):
+        bit = (value >> (width - 1 - offset)) & 1
+        position = start + offset
+        if position >= len(out) * 8:
+            break
+        mask = 1 << (7 - position % 8)
+        if bit:
+            out[position // 8] |= mask
+        else:
+            out[position // 8] &= ~mask & 0xFF
+    return bytes(out)
+
+
+def _ref_get_bits(data, start, width):
+    value = 0
+    for offset in range(width):
+        position = start + offset
+        if position >= len(data) * 8:
+            break
+        bit = (data[position // 8] >> (7 - position % 8)) & 1
+        value = (value << 1) | bit
+    return value
+
+
+class TestBitHelpers:
+    @pytest.mark.parametrize(
+        "data,start,width",
+        [
+            (b"", 0, 0),
+            (b"", 0, 8),  # empty buffer
+            (b"", 13, 3),
+            (b"\xa5", 8, 4),  # starts at the end
+            (b"\xa5\x5a", 21, 9),  # starts past the end
+            (b"\xa5", 4, 8),  # runs past the end
+            (b"\xa5\x5a", 3, 70),
+            (b"\xa5\x5a", 0, 0),  # width 0
+            (b"\xa5\x5a", 7, 0),
+            (b"\xa5\x5a", 0, 16),  # whole buffer
+            (b"\xa5\x5a\xff", 5, 1),  # one bit
+            (bytes(range(200)), 9, 1500),  # long payload field
+        ],
+    )
+    def test_edges_match_per_bit_reference(self, data, start, width):
+        for value in (0, 1, (1 << width) - 1, 0x5A5A5A5A5A5A5A5A5A >> 3):
+            assert _set_bits(data, start, width, value) == _ref_set_bits(
+                data, start, width, value
+            )
+        assert _get_bits(data, start, width) == _ref_get_bits(data, start, width)
+
+    @given(
+        st.binary(max_size=16),
+        st.integers(0, 160),
+        st.integers(0, 96),
+        st.integers(0, 2**100),
+    )
+    def test_random_ranges_match_per_bit_reference(self, data, start, width, value):
+        assert _set_bits(data, start, width, value) == _ref_set_bits(
+            data, start, width, value
+        )
+        assert _get_bits(data, start, width) == _ref_get_bits(data, start, width)
 
 
 # -- differential, positive and negative --------------------------------

@@ -338,20 +338,17 @@ class TestStagedDispatch:
         log.append(("trace", tuple(s.transition for s in machine.trace)))
         return log
 
-    def _compare_modes(self, build, steps):
+    def _compare_modes(self, build, steps, monkeypatch):
         from repro.core import dispatch
 
-        prior = dispatch.enabled()
-        try:
-            dispatch.set_enabled(True)
-            staged = self._transcript(build(), steps)
-            dispatch.set_enabled(False)
-            interpreted = self._transcript(build(), steps)
-        finally:
-            dispatch.set_enabled(prior)
+        staged = self._transcript(build(), steps)
+        # No staged table: every machine built now runs interpreted.
+        monkeypatch.setattr(dispatch, "staged_table", lambda spec: None)
+        assert Machine(build())._staged is None
+        interpreted = self._transcript(build(), steps)
         assert staged == interpreted
 
-    def test_sender_behaviour_identical_staged_or_not(self):
+    def test_sender_behaviour_identical_staged_or_not(self, monkeypatch):
         self._compare_modes(
             sender_spec,
             [
@@ -363,9 +360,10 @@ class TestStagedDispatch:
                 ("FINISH", None, {}),
                 ("SEND", b"z", {}),  # invalid: machine finished
             ],
+            monkeypatch,
         )
 
-    def test_guarded_behaviour_identical_staged_or_not(self):
+    def test_guarded_behaviour_identical_staged_or_not(self, monkeypatch):
         self._compare_modes(
             self._guarded_spec,
             [
@@ -374,20 +372,15 @@ class TestStagedDispatch:
                 ("ACK", None, {"ack": 9}),
                 ("STOP", None, {}),
             ],
+            monkeypatch,
         )
 
     def test_sealed_spec_carries_dispatch_indexes(self):
         # Satellite to the staged tier: the precomputed (state,
-        # transition) indexes land at seal time even when the
-        # staged-closure tier is disabled, and answer exactly like the
-        # linear scans they replace.
-        from repro.core import dispatch
-
-        dispatch.set_enabled(False)
-        try:
-            spec = sender_spec()
-        finally:
-            dispatch.set_enabled(True)
+        # transition) indexes land at seal time, independent of the
+        # staged closures, and answer exactly like the linear scans
+        # they replace.
+        spec = sender_spec()
         assert spec._transition_index is not None
         assert spec._source_index is not None
         for name, transition in spec._transition_index.items():
@@ -404,38 +397,28 @@ class TestStagedDispatch:
     def test_staged_table_covers_sender(self):
         from repro.core import dispatch
 
-        prior = dispatch.enabled()
-        dispatch.set_enabled(True)
-        try:
-            spec = sender_spec()
-            table = dispatch.staged_table(spec)
-            assert table is not None
-            assert set(table.by_name) == {"SEND", "OK", "FAIL", "FINISH"}
-            machine = Machine(spec)
-            machine.exec_trans("SEND", b"x")
-            machine.exec_trans("OK", verified_packet())
-            # A clean run never demotes a staged closure.
-            assert all(
-                staged.match is not None for staged in table.by_name.values()
-            )
-        finally:
-            dispatch.set_enabled(prior)
+        spec = sender_spec()
+        table = dispatch.staged_table(spec)
+        assert table is not None
+        assert set(table.by_name) == {"SEND", "OK", "FAIL", "FINISH"}
+        machine = Machine(spec)
+        machine.exec_trans("SEND", b"x")
+        machine.exec_trans("OK", verified_packet())
+        # A clean run never demotes a staged closure.
+        assert all(
+            staged.match is not None for staged in table.by_name.values()
+        )
 
     def test_divergence_counter_absent_on_clean_run(self):
         from repro.core import dispatch
         from repro.obs import Instrumentation
 
-        prior = dispatch.enabled()
-        dispatch.set_enabled(True)
-        try:
-            instr = Instrumentation()
-            machine = Machine(sender_spec(), obs=instr)
-            machine.exec_trans("SEND", b"x")
-            machine.exec_trans("FAIL")
-            assert instr.registry.value(
-                "machine.staged_divergences",
-                machine="sender", transition="SEND", phase="match",
-            ) == 0
-            assert dispatch.stats()["tables"] >= 1
-        finally:
-            dispatch.set_enabled(prior)
+        instr = Instrumentation()
+        machine = Machine(sender_spec(), obs=instr)
+        machine.exec_trans("SEND", b"x")
+        machine.exec_trans("FAIL")
+        assert instr.registry.value(
+            "machine.staged_divergences",
+            machine="sender", transition="SEND", phase="match",
+        ) == 0
+        assert dispatch.stats()["tables"] >= 1

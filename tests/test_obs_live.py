@@ -37,7 +37,7 @@ from repro.obs import MergeError, MetricsRegistry
 from repro.obs.live import flightrec
 from repro.obs.live.delta import DeltaTracker
 from repro.obs.live.expose import Exporter, JsonlSink, MetricsServer, prometheus_text
-from repro.obs.live.stream import LiveAggregator, TelemetryStreamer, stream_interval
+from repro.obs.live.stream import LiveAggregator, TelemetryStreamer
 from repro.obs.live.top import load_export, render_frame, render_rates
 from repro.parallel.confrun import run_all_parallel
 from repro.testing import random_packet
@@ -368,12 +368,6 @@ class TestTelemetryStream:
             for entry in message[3]["metrics"].get("ticks", []):
                 total += entry["value"]
         assert total == 9
-
-    def test_stream_interval_env_parsing(self):
-        assert stream_interval({}) == 0.25
-        assert stream_interval({"REPRO_OBS_INTERVAL": "1.5"}) == 1.5
-        assert stream_interval({"REPRO_OBS_INTERVAL": "junk"}) == 0.25
-        assert stream_interval({"REPRO_OBS_INTERVAL": "-2"}) == 0.25
 
 
 # -- parallel equality with the plane on ---------------------------------

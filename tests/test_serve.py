@@ -1,6 +1,6 @@
 """The serving plane: real sockets, sessions, and the differential oracle.
 
-Four layers of scrutiny, cheapest first:
+Five layers of scrutiny, cheapest first:
 
 1. unit tests for stream framing and exchange records (pure functions);
 2. the session manager driven synchronously — demux, bounded queues,
@@ -13,7 +13,9 @@ Four layers of scrutiny, cheapest first:
    against ``modelcheck.successors_of`` (final-state agreement);
 4. interop: the hand-rolled baseline blocking client (``repro.baseline``)
    conversing with the DSL server over UDP and over TCP, where the
-   length-prefix stream framing earns its keep.
+   length-prefix stream framing earns its keep;
+5. the operational CLI: ``python -m repro.serve serve`` and ``client``
+   as separate processes, the server's records replayed afterwards.
 
 The 5000-session soak (shed threshold 4000) lives behind the ``slow``
 marker with the other long lanes; the slab rewrite's regression tests
@@ -23,10 +25,19 @@ ride layer 2.
 
 import asyncio
 import io
+import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import repro
 from repro.baseline.sockets_arq import BlockingArqClient
 from repro.core.machine import Machine
 from repro.modelcheck.explicit import successors_of
@@ -638,6 +649,65 @@ class TestBaselineInterop:
         assert result["ok"], result
         assert delivered == [payloads]
         assert result["acks_seen"] == len(payloads)
+
+
+# ---------------------------------------------------------------------------
+# Layer 5: the operational CLI, process to process
+# ---------------------------------------------------------------------------
+
+
+def _cli_env():
+    """The default environment: no REPRO_* variables, ``src`` importable."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _read_line(proc, timeout):
+    """One stdout line from ``proc``, failing the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or proc.poll() is not None:
+            pytest.fail(f"no line from {proc.args} (rc={proc.poll()})")
+        ready, _, _ = select.select([proc.stdout], [], [], remaining)
+        if ready:
+            return proc.stdout.readline()
+
+
+class TestServeCli:
+    def test_serve_client_sigterm_and_replay(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        env = _cli_env()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "serve", "arq",
+             "--port", "0", "--record", str(records)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = _read_line(server, 30)
+            match = re.search(r"udp:(\d+)", banner)
+            assert match, banner
+            client = subprocess.run(
+                [sys.executable, "-m", "repro.serve", "client", "arq",
+                 "--port", match.group(1), "--messages", "4"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert client.returncode == 0, client.stdout + client.stderr
+            server.send_signal(signal.SIGTERM)
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        stats = json.loads(out.strip().splitlines()[-1])
+        assert stats["opened"] == 1
+        with open(records, encoding="utf-8") as handle:
+            differential = replay_records(load_records(handle))
+        assert differential.summary()["records"] == 1
+        assert differential.divergent == []
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ def test_staging_speedup(benchmark):
         codec = compile_spec(spec)
         wire = spec.encode(packet)
         # Pin the fast path off for the interpreted lane: under the
-        # default "auto" policy these loops would cross the compile
-        # threshold and silently time generated code against itself.
+        # default policy these loops would run the compiled codec and
+        # silently time generated code against itself.
         with fastpath.use(mode="off"):
             interp_parse = _time(spec.decode, wire)
             interp_build = _time(spec.encode, packet)

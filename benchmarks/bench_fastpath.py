@@ -7,7 +7,7 @@ packets-per-second harness (``benchmarks/perf_harness.py``) across every
 registry spec at a small budget and asserts the structural guarantees
 the full harness run (``BENCH_perf.json``) is trusted for:
 
-* every spec report carries all three tiers plus speedup ratios,
+* every spec report carries both tiers plus speedup ratios,
 * every spec actually reaches the compiled tier (no silent refusals),
 * the compiled tier is never slower than the interpreter, and its
   checksum computation holds ``perf_harness.CHECKSUM_FLOOR``.
@@ -50,9 +50,7 @@ def test_fastpath_tiers(benchmark):
                 name,
                 f"{row['interpreted']['packets_per_second']:,.0f}",
                 f"{row['compiled']['packets_per_second']:,.0f}",
-                f"{row['batch']['packets_per_second']:,.0f}",
                 f"{row['compiled_speedup']:.2f}x",
-                f"{row['batch_speedup']:.2f}x",
                 f"{checksum:.2f}x" if checksum else "--",
             )
         )
@@ -61,7 +59,7 @@ def test_fastpath_tiers(benchmark):
     record_table(
         "E15",
         f"fast-path tiers, round-trip packets/sec ({BUDGET_SECONDS}s budget/cell)",
-        ["spec", "interp pps", "compiled pps", "batch pps", "comp x", "batch x", "cksum x"],
+        ["spec", "interp pps", "compiled pps", "comp x", "cksum x"],
         rows,
         notes=(
             "full-budget artifact: BENCH_perf.json "
@@ -72,8 +70,12 @@ def test_fastpath_tiers(benchmark):
     corpus = perf_harness.build_corpus(0)
     bundle = corpus["ArqData"]
     with fastpath.use(mode="always"):
-        fastpath.active_state(bundle["spec"], force=True)
-        benchmark(fastpath.encode_many, bundle["spec"], bundle["values"])
+        benchmark(
+            perf_harness._roundtrip_single,
+            bundle["spec"],
+            bundle["values"],
+            bundle["wires"],
+        )
 
 
 def test_verify_mode_agrees(benchmark):
@@ -93,5 +95,4 @@ def test_verify_mode_agrees(benchmark):
     assert fastpath.stats()["demotions"] == 0
     bundle = corpus["TcpHeader"]
     with fastpath.use(mode="always", verify=True):
-        fastpath.active_state(bundle["spec"], force=True)
         benchmark(bundle["spec"].decode, bundle["wires"][0])

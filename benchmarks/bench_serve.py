@@ -3,8 +3,8 @@
 Four measurements, written to ``BENCH_serve.json``:
 
 * ``manager_sessions_per_second`` — the session manager's accept path
-  (demux, app build, fastpath warm-up, wheel arm) driven synchronously,
-  no sockets: the ceiling the transport can never beat.
+  (demux, app build, wheel arm) driven synchronously, no sockets: the
+  ceiling the transport can never beat.
 * ``high_session`` — the density tier: ramp to 10k+ *concurrent*
   sessions in one manager, churn accepts through the oldest-idle shed
   path at full density, then measure the steady-state frame rate across

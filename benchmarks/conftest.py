@@ -11,9 +11,10 @@ experiment tables the paper-reproduction calls for.
 
 Every bench also runs under the ``repro.obs`` instrumentation: an autouse
 fixture enables the process default, snapshots the metrics registry after
-each bench, and the session writes the per-bench snapshots to
+each bench, and the session merges the per-bench snapshots into
 ``BENCH_obs.json`` at the repo root — the measurement substrate future
-perf PRs diff against.
+perf PRs diff against.  Running part of the suite replaces only the
+entries of the benches that ran.
 
 The committed file holds *compact* snapshots (histograms reduced to
 count/mean/p50/p95/max via :func:`repro.obs.compact_snapshot`) so the
@@ -35,6 +36,7 @@ _OBS_SNAPSHOTS: Dict[str, dict] = {}
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OBS_OUTPUT_PATH = os.path.join(_REPO_ROOT, "BENCH_obs.json")
+OBS_SCHEMA = "repro.obs/bench-snapshots/v2"
 
 
 def pytest_addoption(parser):
@@ -73,12 +75,30 @@ def pytest_sessionfinish(session, exitstatus):
     if not _OBS_SNAPSHOTS:
         return
     full = session.config.getoption("--obs-full")
-    payload = {
-        "schema": "repro.obs/bench-snapshots/v2",
-        "compact": not full,
-        "benchmarks": _OBS_SNAPSHOTS,
-    }
-    with open(OBS_OUTPUT_PATH, "w", encoding="utf-8") as handle:
+    merge_snapshots(OBS_OUTPUT_PATH, _OBS_SNAPSHOTS, compact=not full)
+
+
+def merge_snapshots(path: str, snapshots: Dict[str, dict], compact: bool) -> None:
+    """Write ``snapshots`` into the snapshot file at ``path``.
+
+    Entries of benches that did not run are kept when the file has the
+    same schema and ``compact`` flag; otherwise the file is replaced.
+    """
+    benchmarks: Dict[str, dict] = {}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            previous = json.load(handle)
+    except (OSError, ValueError):
+        previous = None
+    if (
+        isinstance(previous, dict)
+        and previous.get("schema") == OBS_SCHEMA
+        and previous.get("compact") == compact
+    ):
+        benchmarks.update(previous.get("benchmarks", {}))
+    benchmarks.update(snapshots)
+    payload = {"schema": OBS_SCHEMA, "compact": compact, "benchmarks": benchmarks}
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
 

@@ -1,4 +1,4 @@
-"""Packets-per-second harness: interpreted, compiled, batch.
+"""Packets-per-second harness: interpreted and compiled codec tiers.
 
 The ROADMAP's north star says generated implementations should run "as
 fast as the hardware allows"; this harness turns that into a number and
@@ -11,9 +11,6 @@ encode + one decode per packet) across the tier ladder:
 ``compiled``
     ``mode="always"`` — the generated closures via the transparent
     fast path, per-call entry points.
-``batch``
-    ``encode_many``/``decode_many`` — compiled closures plus amortized
-    per-call overhead.
 ``checksum_interpreted`` / ``checksum_compiled``
     for specs with checksum fields, ``compute_checksums`` (the ``make``
     path) per tier.  A round trip computes no checksum, so only these
@@ -52,7 +49,6 @@ from repro.core import codec
 from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import this
-from repro.fastpath import batch
 
 SCHEMA = "repro.fastpath/perf/v2"
 CORPUS_SIZE = 64  # distinct packets per spec, round-robined each rep
@@ -110,19 +106,14 @@ def build_corpus(seed: int) -> Dict[str, Dict[str, Any]]:
 
 
 def _roundtrip_single(spec: Any, values: List[dict], wires: List[bytes]) -> None:
-    # Retain results just like the batch APIs do — discarding each 33KB
-    # UdpDatagram blob immediately would recycle one cache-hot allocator
-    # block and flatter this tier by ~3x on large-payload corpora.
+    # Retain every result — discarding each 33KB UdpDatagram blob
+    # immediately would recycle one cache-hot allocator block and
+    # flatter this tier by ~3x on large-payload corpora.
     encode = codec.encode_verbatim
     decode = codec.decode_packet
     encoded = [encode(spec, value_env) for value_env in values]
     decoded = [decode(spec, wire) for wire in wires]
     del encoded, decoded
-
-
-def _roundtrip_batch(spec: Any, values: List[dict], wires: List[bytes]) -> None:
-    batch.encode_many(spec, values)
-    batch.decode_many(spec, wires)
 
 
 def _checksums_single(spec: Any, values: List[dict], wires: List[bytes]) -> None:
@@ -161,7 +152,7 @@ def measure(
     }
 
 
-TIERS = ("interpreted", "compiled", "batch")
+TIERS = ("interpreted", "compiled")
 
 
 def run(seed: int, budget_seconds: float) -> Dict[str, Any]:
@@ -183,9 +174,6 @@ def run(seed: int, budget_seconds: float) -> Dict[str, Any]:
             )
             state = fastpath.state_of(spec)
             per_spec["tier_used"] = state.status if state else "interpreted"
-            per_spec["batch"] = measure(
-                _roundtrip_batch, spec, values, wires, budget_seconds
-            )
         if any(isinstance(field, ChecksumField) for field in spec.fields):
             for tier, mode in (("checksum_interpreted", "off"), ("checksum_compiled", "always")):
                 with fastpath.use(mode=mode):
@@ -200,7 +188,6 @@ def run(seed: int, budget_seconds: float) -> Dict[str, Any]:
         per_spec["compiled_speedup"] = (
             per_spec["compiled"]["packets_per_second"] / interp
         )
-        per_spec["batch_speedup"] = per_spec["batch"]["packets_per_second"] / interp
         results[name] = per_spec
     return {
         "schema": SCHEMA,
@@ -217,7 +204,7 @@ def render(report: Dict[str, Any]) -> str:
     lines = [
         f"cores={report['cpu_count']}",
         f"{'spec':<18} {'interp pps':>12} {'compiled pps':>13} "
-        f"{'batch pps':>12} {'comp x':>7} {'cksum x':>8}  tier",
+        f"{'comp x':>7} {'cksum x':>8}  tier",
     ]
     for name, row in report["specs"].items():
         checksum = row.get("checksum_speedup")
@@ -225,7 +212,6 @@ def render(report: Dict[str, Any]) -> str:
             f"{name:<18} "
             f"{row['interpreted']['packets_per_second']:>12.0f} "
             f"{row['compiled']['packets_per_second']:>13.0f} "
-            f"{row['batch']['packets_per_second']:>12.0f} "
             f"{row['compiled_speedup']:>6.2f}x "
             f"{f'{checksum:.2f}x' if checksum else '--':>8}  {row['tier_used']}"
         )
@@ -242,7 +228,6 @@ def render(report: Dict[str, Any]) -> str:
 TOLERANCE = {
     "interpreted": 0.35,
     "compiled": 0.40,
-    "batch": 0.40,
 }
 
 #: Least compiled/interpreted ratio for ``compute_checksums``.  Below

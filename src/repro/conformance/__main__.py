@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro.conformance.runner import ENGINES, replay_corpus, run_all
+from repro.fastpath.policy import MODES, FastPath, set_policy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fastpath",
-        choices=("off", "auto", "always", "verify"),
+        choices=(*MODES, "verify"),
         default=None,
         help=(
-            "compiled-codec tier policy for this run: off / auto / always, "
+            "compiled-codec tier policy for this run: off / always, "
             "or 'verify' (= always, with every compiled result cross-checked "
             "against the interpreter); default: the process policy"
         ),
@@ -118,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_fastpath(choice: Optional[str]) -> None:
     if choice is None:
         return
-    from repro.fastpath import FastPath, set_policy
-
     if choice == "verify":
         set_policy(FastPath(mode="always", verify=True))
     else:

@@ -15,13 +15,14 @@ decoded integer values into the environment so dependent shapes (lengths,
 switch discriminators) resolve — the operational reading of the paper's
 dependent records.
 
-Both entry points consult ``repro.fastpath`` first: when the process-wide
-policy has compiled a spec (see ``repro.fastpath.cache``), the generated
-closures run instead of the interpretive walk, with the interpreter kept
-as the error oracle — a compiled closure that raises is re-run through
-the interpreter so callers always see the canonical exception, and a
-closure that *diverges* (errors where the interpreter succeeds, or
-mismatches under ``verify``) demotes its spec back to interpretation.
+Every entry point consults ``repro.fastpath`` first: unless the
+process-wide policy is ``off``, the first call on a spec compiles it
+(see ``repro.fastpath.cache``) and the generated closures run instead of
+the interpretive walk, with the interpreter kept as the error oracle — a
+compiled closure that raises is re-run through the interpreter so callers
+always see the canonical exception, and a closure that *diverges* (errors
+where the interpreter succeeds, or mismatches under ``verify``) demotes
+its spec back to interpretation.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def _fp_demote(
     """Demote a diverging spec and count the divergence in repro.obs.
 
     ``payload`` carries the offending operation (``{"op": "decode",
-    "data": ...}`` or ``{"op": "encode", "values": ...}``) to the
-    flight recorder so ``--triage`` can re-run the exact divergence;
+    "data": ...}``, or ``{"op": "encode" | "finalize", "values": ...}``)
+    to the flight recorder so ``--triage`` can re-run the exact divergence;
     demotion is the cold path, so the recorder hook costs nothing here.
     """
     _fp_cache_demote(state, reason)
@@ -261,8 +262,9 @@ def encode_verbatim(
 ) -> bytes:
     """Encode a complete value environment exactly as given.
 
-    Dispatches to the compiled tier when the fast-path policy has
-    promoted this spec (``repro.fastpath``); semantics are unchanged.
+    Dispatches to the spec's compiled codec unless the fast-path policy
+    is off or the spec runs interpreted (``repro.fastpath``); semantics
+    are unchanged.
 
     ``obs`` (default: the process-wide instrumentation) records, when
     enabled, an encode-latency histogram and bytes/packets counters

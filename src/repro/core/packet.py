@@ -391,22 +391,6 @@ class PacketSpec:
         """Decode bytes into a raw (unverified) packet."""
         return Packet(self, codec.decode_packet(self, data))
 
-    def encode_many(self, packets: Iterable[Any]) -> List[bytes]:
-        """Encode many packets (or value mappings) in one amortized batch.
-
-        Forces the compiled codec tier up front and records one obs
-        snapshot for the whole batch; see ``repro.fastpath.batch``.
-        """
-        from repro.fastpath import batch
-
-        return batch.encode_many(self, packets)
-
-    def decode_many(self, blobs: Iterable[bytes]) -> List[Packet]:
-        """Decode many wire buffers in one amortized batch."""
-        from repro.fastpath import batch
-
-        return [Packet(self, values) for values in batch.decode_many(self, blobs)]
-
     def compute_checksum(self, packet: Packet, field_name: str) -> int:
         """Recompute one checksum from the packet's carried values."""
         return codec.compute_one_checksum(self, packet._values, field_name)

@@ -1,13 +1,9 @@
 """Process-wide policy for the compiled codec tier.
 
-A :class:`FastPath` value decides *when* a spec graduates from the
-interpreted codec to its compiled closures:
+A :class:`FastPath` value decides whether specs run on their compiled
+closures:
 
-* ``mode="auto"`` (default) — compile a spec after
-  :data:`AUTO_THRESHOLD` interpreted calls, so one-shot scripts never
-  pay codegen latency while steady-state traffic always ends up on the
-  fast tier;
-* ``mode="always"`` — compile on first use;
+* ``mode="always"`` (default) — compile a spec on its first codec call;
 * ``mode="off"`` — interpret everything (the compiled tier is inert).
 
 ``verify=True`` keeps the interpreter in the loop as an oracle: every
@@ -26,24 +22,21 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Tuple
 
-_MODES = ("off", "auto", "always")
-
-#: Interpreted calls before ``mode="auto"`` compiles a spec.  Codegen
-#: costs milliseconds per spec; the ramp spares one-shot callers that.
-AUTO_THRESHOLD = 64
+#: Every ``FastPath.mode``; the conformance CLI offers these plus ``verify``.
+MODES = ("off", "always")
 
 
 @dataclass(frozen=True)
 class FastPath:
-    """When and how the compiled codec tier engages."""
+    """Whether and how the compiled codec tier engages."""
 
-    mode: str = "auto"
+    mode: str = "always"
     verify: bool = False  # cross-check every compiled result vs the interpreter
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValueError(
-                f"fastpath mode must be one of {_MODES}, got {self.mode!r}"
+                f"fastpath mode must be one of {MODES}, got {self.mode!r}"
             )
 
 

@@ -343,11 +343,11 @@ def _replay_demotion(bundle: FlightBundle) -> Tuple[str, str]:
         return "unreplayable", f"spec {bundle.subject!r} is not in the registry"
     op = bundle.extra.get("op")
     values: Optional[Dict[str, Any]] = None
-    if op == "encode":
+    if op in ("encode", "finalize"):
         try:
             values = ast.literal_eval(bundle.extra.get("values", ""))
         except (ValueError, SyntaxError):
-            return "unreplayable", "recorded encode values do not parse back"
+            return "unreplayable", f"recorded {op} values do not parse back"
     elif op != "decode" or bundle.data is None:
         return "unreplayable", f"demotion bundle has no replayable op ({op!r})"
     before = fp_cache.stats()["demotions"]
@@ -356,6 +356,8 @@ def _replay_demotion(bundle: FlightBundle) -> Tuple[str, str]:
         try:
             if op == "decode":
                 spec.decode(bundle.data)
+            elif op == "finalize":
+                core_codec.compute_checksums(spec, values)
             else:
                 # encode_verbatim takes the raw value environment the
                 # demoted call saw (make() would recompute checksums).

@@ -55,8 +55,7 @@ class Role:
 
     #: Registry key; the wire name used in exchange records and the CLI.
     protocol: str = ""
-    #: Packet specs this role speaks — warmed through the fastpath at
-    #: accept time and used to render transcripts.
+    #: Packet specs this role speaks; used to render transcripts.
     specs: Tuple[Any, ...] = ()
     #: On a responder: the role that opens its sessions.
     initiator: Optional[Type["Role"]] = None

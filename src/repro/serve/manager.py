@@ -14,10 +14,10 @@ Responsibilities, in the order a frame meets them:
    (:class:`~repro.serve.session.SessionSlab`).  An unknown peer opens a
    session: its app is built over a **cached sealed spec** (one spec and
    one staged dispatch table shared by every session of a protocol —
-   rebuilding them per accept was 75% of PR 7's accept cost), its packet
-   specs are warmed through the :mod:`repro.fastpath` compiled tier at
-   accept time, and an exchange recorder is attached when differential
-   recording is on.
+   rebuilding them per accept was 75% of PR 7's accept cost), and an
+   exchange recorder is attached when differential recording is on.  The
+   first frame on a packet spec compiles it (:mod:`repro.fastpath`);
+   every later session reuses that codec.
 2. **Admission under overload.**  When the session table is at
    ``max_sessions``, the *oldest-idle* session is shed to make room.
    Finding it rides a lazy min-heap of ``(last_activity, open_seq,
@@ -62,7 +62,6 @@ import heapq
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.fastpath.cache import active_state
 from repro.obs.instrument import Instrumentation, get_default
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.apps import app_class
@@ -417,13 +416,6 @@ class SessionManager:
             _send(data)
 
         app = self.app_cls(sending, seed=seed, **self.app_params)
-        # Accept-time codec warm-up: every spec this app speaks is pushed
-        # straight to the compiled tier (force bypasses the auto ramp; a
-        # refused spec simply stays interpreted).  The specs are shared
-        # class constants, so after the first session this is a cached
-        # status check, not a compile.
-        for spec in app.specs:
-            active_state(spec, force=True)
         slot = slab.alloc(peer, app, send, now, recorder)
         while len(self._drain_tasks) <= slot:
             index = len(self._drain_tasks)

@@ -1,24 +1,29 @@
 """repro.fastpath — the transparent compiled codec tier.
 
-Covers the policy ladder (off / auto-with-threshold / always), generation
-invalidation, transparency (compiled results byte-identical to the
-interpreter across every registry spec), error canonicalization, the
-divergence guard (fallback, verify, demotion, obs counter), the batch
-APIs, fingerprint sharing, and the generator's refusal of subclassed
-fields.
+Covers the policy (off / always, compile on first use), generation
+invalidation, the per-spec codec cache (one compile per spec object,
+reused across policy changes), transparency (compiled results
+byte-identical to the interpreter across every registry spec), error
+canonicalization, the divergence guard (fallback, verify, demotion, obs
+counter), and the generator's refusal of subclassed fields.
 """
 
+import gc
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
 
+import repro
 from repro import fastpath, obs
 from repro.conformance.registry import all_spec_entries
 from repro.core import codec
 from repro.core.codec import DecodeError
 from repro.core.fields import UInt
 from repro.core.packet import PacketSpec
-from repro.fastpath.policy import AUTO_THRESHOLD
 
 
 @pytest.fixture(autouse=True)
@@ -67,23 +72,38 @@ def test_off_mode_never_compiles():
     assert fastpath.stats()["compiles"] == 0
 
 
-def test_auto_mode_promotes_at_threshold():
-    spec = _simple_spec()
-    values = {"kind": 1, "count": 2}
-    with fastpath.use(mode="auto"):
-        for _ in range(AUTO_THRESHOLD - 1):
-            codec.encode_verbatim(spec, values)
-        assert fastpath.state_of(spec).status == "counting"
-        codec.encode_verbatim(spec, values)  # this call crosses the bar
-        assert fastpath.state_of(spec).status == "compiled"
-
-
 def test_always_mode_compiles_on_first_use():
     spec = _simple_spec()
     with fastpath.use(mode="always"):
         codec.encode_verbatim(spec, {"kind": 1, "count": 2})
         assert fastpath.state_of(spec).status == "compiled"
     assert fastpath.stats()["compiles"] == 1
+
+
+_DEFAULT_POLICY_SCRIPT = """
+from repro import fastpath
+from repro.core import codec
+from repro.protocols.arq import ARQ_PACKET
+
+codec.encode_verbatim(ARQ_PACKET, {"seq": 1, "chk": 0, "length": 2, "payload": b"hi"})
+print(fastpath.state_of(ARQ_PACKET).status, fastpath.stats()["compiles"])
+"""
+
+
+def test_default_policy_compiles_on_the_first_encode():
+    # A fresh interpreter with no REPRO_* variables: the process default.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_POLICY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.split() == ["compiled", "1"]
 
 
 def test_policy_change_invalidates_cached_decisions():
@@ -216,90 +236,28 @@ def test_verify_mode_catches_wrong_decode():
     assert fastpath.stats()["demotions"] == 1
 
 
-# --- batch APIs ---
-
-
-def test_batch_matches_single_calls():
-    for entry in all_spec_entries():
-        values_list, wires = _sample(entry, count=5)
-        with fastpath.use(mode="off"):
-            loop_enc = [codec.encode_verbatim(entry.spec, v) for v in values_list]
-            loop_dec = [codec.decode_packet(entry.spec, w) for w in wires]
-        with fastpath.use(mode="always"):
-            assert fastpath.encode_many(entry.spec, values_list) == loop_enc
-            assert fastpath.decode_many(entry.spec, wires) == loop_dec
-
-
-def test_batch_forces_compilation_even_when_auto_is_cold(monkeypatch):
-    spec = _simple_spec()
-    monkeypatch.setattr(fastpath.policy, "AUTO_THRESHOLD", 10_000)
-    with fastpath.use(mode="auto"):
-        fastpath.encode_many(spec, [{"kind": 1, "count": 2}])
-        assert fastpath.state_of(spec).status == "compiled"
-
-
-def test_batch_accepts_packets_and_rejects_junk():
-    entry = next(e for e in all_spec_entries() if e.name == "Handshake")
-    rng = random.Random(3)
-    packets = [entry.generate(rng) for _ in range(4)]
-    with fastpath.use(mode="always"):
-        wires = fastpath.encode_many(entry.spec, packets)
-        assert wires == [entry.spec.encode(p) for p in packets]
-        with pytest.raises(TypeError, match="field-value mapping"):
-            fastpath.encode_many(entry.spec, [b"not a packet"])
-
-
-def test_packetspec_batch_methods_return_packets():
-    entry = next(e for e in all_spec_entries() if e.name == "ArqAck")
-    values_list, wires = _sample(entry, count=4)
-    with fastpath.use(mode="always"):
-        encoded = entry.spec.encode_many(values_list)
-        assert encoded == wires
-        decoded = entry.spec.decode_many(wires)
-    assert [p._values for p in decoded] == values_list
-    assert all(p.spec is entry.spec for p in decoded)
-
-
-def test_batch_records_one_obs_sample_per_batch():
-    entry = next(e for e in all_spec_entries() if e.name == "ArqAck")
-    values_list, wires = _sample(entry, count=6)
-    instr = obs.enable()
-    instr.reset()
-    try:
-        with fastpath.use(mode="always"):
-            fastpath.encode_many(entry.spec, values_list, obs=instr)
-            fastpath.decode_many(entry.spec, wires, obs=instr)
-        registry = instr.registry
-        assert registry.counter("codec.batches", op="encode", spec="ArqAck").value == 1
-        assert registry.counter("codec.batches", op="decode", spec="ArqAck").value == 1
-        assert (
-            registry.counter("codec.encoded_packets", spec="ArqAck").value
-            == len(values_list)
-        )
-        assert (
-            registry.counter("codec.decoded_bytes", spec="ArqAck").value
-            == sum(len(w) for w in wires)
-        )
-    finally:
-        obs.disable()
-
-
 # --- the cache ---
 
 
 def test_structurally_identical_specs_share_one_codec():
+    """Each spec object compiles once, whatever its shape; a policy round
+    trip re-reads both cached codecs."""
     first, second = _simple_spec("AlphaWire"), _simple_spec("BetaWire")
+    values = {"kind": 1, "count": 2}
     with fastpath.use(mode="always"):
-        codec.encode_verbatim(first, {"kind": 1, "count": 2})
-        codec.encode_verbatim(second, {"kind": 1, "count": 2})
-        assert (
-            fastpath.state_of(first).fingerprint
-            == fastpath.state_of(second).fingerprint
-        )
-    stats = fastpath.stats()
-    assert stats["compiles"] == 1
-    assert stats["shared"] == 1
-    assert stats["cached_codecs"] == 1
+        codec.encode_verbatim(first, values)
+        codec.encode_verbatim(second, values)
+        codecs = (fastpath.state_of(first).codec, fastpath.state_of(second).codec)
+    assert fastpath.stats()["compiles"] == 2
+    # A policy round trip re-reads each spec's cached codec.
+    with fastpath.use(mode="off"):
+        codec.encode_verbatim(first, values)
+    with fastpath.use(mode="always"):
+        codec.encode_verbatim(first, values)
+        codec.encode_verbatim(second, values)
+        assert fastpath.state_of(first).codec is codecs[0]
+        assert fastpath.state_of(second).codec is codecs[1]
+    assert fastpath.stats()["compiles"] == 2
 
 
 def test_subclassed_fields_are_refused_not_misread():
@@ -322,10 +280,34 @@ def test_subclassed_fields_are_refused_not_misread():
         # the same-shape spec with plain fields is unaffected
         codec.encode_verbatim(plain, {"kind": 1, "count": 2})
         assert fastpath.state_of(plain).status == "compiled"
-        assert state.fingerprint != fastpath.state_of(plain).fingerprint
     stats = fastpath.stats()
     assert stats["failures"] == 1
     assert stats["compiles"] == 1
+
+
+def test_the_cache_does_not_keep_a_spec_alive():
+    spec = _simple_spec()
+    with fastpath.use(mode="always"):
+        codec.encode_verbatim(spec, {"kind": 1, "count": 2})
+        assert fastpath.state_of(spec).status == "compiled"
+    collected = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert collected() is None
+
+
+def test_a_spec_the_cache_cannot_key_stays_interpreted():
+    class UnhashableSpec(PacketSpec):
+        __hash__ = None
+
+    spec = UnhashableSpec(
+        "FpUnhashable",
+        fields=[UInt("kind", bits=8), UInt("count", bits=16)],
+    )
+    with fastpath.use(mode="always"):
+        assert codec.encode_verbatim(spec, {"kind": 1, "count": 2}) == b"\x01\x00\x02"
+        assert fastpath.state_of(spec).status == "interpreted"
+    assert fastpath.stats()["compiles"] == 0
 
 
 def test_refusal_and_demotion_are_terminal_until_reset():
@@ -334,8 +316,7 @@ def test_refusal_and_demotion_are_terminal_until_reset():
         codec.encode_verbatim(spec, {"kind": 1, "count": 2})
         state = fastpath.state_of(spec)
         fastpath.demote(state, "test-demotion")
-        # force=True must not resurrect a demoted spec
-        assert fastpath.active_state(spec, force=True) is None
+        assert fastpath.active_state(spec) is None
         assert fastpath.state_of(spec).status == "interpreted"
     fastpath.reset()
     with fastpath.use(mode="always"):

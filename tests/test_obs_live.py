@@ -548,6 +548,47 @@ class TestFlightRecorder:
         status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
         assert status == "drifted", detail
 
+    def _finalize_bundle(self, tmp_path):
+        # What codec.compute_checksums records when compiled finalize diverges.
+        values = {"seq": 1, "chk": 0, "length": 2, "payload": b"hi"}
+        recorder = flightrec.FlightRecorder(str(tmp_path))
+        return recorder.dump(
+            "fastpath_demotion",
+            subject="ArqData",
+            detail="finalize-error",
+            extra={"op": "finalize", "reason": "finalize-error", "values": repr(values)},
+        )
+
+    def test_finalize_bundle_on_clean_spec_drifts(self, tmp_path):
+        path = self._finalize_bundle(tmp_path)
+        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        assert status == "drifted", detail
+
+    def test_finalize_bundle_reproduces_while_finalize_diverges(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import fastpath
+        from repro.core import compile as core_compile
+
+        real_compile = core_compile.compile_spec
+
+        def compile_with_broken_finalize(spec):
+            def finalize(values):
+                raise ValueError("injected finalize bug")
+
+            return real_compile(spec)._replace(finalize=finalize)
+
+        path = self._finalize_bundle(tmp_path)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(core_compile, "compile_spec", compile_with_broken_finalize)
+                fastpath.reset()  # the next ArqData call compiles the broken codec
+                status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        finally:
+            fastpath.reset()
+        assert status == "reproduced", detail
+        assert "demoted again" in detail
+
     def test_capture_feeds_the_frame_ring(self, tmp_path):
         from repro.netsim import Simulator
         from repro.netsim.capture import Capture

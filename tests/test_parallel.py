@@ -3,21 +3,14 @@
 The contract under test everywhere here is *transparency*: sharding a
 run over workers (or having a worker die mid-run) may change timing,
 but never results — conformance findings, coverage, and corpus files
-must be byte-identical to the serial run.  The codec batch APIs never
-leave the process.
+must be byte-identical to the serial run.
 """
 
 import multiprocessing
-import os
-import random
-import subprocess
-import sys
 
 import pytest
 
-import repro
-from repro import fastpath, obs
-from repro.conformance.registry import all_spec_entries
+from repro import obs
 from repro.conformance.runner import run_all
 from repro.parallel.confrun import execute_unit, plan_units, run_all_parallel
 from repro.parallel.pool import CallError, ShardedPool
@@ -73,20 +66,6 @@ class TestCrashRecovery:
         assert "no_such_module" in results[1].message
 
 
-_BATCH_SCRIPT = """
-import multiprocessing, random
-from repro import fastpath
-from repro.conformance.registry import all_spec_entries
-
-entry = next(e for e in all_spec_entries() if e.name == "ArqAck")
-rng = random.Random(5)
-values = [entry.generate(rng)._values for _ in range(64)] * 64
-with fastpath.use(mode="always"):
-    print(len(fastpath.encode_many(entry.spec, values)))
-print(len(multiprocessing.active_children()))
-"""
-
-
 class TestPoolLifetime:
     def test_one_worker_pool_rejected(self):
         with pytest.raises(ValueError, match="at least 2 workers"):
@@ -96,22 +75,6 @@ class TestPoolLifetime:
         before = _live_children()
         run_all_parallel(workers=2, seed=3, budget=40, engines=("machine",))
         assert _live_children() - before == set()
-
-    def test_batch_apis_start_no_process(self):
-        # A fresh interpreter with no REPRO_* variables: the default
-        # environment, and no pool left over from another test.
-        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _BATCH_SCRIPT],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        )
-        assert out.stdout.split() == ["4096", "0"]
 
 
 class TestParallelConformance:

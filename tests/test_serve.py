@@ -38,6 +38,7 @@ import time
 import pytest
 
 import repro
+from repro import fastpath
 from repro.baseline.sockets_arq import BlockingArqClient
 from repro.core.machine import Machine
 from repro.modelcheck.explicit import successors_of
@@ -174,6 +175,18 @@ class TestSessionManager:
         apps = {p: s.app for p, s in h.manager.sessions.items()}
         assert apps["a"].delivered == [b"from-a"]
         assert apps["b"].delivered == [b"from-b"]
+
+    def test_first_frame_compiles_every_responder_spec(self):
+        # No accept-time warm-up: the session's own codec calls compile.
+        fastpath.reset()
+        with fastpath.use(mode="off"):
+            frame = _data_frame(0)
+        h = _Harness()
+        h.offer("a", frame)
+        specs = h.manager.sessions["a"].app.specs
+        statuses = [getattr(fastpath.state_of(s), "status", None) for s in specs]
+        assert statuses == ["compiled"] * len(specs)
+        assert fastpath.stats()["compiles"] == len(specs)
 
     def test_per_peer_seed_is_deterministic_and_distinct(self):
         assert session_seed(1, "a") == session_seed(1, "a")

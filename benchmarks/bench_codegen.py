@@ -1,7 +1,7 @@
 """E13 — "if an implementation is created from the DSL, then it must
 operate correctly" (paper §5): the staged codec.
 
-(a) Differential correctness: generated parse/build/finalize/validate
+(a) Differential correctness: generated parse/build/finalize/verify
 agree with the interpreted codec over a packet corpus.
 (b) Performance: the generated code removes the per-field interpretive
 dispatch.  Expected shape: generated wins by a constant factor, larger
@@ -70,7 +70,7 @@ def test_differential_equivalence(benchmark):
         wire = spec.encode(packet)
         assert codec.build(packet.values) == wire
         assert codec.parse(wire) == packet.values
-        assert codec.validate(packet.values) == []
+        assert codec.verify(wire) == (packet.values, [])
         agreements += 3
     record_table(
         "E13",

@@ -19,7 +19,8 @@ undeclared failure (see ``--triage``).
 
 Exit status 0 means every engine ran clean (or every replayed entry
 still reproduces, or a triaged bundle still reproduces); 1 means
-findings (or replay/triage drift).
+findings (or replay/triage drift), or a serial ``--fastpath verify`` run
+that demoted a spec (each is printed with its reason).
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro import fastpath
 from repro.conformance.runner import ENGINES, replay_corpus, run_all
-from repro.fastpath.policy import MODES, FastPath, set_policy
+from repro.fastpath.policy import MODES, FastPath, get_policy, set_policy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +202,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exporter is not None:
             exporter.close()
     print(report.to_json() if args.json else report.render())
-    return 0 if report.ok else 1
+    return 0 if report.ok and not _demotions(args.workers) else 1
+
+
+def _demotions(workers: int) -> bool:
+    """Report each spec a serial verify-mode run demoted; True if any.
+
+    A demotion means a compiled codec diverged from the interpreter, so
+    under ``--fastpath verify`` it fails the run.  Sharded runs demote
+    inside their workers, out of this process's sight.
+    """
+    if workers > 1 or not get_policy().verify:
+        return False
+    count = fastpath.stats()["demotions"]
+    if not count:
+        return False
+    print(f"fastpath: {count} demotion(s) under verify")
+    for name, reason in fastpath.demoted():
+        print(f"  DEMOTED {name}: {reason}")
+    return True
 
 
 if __name__ == "__main__":

@@ -15,6 +15,12 @@ decoded integer values into the environment so dependent shapes (lengths,
 switch discriminators) resolve — the operational reading of the paper's
 dependent records.
 
+``PacketSpec`` reaches the codec through two more entry points, each of
+which runs one generated function per call on the compiled tier:
+:func:`decode_checked` (the §3.4 receive gate: parse and verify in one
+pass) and :func:`make_values` (``make``).  ``PacketSpec`` hands each its
+interpreted walk as the oracle.
+
 Every entry point consults ``repro.fastpath`` first: unless the
 process-wide policy is ``off``, the first call on a spec compiles it
 (see ``repro.fastpath.cache``) and the generated closures run instead of
@@ -28,7 +34,7 @@ its spec back to interpretation.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.fields import ChecksumField, Field, FieldValueError
 from repro.fastpath.cache import active_state as _fp_active
@@ -131,7 +137,7 @@ def _encode_fields(
 # Anything a generated parse/build can plausibly raise on bad input; the
 # rerun either reproduces the canonical interpreted error (agreement) or
 # succeeds, which is a divergence and demotes the spec.
-_FALLBACK_ERRORS = (ValueError, TypeError, OverflowError, KeyError, IndexError)
+_FALLBACK_ERRORS = (ValueError, TypeError, ArithmeticError, KeyError, IndexError)
 
 
 def _fp_demote(
@@ -143,10 +149,11 @@ def _fp_demote(
 ) -> None:
     """Demote a diverging spec and count the divergence in repro.obs.
 
-    ``payload`` carries the offending operation (``{"op": "decode",
-    "data": ...}``, or ``{"op": "encode" | "finalize", "values": ...}``)
-    to the flight recorder so ``--triage`` can re-run the exact divergence;
-    demotion is the cold path, so the recorder hook costs nothing here.
+    ``payload`` carries the offending operation (``{"op": "decode" |
+    "verify", "data": ...}``, or ``{"op": "encode" | "finalize" | "make",
+    "values": ...}``) to the flight recorder so ``--triage`` can re-run the
+    exact divergence; demotion is the cold path, so the recorder hook
+    costs nothing here.
     """
     _fp_cache_demote(state, reason)
     if obs is None:
@@ -387,14 +394,14 @@ def compute_checksums(spec: Any, values: Mapping[str, Any]) -> Dict[str, Any]:
         try:
             working = state.codec.finalize(values)
         except _FALLBACK_ERRORS:
-            working = _compute_checksums_interpreted(spec, values)
+            working = compute_checksums_interpreted(spec, values)
             _fp_demote(
                 spec, state, "finalize-error", None,
                 {"op": "finalize", "values": repr(dict(values))},
             )
             return working
         if state.verify:
-            expected = _compute_checksums_interpreted(spec, values)
+            expected = compute_checksums_interpreted(spec, values)
             if working != expected:
                 _fp_demote(
                     spec, state, "finalize-mismatch", None,
@@ -402,12 +409,13 @@ def compute_checksums(spec: Any, values: Mapping[str, Any]) -> Dict[str, Any]:
                 )
                 return expected
         return working
-    return _compute_checksums_interpreted(spec, values)
+    return compute_checksums_interpreted(spec, values)
 
 
-def _compute_checksums_interpreted(
+def compute_checksums_interpreted(
     spec: Any, values: Mapping[str, Any]
 ) -> Dict[str, Any]:
+    """:func:`compute_checksums` on the interpreter alone (``make``'s walk)."""
     working: Dict[str, Any] = dict(values)
     for field in spec.fields:
         if isinstance(field, ChecksumField):
@@ -477,6 +485,123 @@ def decode_packet(
         raise
     _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)
     return values
+
+
+def decode_checked(
+    spec: Any,
+    data: bytes,
+    oracle: Callable[[Dict[str, Any], Tuple[str, ...]], FrozenSet[str]],
+) -> Tuple[Dict[str, Any], Any]:
+    """Decode bytes and, on the compiled tier, run the spec's receive gate.
+
+    Returns ``(values, passed)``: ``passed`` is the spec's compiled-tier
+    state when its generated ``verify`` found no violation, else ``None``
+    (interpreted tier, a rejection, or the interpreter had to answer).
+    Raises :class:`DecodeError` where :func:`decode_packet` does, and
+    records the same ``codec.decode_*`` metrics when the process-wide
+    instrumentation is enabled.
+
+    A generated ``verify`` that raises is re-run through the interpreter:
+    the canonical :class:`DecodeError` on agreement, a demotion when the
+    interpreter succeeds.  Under ``verify=True`` each compiled verdict —
+    the values, and the names of the violated constraints — is compared
+    with the interpreter's: ``oracle(values, residual)`` names the
+    constraints outside ``residual`` that ``values`` violate.
+    """
+    obs = get_default()
+    start = time.perf_counter() if obs.enabled else 0.0
+    state = _fp_active(spec)
+    passed = None
+    try:
+        if state is None:
+            values = _decode_fields(spec, data)
+        else:
+            try:
+                values, violated = state.codec.verify(data)
+            except _FALLBACK_ERRORS:
+                values = _decode_fields(spec, data)
+                _fp_demote(
+                    spec, state, "verify-error", obs, {"op": "verify", "data": data}
+                )
+            else:
+                if state.verify:
+                    values, passed = _check_verdict(
+                        spec, state, data, values, violated, oracle, obs
+                    )
+                elif not violated:
+                    passed = state
+    except DecodeError as exc:
+        if obs.enabled:
+            obs.registry.counter(
+                "codec.decode_errors", spec=spec.name, kind=type(exc).__name__
+            ).inc()
+        raise
+    if obs.enabled:
+        _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)
+    return values, passed
+
+
+def _check_verdict(
+    spec: Any,
+    state: Any,
+    data: bytes,
+    values: Dict[str, Any],
+    violated: List[str],
+    oracle: Callable[[Dict[str, Any], Tuple[str, ...]], FrozenSet[str]],
+    obs: Optional[Instrumentation],
+) -> Tuple[Dict[str, Any], Any]:
+    """Compare a compiled verdict with the interpreter's (``verify=True``)."""
+    payload = {"op": "verify", "data": data}
+    try:
+        expected = _decode_fields(spec, data)
+    except DecodeError:
+        _fp_demote(spec, state, "verify-mismatch", obs, payload)
+        raise
+    if values != expected or set(violated) != oracle(expected, state.codec.residual):
+        _fp_demote(spec, state, "verify-mismatch", obs, payload)
+        return expected, None
+    return values, None if violated else state
+
+
+def make_values(
+    spec: Any,
+    values: Mapping[str, Any],
+    walk: Callable[[Mapping[str, Any]], Dict[str, Any]],
+) -> Dict[str, Any]:
+    """The completed value environment of ``spec.make(**values)``.
+
+    Runs the spec's generated ``make`` unless the tier is off or the
+    spec runs interpreted.  ``walk`` is the interpreted make — the off
+    tier, and the oracle: a generated ``make`` that raises is re-run
+    through it, so callers always see its canonical error, and one that
+    raises where ``walk`` succeeds demotes the spec.  Under
+    ``verify=True`` every compiled result is compared with ``walk``'s.
+    """
+    state = _fp_active(spec)
+    if state is None:
+        return walk(values)
+    try:
+        completed = state.codec.make(values)
+    except _FALLBACK_ERRORS:
+        completed = walk(values)
+        _fp_demote(
+            spec, state, "make-error", None,
+            {"op": "make", "values": repr(dict(values))},
+        )
+        return completed
+    if state.verify:
+        payload = {"op": "make", "values": repr(dict(values))}
+        try:
+            expected = walk(values)
+        except Exception:
+            # Whatever the interpreter raises, the compiled make accepted
+            # it: a divergence.  The canonical error still propagates.
+            _fp_demote(spec, state, "make-mismatch", None, payload)
+            raise
+        if completed != expected:
+            _fp_demote(spec, state, "make-mismatch", None, payload)
+            return expected
+    return completed
 
 
 def _decode_fields(spec: Any, data: bytes) -> Dict[str, Any]:

@@ -5,7 +5,7 @@ the DSL, then it must operate correctly, simply by the properties obtained
 from use of dependent type systems".  This module is the staging half of
 that claim: :func:`generate_codec_source` emits a self-contained Python
 module (no imports beyond the standard library, no dependency on
-``repro``) implementing parse / build / checksum / validate functions for
+``repro``) implementing parse / build / checksum / verify / make functions for
 one spec.  :func:`compile_spec` executes that source and hands back the
 functions.
 
@@ -23,16 +23,29 @@ Generated modules contain:
   truncated or trailing data;
 * ``build_<name>(values) -> bytes`` — verbatim encoding;
 * ``finalize_<name>(values) -> dict`` — computes checksum fields;
-* ``validate_<name>(values) -> list`` — names of violated constraints
-  (checksums, constants, enums, reserved bits; callable constraints are
-  not exportable and are listed in the module docstring as residuals).
+* ``verify_<name>(data) -> (dict, list)`` — the §3.4 receive gate in one
+  pass: parses as ``parse_<name>`` does (raising where it raises), checks
+  each checksum over the received bytes' own spans, then the constants,
+  enums, reserved bits and staged symbolic constraints, and returns the
+  values with the names of the violated constraints;
+* ``make_<name>(kw) -> dict`` — ``PacketSpec.make`` in one function:
+  fills defaults, normalizes lists and bytearrays, checks every value's
+  type and range, and computes the checksums; it raises ``ValueError``
+  (or ``KeyError`` for a missing value) wherever the interpreted ``make``
+  raises.
+
+The gate checks every constraint ``PacketSpec`` generated itself, and the
+user's symbolic constraints that cannot raise.  The rest
+(:func:`residual_constraints`: callables, and predicates that divide or
+name a non-integer field) are listed in the module docstring and run
+interpreted after the gate.
 """
 
 from __future__ import annotations
 
 import textwrap
 from types import ModuleType
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Collection, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.fields import (
     Bytes,
@@ -44,7 +57,16 @@ from repro.core.fields import (
     UInt,
     UIntList,
 )
-from repro.core.symbolic import BinOp, Const, Expr, FieldRef, Var
+from repro.core.symbolic import (
+    BinOp,
+    BoolOp,
+    Comparison,
+    Const,
+    Expr,
+    FieldRef,
+    Not,
+    Var,
+)
 from repro.wire.bits import ByteOrder
 
 _HELPERS = '''
@@ -200,28 +222,50 @@ def _check_exact_field_types(spec: Any) -> None:
             )
 
 
+def _divides(node: Any) -> bool:
+    """True when a symbolic predicate or expression divides or takes a modulus."""
+    if isinstance(node, Not):
+        return _divides(node.operand)
+    if isinstance(node, (Comparison, BoolOp, BinOp)):
+        return node.op in ("//", "%") or _divides(node.left) or _divides(node.right)
+    return False
+
+
+def residual_constraints(spec: Any) -> List[Any]:
+    """The constraints of ``spec`` that its generated gate does not check.
+
+    The gate checks every constraint ``PacketSpec`` generated itself
+    (``spec.generated_constraint_names``) and each user constraint with a
+    symbolic predicate that cannot raise.  The interpreter raises
+    ``SymbolicError`` for a predicate that divides by zero or names a
+    field with no integer value, so those stay residual, with every
+    callable predicate: they run interpreted after the gate.
+    """
+    integer_fields = {field.name for field in spec.fields if field.is_integer_valued()}
+    return [
+        constraint
+        for constraint in spec.constraints
+        if constraint.name not in spec.generated_constraint_names
+        and not (
+            constraint.is_symbolic
+            and constraint.predicate.free_variables() <= integer_fields
+            and not _divides(constraint.predicate)
+        )
+    ]
+
+
 def generate_codec_source(spec: Any) -> str:
     """Emit standalone Python source implementing ``spec``'s codec."""
     _check_exact_field_types(spec)
     _check_checksum_alignment(spec)
     _check_checksum_kernels(spec)
     name = spec.name.lower()
-    parse_lines = _generate_parse(spec)
-    build_lines = _generate_build(spec)
-    finalize_lines = _generate_finalize(spec)
-    validate_lines = _generate_validate(spec)
     kernels = {
         field.algorithm.name: field.algorithm.source
         for field in spec.fields
         if isinstance(field, ChecksumField)
     }
-    residual = [
-        constraint.name
-        for constraint in spec.constraints
-        if not constraint.is_symbolic and not constraint.name.endswith("_valid")
-        and not constraint.name.startswith(tuple(f"{f.name}_is_" for f in spec.fields))
-        and not constraint.name.endswith("_in_enum")
-    ]
+    residual = [constraint.name for constraint in residual_constraints(spec)]
     header = [
         f'"""Generated codec for packet spec {spec.name!r}.',
         "",
@@ -229,29 +273,42 @@ def generate_codec_source(spec: Any) -> str:
     ]
     if residual:
         header.append(
-            f"Residual (non-exportable) constraints: {sorted(residual)} — "
+            f"Residual (non-exportable) constraints: {residual} — "
             "these require the host DSL to check."
         )
     header.append('"""')
+    sections = [
+        _generate_parse(spec),
+        _generate_build(spec),
+        _generate_finalize(spec),
+        _generate_verify(spec, residual),
+        _generate_make(spec),
+    ]
     parts = [
         "\n".join(header),
         _HELPERS,
         "\n\n".join(kernels[algorithm] for algorithm in sorted(kernels)),
-        "\n".join(parse_lines),
-        "",
-        "\n".join(build_lines),
-        "",
-        "\n".join(finalize_lines),
-        "",
-        "\n".join(validate_lines),
-        "",
+        *("\n".join(lines) + "\n" for lines in sections),
         f"parse = parse_{name}",
         f"build = build_{name}",
         f"finalize = finalize_{name}",
-        f"validate = validate_{name}",
+        f"verify = verify_{name}",
+        f"make = make_{name}",
+        f"residual = {tuple(residual)!r}",
         "",
     ]
     return "\n".join(parts)
+
+
+def _groups(spec: Any) -> List[List[Any]]:
+    """The spec's fields in wire order, each fusable run as one group."""
+    groups: List[List[Any]] = []
+    for field in spec.fields:
+        if _is_fusable(field) and groups and _is_fusable(groups[-1][-1]):
+            groups[-1].append(field)
+        else:
+            groups.append([field])
+    return groups
 
 
 def _is_fusable(field: Any) -> bool:
@@ -271,35 +328,55 @@ def _generate_parse(spec: Any) -> List[str]:
     lines = [
         f"def parse_{name}(data):",
         f'    """Parse bytes into a dict of {spec.name} field values."""',
-        "    values = {}",
-        "    bit = 0",
     ]
+    lines.extend(_parse_body(spec, ())[0])
+    lines.append("    return values")
+    return lines
+
+
+def _parse_body(spec: Any, needed: Collection[int]) -> Tuple[List[str], Dict[int, str]]:
+    """Statements parsing ``data`` into ``values``, and where fields begin.
+
+    Boundary ``i`` is the bit offset at which field ``i`` starts, and
+    boundary ``len(spec.fields)`` is the end of the packet.  For each
+    boundary in ``needed`` the second result holds an expression for its
+    offset, valid once the statements have run: a constant where the
+    layout fixes it, else a local captured while parsing.
+    """
+    lines = ["    values = {}", "    bit = 0"]
+    offsets: Dict[int, str] = {}
     layout = _Layout(0, 0)
-    fields = list(spec.fields)
     index = 0
-    while index < len(fields):
-        field = fields[index]
-        if _is_fusable(field):
-            run = [field]
-            while index + len(run) < len(fields) and _is_fusable(
-                fields[index + len(run)]
-            ):
-                run.append(fields[index + len(run)])
-            lines.extend(_parse_run(run, layout))
-            for fused in run:
-                layout = _advance(layout, fused.fixed_bit_width())
-            index += len(run)
-        else:
-            lines.extend(_parse_field(spec, field, layout))
-            layout = _advance(layout, field.fixed_bit_width())
+    for group in _groups(spec):
+        base = f"_at{index}"
+        inner = 0
+        captured = False
+        for field in group:
+            if index in needed:
+                if layout.static_bit is not None:
+                    offsets[index] = str(layout.static_bit + inner)
+                else:
+                    if not captured:
+                        lines.append(f"    {base} = bit")
+                        captured = True
+                    offsets[index] = f"{base} + {inner}" if inner else base
+            inner += field.fixed_bit_width() or 0
             index += 1
+        if _is_fusable(group[0]):
+            lines.extend(_parse_run(group, layout))
+        else:
+            lines.extend(_parse_field(spec, group[0], layout))
+        for field in group:
+            layout = _advance(layout, field.fixed_bit_width())
     lines.append("    if bit != len(data) * 8:")
     lines.append(
         "        raise ValueError('trailing data: %d bits unconsumed' % "
         "(len(data) * 8 - bit))"
     )
-    lines.append("    return values")
-    return lines
+    if index in needed:
+        end = layout.static_bit
+        offsets[index] = "bit" if end is None else str(end)
+    return lines, offsets
 
 
 def _parse_run(run: List[Any], layout: _Layout) -> List[str]:
@@ -398,21 +475,11 @@ def _generate_build(spec: Any) -> List[str]:
         "    out = bytearray()",
         "    bitlen = 0",
     ]
-    fields = list(spec.fields)
-    index = 0
-    while index < len(fields):
-        field = fields[index]
-        if _is_fusable(field):
-            run = [field]
-            while index + len(run) < len(fields) and _is_fusable(
-                fields[index + len(run)]
-            ):
-                run.append(fields[index + len(run)])
-            lines.extend(_build_run(run))
-            index += len(run)
+    for group in _groups(spec):
+        if _is_fusable(group[0]):
+            lines.extend(_build_run(group))
         else:
-            lines.extend(_build_field(spec, field))
-            index += 1
+            lines.extend(_build_field(spec, group[0]))
     lines.append("    return bytes(out)")
     return lines
 
@@ -433,28 +500,16 @@ def _generate_build_join(spec: Any) -> Optional[List[str]]:
     bytearray path; ``UIntList`` and sub-byte-aligned layouts fall back.
     """
     plan: List[Tuple[str, Any]] = []  # ("run", [fields]) | ("field", field)
-    fields = list(spec.fields)
-    index = 0
-    while index < len(fields):
-        field = fields[index]
+    for group in _groups(spec):
+        field = group[0]
         if _is_fusable(field):
-            run = [field]
-            while index + len(run) < len(fields) and _is_fusable(
-                fields[index + len(run)]
-            ):
-                run.append(fields[index + len(run)])
-            if sum(f.fixed_bit_width() for f in run) % 8 != 0:
+            if sum(f.fixed_bit_width() for f in group) % 8 != 0:
                 return None
-            plan.append(("run", run))
-            index += len(run)
-            continue
-        if isinstance(field, UInt) and field.byteorder is ByteOrder.LITTLE:
-            plan.append(("field", field))
-        elif isinstance(field, Bytes):
+            plan.append(("run", group))
+        elif isinstance(field, (UInt, Bytes)):  # UInt here: little-endian
             plan.append(("field", field))
         else:
             return None  # UIntList (or future shapes): bytearray path
-        index += 1
     name = spec.name.lower()
     lines = [
         f"def build_{name}(values, _spans=None):",
@@ -675,49 +730,77 @@ def _build_field(spec: Any, field: Any) -> List[str]:
     return lines
 
 
-def _cover_code(spec: Any, field: ChecksumField, view: str) -> str:
-    """Source for the bytes a checksum covers, sliced from memoryview ``view``.
+def _cover_runs(spec: Any, field: ChecksumField) -> List[Tuple[int, int]]:
+    """The fields a checksum covers, as ``(first, last)`` index runs.
 
     Covered fields that sit next to each other on the wire form one
-    contiguous byte range, so each run of them is a single slice.  A
-    cover that is one run is handed to the kernel as that memoryview,
-    without a copy; only covers with gaps are joined.
+    contiguous byte range, so each run of them is a single slice.
     """
     position = {f.name: index for index, f in enumerate(spec.fields)}
-    runs: List[List[str]] = []
+    runs: List[Tuple[int, int]] = []
     for covered in field.over or ():
-        if runs and position[covered] == position[runs[-1][-1]] + 1:
-            runs[-1].append(covered)
+        index = position[covered]
+        if runs and index == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], index)
         else:
-            runs.append([covered])
-    slices = [
-        f"{view}[spans[{run[0]!r}][0] // 8:spans[{run[-1]!r}][1] // 8]"
-        for run in runs
-    ]
+            runs.append((index, index))
+    return runs
+
+
+def _cover_code(view: str, ranges: List[Tuple[str, str]]) -> str:
+    """Source for the bytes a checksum covers: ``ranges`` of memoryview ``view``.
+
+    A cover that is one byte range is handed to the kernel as that
+    memoryview slice, without a copy; only covers with gaps are joined.
+    """
+    slices = [f"{view}[{start}:{end}]" for start, end in ranges]
     if len(slices) == 1:
         return slices[0]
     return f"b''.join(({', '.join(slices)}))"
 
 
+def _byte_offset(bit_offset: str) -> str:
+    """Source for the byte offset of a byte-aligned bit offset expression."""
+    if bit_offset.isdigit():
+        return str(int(bit_offset) // 8)
+    if bit_offset.isidentifier():
+        return f"{bit_offset} >> 3"
+    return f"({bit_offset}) >> 3"
+
+
 def _generate_finalize(spec: Any) -> List[str]:
     name = spec.name.lower()
-    checksum_fields = [f for f in spec.fields if isinstance(f, ChecksumField)]
     lines = [
         f"def finalize_{name}(values):",
         f'    """Return values with every checksum field computed."""',
         "    work = dict(values)",
     ]
+    for field in spec.fields:
+        if isinstance(field, ChecksumField):
+            lines.append(f"    work[{field.name!r}] = 0")
+    lines.extend(_checksum_lines(spec, "work"))
+    lines.append("    return work")
+    return lines
+
+
+def _checksum_lines(spec: Any, work: str) -> List[str]:
+    """Statements computing every checksum of dict ``work`` in place.
+
+    ``work`` holds complete values with each checksum still zero; the
+    checksums are computed in field order, each over a buffer in which
+    later checksums are still zero.
+    """
+    name = spec.name.lower()
+    fields = spec.fields
+    checksum_fields = [f for f in fields if isinstance(f, ChecksumField)]
     if not checksum_fields:
-        lines.append("    return work")
-        return lines
-    for field in checksum_fields:
-        lines.append(f"    work[{field.name!r}] = 0")
-    lines.append("    spans = {}")
+        return []
+    lines = ["    spans = {}"]
     if len(checksum_fields) == 1:
         # No later checksum reads the buffer: no patch, so no copy.
-        lines.append(f"    _b = memoryview(build_{name}(work, spans))")
+        lines.append(f"    _b = memoryview(build_{name}({work}, spans))")
     else:
-        lines.append(f"    buf = bytearray(build_{name}(work, spans))")
+        lines.append(f"    buf = bytearray(build_{name}({work}, spans))")
         # A memoryview cover: zero-copy, and it tracks the _patch_uint
         # updates of earlier checksums (same-size patches never resize
         # the bytearray, so the exported view stays valid).
@@ -727,72 +810,186 @@ def _generate_finalize(spec: Any) -> List[str]:
             lines.append("    cover = _b")
             lines.append("    # checksum field is still zero in buf, per over='*'")
         else:
-            lines.append(f"    cover = {_cover_code(spec, field, '_b')}")
+            ranges = [
+                (
+                    f"spans[{fields[first].name!r}][0] // 8",
+                    f"spans[{fields[last].name!r}][1] // 8",
+                )
+                for first, last in _cover_runs(spec, field)
+            ]
+            lines.append(f"    cover = {_cover_code('_b', ranges)}")
         lines.append(f"    _v = {field.algorithm.compute.__name__}(cover)")
-        lines.append(f"    work[{field.name!r}] = _v")
+        lines.append(f"    {work}[{field.name!r}] = _v")
         if field is not checksum_fields[-1]:
             lines.append(
                 f"    _patch_uint(buf, spans[{field.name!r}][0], {field.bits}, _v)"
             )
-    lines.append("    return work")
     return lines
 
 
-def _generate_validate(spec: Any) -> List[str]:
+def _generate_verify(spec: Any, residual: Collection[str]) -> List[str]:
+    """The receive gate: one parse, then every staged check of the spec.
+
+    Each checksum is recomputed over the received bytes' own spans —
+    re-encoding the decoded values gives those bytes back exactly, which
+    is what the interpreted ``compute_one_checksum`` does — and an
+    ``over="*"`` checksum over a copy with its own span zeroed.
+    """
     name = spec.name.lower()
+    fields = spec.fields
+    position = {field.name: index for index, field in enumerate(fields)}
+    checksum_fields = [f for f in fields if isinstance(f, ChecksumField)]
+    covers = {
+        field.name: _cover_runs(spec, field)
+        for field in checksum_fields
+        if not field.covers_whole_packet
+    }
+    needed = {position[f.name] for f in checksum_fields if f.covers_whole_packet}
+    for runs in covers.values():
+        for first, last in runs:
+            needed.update((first, last + 1))
+    body, offsets = _parse_body(spec, needed)
     lines = [
-        f"def validate_{name}(values):",
-        f'    """Return the names of violated (exportable) constraints."""',
-        "    violations = []",
+        f"def verify_{name}(data):",
+        f'    """Parse and check {spec.name} bytes: (values, violated names)."""',
+        *body,
+        "    violated = []",
     ]
-    for field in spec.fields:
-        if isinstance(field, ChecksumField):
-            function = field.algorithm.compute.__name__
-            lines.append("    spans = {}")
-            if field.covers_whole_packet:
-                lines.append(f"    buf = bytearray(build_{name}(values, spans))")
-                lines.append(f"    _s, _e = spans[{field.name!r}]")
-                lines.append("    _patch_uint(buf, _s, _e - _s, 0)")
-                lines.append("    cover = memoryview(buf)")
-            else:
-                lines.append(f"    _b = memoryview(build_{name}(values, spans))")
-                lines.append(f"    cover = {_cover_code(spec, field, '_b')}")
-            lines.append(f"    if {function}(cover) != values[{field.name!r}]:")
-            lines.append(f"        violations.append('{field.name}_valid')")
-        elif isinstance(field, UInt):
+    if covers:
+        lines.append("    _m = memoryview(data)")
+    for field in checksum_fields:
+        if field.covers_whole_packet:
+            lines.append("    _z = bytearray(data)")
+            lines.append(
+                f"    _patch_uint(_z, {offsets[position[field.name]]}, {field.bits}, 0)"
+            )
+            cover = "_z"
+        else:
+            cover = _cover_code(
+                "_m",
+                [
+                    (_byte_offset(offsets[first]), _byte_offset(offsets[last + 1]))
+                    for first, last in covers[field.name]
+                ],
+            )
+        lines.append(
+            f"    if {field.algorithm.compute.__name__}({cover}) != "
+            f"values[{field.name!r}]:"
+        )
+        lines.append(f"        violated.append('{field.name}_valid')")
+    for field in fields:
+        if isinstance(field, UInt):
             if field.const is not None:
+                lines.append(f"    if values[{field.name!r}] != {field.const}:")
                 lines.append(
-                    f"    if values[{field.name!r}] != {field.const}:"
-                )
-                lines.append(
-                    f"        violations.append('{field.name}_is_{field.const}')"
+                    f"        violated.append('{field.name}_is_{field.const}')"
                 )
             if field.enum is not None:
-                allowed = sorted(field.enum)
                 lines.append(
-                    f"    if values[{field.name!r}] not in {set(allowed)!r}:"
+                    f"    if values[{field.name!r}] not in {set(field.enum)!r}:"
                 )
-                lines.append(
-                    f"        violations.append('{field.name}_in_enum')"
-                )
+                lines.append(f"        violated.append('{field.name}_in_enum')")
         elif isinstance(field, Reserved):
+            # A decoded reserved field fails both its shape check and its
+            # generated constraint, as in the interpreted walk.
             lines.append(f"    if values[{field.name!r}] != {field.value}:")
             lines.append(
-                f"        violations.append('{field.name}_is_{field.value}')"
+                f"        violated += ('{field.name}_shape', "
+                f"'{field.name}_is_{field.value}')"
             )
     for constraint in spec.constraints:
-        if constraint.is_symbolic:
-            code = _predicate_code(constraint.predicate)
-            lines.append(f"    if not ({code}):")
-            lines.append(f"        violations.append({constraint.name!r})")
-    lines.append("    return violations")
+        if constraint.is_symbolic and constraint.name not in residual:
+            lines.append(f"    if not {_predicate_code(constraint.predicate)}:")
+            lines.append(f"        violated.append({constraint.name!r})")
+    lines.append("    return values, violated")
+    return lines
+
+
+def _generate_make(spec: Any) -> List[str]:
+    """``PacketSpec.make`` as one function over the keyword dict ``kw``.
+
+    Each check admits exactly the values the interpreted ``make`` admits
+    (its encode plus its shape re-check), so a value it rejects raises
+    here too, and the caller re-runs the interpreter for the canonical
+    error.
+    """
+    name = spec.name.lower()
+    settable = [f.name for f in spec.fields if not isinstance(f, ChecksumField)]
+    lines = [
+        f"_SETTABLE = frozenset({settable!r})",
+        "",
+        "",
+        f"def make_{name}(kw):",
+        f'    """Complete {spec.name} keyword values: defaults, checks, checksums."""',
+        "    if not _SETTABLE.issuperset(kw):",
+        "        raise ValueError('a checksum or unknown field was supplied')",
+        "    values = {}",
+    ]
+    for field in spec.fields:
+        key = repr(field.name)
+        fail = f"        raise ValueError('field {field.name}: value rejected')"
+        if isinstance(field, ChecksumField):
+            lines.append(f"    values[{key}] = 0")
+            continue
+        if isinstance(field, Reserved):
+            lines.append(f"    _v = kw.get({key}, {field.value})")
+            lines.append(f"    if not isinstance(_v, int) or _v != {field.value}:")
+            lines.append(fail)
+        elif isinstance(field, Flag):
+            lines.append(f"    _v = kw[{key}]")
+            lines.append(
+                "    if not isinstance(_v, (bool, int)) "
+                "or _v not in (False, True, 0, 1):"
+            )
+            lines.append(fail)
+        elif isinstance(field, UInt):
+            if field.const is None:
+                lines.append(f"    _v = kw[{key}]")
+            else:
+                lines.append(f"    _v = kw.get({key}, {field.const})")
+            lines.append(
+                "    if _v.__class__ is not int and "
+                "(not isinstance(_v, int) or _v.__class__ is bool):"
+            )
+            lines.append(fail)
+            lines.append(f"    if _v < 0 or _v > {field.max_value}:")
+            lines.append(fail)
+        elif isinstance(field, Bytes):
+            lines.append(f"    _v = kw[{key}]")
+            lines.append("    if _v.__class__ is not bytes:")
+            lines.append("        if isinstance(_v, bytearray):")
+            lines.append("            _v = bytes(_v)")
+            lines.append("        elif not isinstance(_v, bytes):")
+            lines.append("    " + fail)
+            if not field.is_greedy:
+                lines.append(f"    if len(_v) != {_expr_code(field.length)}:")
+                lines.append(fail)
+        elif isinstance(field, UIntList):
+            lines.append(f"    _v = kw[{key}]")
+            lines.append("    if isinstance(_v, list):")
+            lines.append("        _v = tuple(_v)")
+            lines.append("    elif not isinstance(_v, tuple):")
+            lines.append(fail)
+            lines.append(f"    if len(_v) != {_expr_code(field.count)}:")
+            lines.append(fail)
+            lines.append("    for _e in _v:")
+            lines.append(
+                f"        if not isinstance(_e, int) or _e < 0 or _e >> {field.element_bits}:"
+            )
+            lines.append("    " + fail)
+        else:
+            raise CodegenError(
+                f"spec {spec.name!r}: field {field!r} is not supported by the "
+                "code generator"
+            )
+        lines.append(f"    values[{key}] = _v")
+    lines.extend(_checksum_lines(spec, "values"))
+    lines.append("    return values")
     return lines
 
 
 def _predicate_code(predicate: Any) -> str:
     """Translate a symbolic predicate into Python source."""
-    from repro.core.symbolic import BoolOp, Comparison, Not
-
     if isinstance(predicate, Comparison):
         left = _expr_code(predicate.left)
         right = _expr_code(predicate.right)
@@ -807,12 +1004,20 @@ def _predicate_code(predicate: Any) -> str:
 
 
 class CompiledCodec(NamedTuple):
-    """The callable surface of a generated codec module."""
+    """The callable surface of a generated codec module.
+
+    ``residual`` names the constraints ``verify`` leaves to the
+    interpreter (:func:`residual_constraints`); names, not the
+    constraints, so the codec cache never holds a user predicate that
+    might keep its spec alive.
+    """
 
     parse: Callable[[bytes], Dict[str, Any]]
     build: Callable[..., bytes]
     finalize: Callable[[Dict[str, Any]], Dict[str, Any]]
-    validate: Callable[[Dict[str, Any]], List[str]]
+    verify: Callable[[bytes], Tuple[Dict[str, Any], List[str]]]
+    make: Callable[[Dict[str, Any]], Dict[str, Any]]
+    residual: Tuple[str, ...]
     source: str
     module: ModuleType
 
@@ -826,7 +1031,9 @@ def compile_spec(spec: Any) -> CompiledCodec:
         parse=module.parse,
         build=module.build,
         finalize=module.finalize,
-        validate=module.validate,
+        verify=module.verify,
+        make=module.make,
+        residual=module.residual,
         source=source,
         module=module,
     )

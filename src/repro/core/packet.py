@@ -11,11 +11,32 @@ algorithm) never becomes a value you could accidentally use.
 values, bound to its spec.  Verification turns a raw ``Packet`` into a
 ``Verified[Packet]`` carrying a certificate — see
 :mod:`repro.core.verified`.
+
+On the compiled codec tier, received bytes meet the paper's §3.4 gate
+once: :meth:`PacketSpec.decode` runs the spec's generated
+``verify_<name>``, which parses and checks in one pass, and the packet it
+returns privately carries the compiled tier that passed it.
+:meth:`PacketSpec.verify` trusts that record only while the spec is still
+on that tier, and then checks just the residual (callable) constraints.
+Every other packet, every rejection and the ``off`` tier take the
+interpreted walk, which stays the oracle for every raised error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core import codec
 from repro.core.constraints import (
@@ -38,6 +59,7 @@ from repro.core.fields import (
     UIntList,
 )
 from repro.core.verified import Certificate, Verified, _issue
+from repro.fastpath.cache import active_state as _compiled_state
 
 
 class SpecError(ValueError):
@@ -64,11 +86,15 @@ class Packet:
     packets are hashable when all their values are.
     """
 
-    __slots__ = ("_spec", "_values")
+    # ``_passed``: the compiled-tier state whose receive gate found no
+    # violation in the bytes this packet was decoded from; set only by
+    # PacketSpec.decode, so replace() and make() packets never carry one.
+    __slots__ = ("_spec", "_values", "_passed")
 
     def __init__(self, spec: "PacketSpec", values: Mapping[str, Any]) -> None:
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_values", dict(values))
+        object.__setattr__(self, "_passed", None)
 
     @property
     def spec(self) -> "PacketSpec":
@@ -82,11 +108,7 @@ class Packet:
 
     def integer_environment(self) -> Dict[str, int]:
         """Integer-valued fields as an expression environment."""
-        env: Dict[str, int] = {}
-        for field in self._spec.fields:
-            if field.is_integer_valued():
-                env[field.name] = int(self._values[field.name])
-        return env
+        return _integer_environment(self._spec, self._values)
 
     def replace(self, **changes: Any) -> "Packet":
         """A new packet with some fields changed (checksums NOT recomputed).
@@ -138,6 +160,14 @@ class Packet:
         return f"{self._spec.name}({inner})"
 
 
+def _integer_environment(spec: "PacketSpec", values: Mapping[str, Any]) -> Dict[str, int]:
+    env: Dict[str, int] = {}
+    for field in spec.fields:
+        if field.is_integer_valued():
+            env[field.name] = int(values[field.name])
+    return env
+
+
 def _hashable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return tuple(_hashable(v) for v in value)
@@ -185,10 +215,20 @@ class PacketSpec:
         self.doc = doc
         self.field_map: Dict[str, Field] = {}
         self._validate_fields()
-        self.constraints: Tuple[Constraint, ...] = tuple(
-            self._auto_constraints()
-        ) + tuple(constraints)
+        generated = self._auto_constraints()
+        #: Names of the constraints the spec generated from its fields
+        #: (checksum validity, constants, enums, reserved bits).
+        self.generated_constraint_names: FrozenSet[str] = frozenset(
+            constraint.name for constraint in generated
+        )
+        self.constraints: Tuple[Constraint, ...] = tuple(generated) + tuple(
+            constraints
+        )
         self._validate_constraints()
+        self._constraint_map: Dict[str, Constraint] = {
+            constraint.name: constraint for constraint in self.constraints
+        }
+        self._certificate = Certificate(self.name, self.constraint_names)
 
     # -- definition-time validation -------------------------------------
 
@@ -337,6 +377,11 @@ class PacketSpec:
         supplied checksum value is rejected — checksums are evidence, not
         input).
         """
+        return Packet(self, codec.make_values(self, values, self._make_walk))
+
+    def _make_walk(self, values: Mapping[str, Any]) -> Dict[str, Any]:
+        """The interpreted ``make``: the off tier, and the oracle for the
+        generated ``make_<name>`` (every raised error comes from here)."""
         working: Dict[str, Any] = {}
         for field in self.fields:
             if isinstance(field, ChecksumField):
@@ -348,15 +393,14 @@ class PacketSpec:
                     )
                 working[field.name] = 0
             elif isinstance(field, Reserved):
-                supplied = values.pop(field.name, field.value)
-                working[field.name] = supplied
+                working[field.name] = values.get(field.name, field.value)
             elif field.name in values:
-                working[field.name] = values.pop(field.name)
+                working[field.name] = values[field.name]
             elif isinstance(field, UInt) and field.const is not None:
                 working[field.name] = field.const
             else:
                 raise FieldValueError(field.name, "no value supplied and no default")
-        unknown = set(values) - {f.name for f in self.fields}
+        unknown = set(values).difference(self.field_map)
         if unknown:
             raise SpecError(
                 f"spec {self.name!r}: unknown fields {sorted(unknown)} in make()"
@@ -369,27 +413,35 @@ class PacketSpec:
                 working[field.name] = tuple(value)
             elif isinstance(field, Bytes) and isinstance(value, bytearray):
                 working[field.name] = bytes(value)
-        completed = codec.compute_checksums(self, working)
-        packet = Packet(self, completed)
+        completed = codec.compute_checksums_interpreted(self, working)
         # Shape-check everything now so a bad make() fails eagerly.
-        env = packet.integer_environment()
+        env = _integer_environment(self, completed)
         for field in self.fields:
             field.check_value(completed[field.name], env)
-        return packet
+        return completed
 
     # -- wire I/O ---------------------------------------------------------
 
     def encode(self, packet: Packet) -> bytes:
         """Encode a packet verbatim (checksums as carried)."""
-        if packet.spec is not self:
+        if packet._spec is not self:
             raise SpecError(
                 f"cannot encode a {packet.spec.name!r} packet with spec {self.name!r}"
             )
         return codec.encode_verbatim(self, packet._values)
 
     def decode(self, data: bytes) -> Packet:
-        """Decode bytes into a raw (unverified) packet."""
-        return Packet(self, codec.decode_packet(self, data))
+        """Decode bytes into a raw (unverified) packet.
+
+        On the compiled tier this runs the spec's receive gate too; a
+        packet the gate passed remembers it, so :meth:`verify` need not
+        check again what the gate checked.
+        """
+        values, passed = codec.decode_checked(self, data, self._gate_verdict)
+        packet = Packet(self, values)
+        if passed is not None:
+            object.__setattr__(packet, "_passed", passed)
+        return packet
 
     def compute_checksum(self, packet: Packet, field_name: str) -> int:
         """Recompute one checksum from the packet's carried values."""
@@ -404,10 +456,31 @@ class PacketSpec:
         ``Verified[Packet]`` — the construction of the paper's
         ``ChkPacket``.
         """
-        if packet.spec is not self:
+        if packet._spec is not self:
             raise SpecError(
                 f"cannot verify a {packet.spec.name!r} packet with spec {self.name!r}"
             )
+        passed = packet._passed
+        if passed is not None and passed is _compiled_state(self):
+            # The compiled gate checked everything but the residual
+            # constraints; any doubt falls through to the full walk.
+            for name in passed.codec.residual:
+                try:
+                    if not self._constraint_map[name].holds(packet):
+                        break
+                except ConstraintViolation:
+                    break
+            else:
+                return _issue(packet, self._certificate)
+        violations = self._violations(packet, self.constraints)
+        if violations:
+            raise VerificationError(self.name, violations)
+        return _issue(packet, self._certificate)
+
+    def _violations(
+        self, packet: Packet, constraints: Iterable[Constraint]
+    ) -> List[ConstraintViolation]:
+        """The interpreted walk: every shape check, then ``constraints``."""
         violations: List[ConstraintViolation] = []
         env = packet.integer_environment()
         for field in self.fields:
@@ -417,7 +490,7 @@ class PacketSpec:
                 violations.append(
                     ConstraintViolation(self.name, f"{field.name}_shape", str(exc))
                 )
-        for constraint in self.constraints:
+        for constraint in constraints:
             try:
                 if not constraint.holds(packet, env):
                     violations.append(
@@ -425,10 +498,18 @@ class PacketSpec:
                     )
             except ConstraintViolation as exc:
                 violations.append(exc)
-        if violations:
-            raise VerificationError(self.name, violations)
-        certificate = Certificate(self.name, self.constraint_names)
-        return _issue(packet, certificate)
+        return violations
+
+    def _gate_verdict(
+        self, values: Mapping[str, Any], residual: Collection[str]
+    ) -> FrozenSet[str]:
+        """The interpreter's verdict on what the compiled gate checks:
+        the names of violated constraints, leaving out ``residual``."""
+        staged = [c for c in self.constraints if c.name not in residual]
+        return frozenset(
+            violation.constraint_name
+            for violation in self._violations(Packet(self, values), staged)
+        )
 
     def parse(self, data: bytes) -> Verified[Packet]:
         """Decode *and* verify: the safe entry point for received bytes."""
@@ -442,7 +523,7 @@ class PacketSpec:
         packets).
         """
         try:
-            return self.parse(data)
+            return self.verify(self.decode(data))
         except (codec.DecodeError, VerificationError):
             return None
 

@@ -3,13 +3,14 @@
 The paper's §5 position is that implementations *generated from* the DSL
 spec are correct by construction; ``core.compile`` builds those
 generated codecs, and this package makes the runtime actually use them.
-Every ``encode_verbatim``/``decode_packet``/``compute_checksums`` call
-consults a process-wide :class:`FastPath` policy: the first call on a
-spec compiles it once, and every later call runs at generated-code
-speed — with the interpreter retained as the semantic oracle.  A
-compiled closure that errors where the interpreter succeeds, or (under
-``verify=True``) produces different bytes, *demotes* its spec back to the
-interpreter and counts a ``fastpath.divergences`` metric.
+Every ``encode_verbatim``/``decode_packet``/``compute_checksums`` call,
+and every ``PacketSpec.decode``/``verify``/``make``, consults a
+process-wide :class:`FastPath` policy: the first call on a spec compiles
+it once, and every later call runs at generated-code speed — with the
+interpreter retained as the semantic oracle.  A compiled closure that
+errors where the interpreter succeeds, or (under ``verify=True``)
+produces different bytes, values or verdicts, *demotes* its spec back to
+the interpreter and counts a ``fastpath.divergences`` metric.
 
 Layout
 ------
@@ -26,6 +27,7 @@ from repro.fastpath.cache import (
     SpecState,
     active_state,
     demote,
+    demoted,
     reset,
     state_of,
     stats,
@@ -48,6 +50,7 @@ __all__ = [
     "active_state",
     "state_of",
     "demote",
+    "demoted",
     "stats",
     "reset",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fastpath import policy as _policy
 
@@ -122,6 +122,18 @@ def demote(state: SpecState, reason: str) -> None:
     state.reason = reason
     with _LOCK:
         _STATS["demotions"] += 1
+
+
+def demoted() -> List[Tuple[str, str]]:
+    """``(spec name, reason)`` for each cached spec demoted under the current policy."""
+    with _LOCK:
+        specs = [spec for spec, codec in _CODECS.items() if not isinstance(codec, str)]
+    states = [state_of(spec) for spec in specs]
+    return sorted(
+        (state.spec_name, state.reason or "")
+        for state in states
+        if state is not None and state.status == INTERPRETED
+    )
 
 
 def stats() -> Dict[str, int]:

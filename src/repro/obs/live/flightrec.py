@@ -343,21 +343,25 @@ def _replay_demotion(bundle: FlightBundle) -> Tuple[str, str]:
         return "unreplayable", f"spec {bundle.subject!r} is not in the registry"
     op = bundle.extra.get("op")
     values: Optional[Dict[str, Any]] = None
-    if op in ("encode", "finalize"):
+    if op in ("encode", "finalize", "make"):
         try:
             values = ast.literal_eval(bundle.extra.get("values", ""))
         except (ValueError, SyntaxError):
             return "unreplayable", f"recorded {op} values do not parse back"
-    elif op != "decode" or bundle.data is None:
+    elif op not in ("decode", "verify") or bundle.data is None:
         return "unreplayable", f"demotion bundle has no replayable op ({op!r})"
     before = fp_cache.stats()["demotions"]
     with fastpath.use(mode="always", verify=True):
         fp_policy.invalidate()  # fresh per-spec state: demotion can recur
         try:
             if op == "decode":
-                spec.decode(bundle.data)
+                core_codec.decode_packet(spec, bundle.data)
+            elif op == "verify":
+                spec.decode(bundle.data)  # the receive gate, cross-checked
             elif op == "finalize":
                 core_codec.compute_checksums(spec, values)
+            elif op == "make":
+                spec.make(**values)
             else:
                 # encode_verbatim takes the raw value environment the
                 # demoted call saw (make() would recompute checksums).

@@ -8,8 +8,8 @@ from repro.core import codec
 from repro.core.compile import CodegenError, compile_spec, generate_codec_source
 from repro.core.constraints import Constraint
 from repro.core.fields import Bytes, ChecksumField, Flag, Reserved, UInt, UIntList
-from repro.core.packet import PacketSpec
-from repro.core.symbolic import this
+from repro.core.packet import PacketSpec, VerificationError
+from repro.core.symbolic import SymbolicError, this
 from repro.protocols.arq import ARQ_PACKET
 from repro.protocols.headers import IPV4_HEADER, UDP_HEADER
 from repro.protocols.sliding import SLIDING_ACK, SLIDING_PACKET
@@ -65,7 +65,15 @@ class TestDifferentialEquivalence:
         wire = ARQ_PACKET.encode(packet)
         assert compiled.build(packet.values) == wire
         assert compiled.parse(wire) == packet.values
-        assert compiled.validate(packet.values) == []
+        assert compiled.verify(wire) == (packet.values, [])
+
+
+def _violated(compiled, values):
+    """The names generated ``verify`` reports for ``values`` on the wire."""
+    wire = compiled.build(values)
+    parsed, violated = compiled.verify(wire)
+    assert parsed == compiled.parse(wire)
+    return violated
 
 
 class TestGeneratedValidation:
@@ -73,19 +81,19 @@ class TestGeneratedValidation:
         compiled = compile_spec(ARQ_PACKET)
         packet = ARQ_PACKET.make(seq=1, length=3, payload=b"abc")
         bad = dict(packet.values, chk=(packet.chk + 1) % 256)
-        assert "chk_valid" in compiled.validate(bad)
+        assert "chk_valid" in _violated(compiled, bad)
 
     def test_const_violation_detected(self):
         compiled = compile_spec(IPV4_HEADER)
         packet = next(p for n, p in sample_packets() if n == "ipv4")
         bad = dict(packet.values, version=6)
-        assert "version_is_4" in compiled.validate(bad)
+        assert "version_is_4" in _violated(compiled, bad)
 
     def test_symbolic_constraint_exported(self):
         compiled = compile_spec(IPV4_HEADER)
         packet = next(p for n, p in sample_packets() if n == "ipv4")
         bad = dict(packet.values, ihl=5, total_length=10)
-        assert "total_length_covers_header" in compiled.validate(bad)
+        assert "total_length_covers_header" in _violated(compiled, bad)
 
     def test_enum_violation_detected(self):
         spec = PacketSpec(
@@ -96,7 +104,87 @@ class TestGeneratedValidation:
             ],
         )
         compiled = compile_spec(spec)
-        assert "kind_in_enum" in compiled.validate({"kind": 7, "pad": 0})
+        assert "kind_in_enum" in _violated(compiled, {"kind": 7, "pad": 0})
+
+
+class TestGeneratedGate:
+    COMPILED = {name: compile_spec(spec) for name, spec in SPECS.items()}
+
+    @given(data=st.binary(max_size=40))
+    def test_verify_raises_exactly_where_parse_raises(self, data):
+        for compiled in self.COMPILED.values():
+            try:
+                parsed = compiled.parse(data)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    compiled.verify(data)
+            else:
+                assert compiled.verify(data)[0] == parsed
+
+    def test_reserved_mismatch_reports_shape_and_constraint(self):
+        spec = PacketSpec("ResProbe", fields=[UInt("a", bits=8), Reserved("pad", bits=8)])
+        assert compile_spec(spec).verify(b"\x01\x05") == (
+            {"a": 1, "pad": 5}, ["pad_shape", "pad_is_0"]
+        )
+        for mode in ("always", "off"):
+            with fastpath.use(mode=mode):
+                with pytest.raises(VerificationError) as err:
+                    spec.parse(b"\x01\x05")
+            names = {v.constraint_name for v in err.value.violations}
+            assert names == {"pad_shape", "pad_is_0"}
+
+
+def _residual_probe():
+    """User constraints named like generated ones, which the gate cannot stage."""
+    return PacketSpec(
+        "ResidualProbe",
+        fields=[UInt("n", bits=8), Bytes("payload", length=this.n)],
+        constraints=[
+            Constraint("payload_valid", lambda p: p.payload != b"bad"),
+            Constraint("n_is_small", lambda p: p.n < 10),
+            Constraint("n_positive", this.n >= 1),
+        ],
+    )
+
+
+class TestResidualConstraints:
+    def test_residuals_are_the_user_constraints_the_gate_cannot_stage(self):
+        spec = _residual_probe()
+        residual = "['payload_valid', 'n_is_small']"
+        assert f"Residual (non-exportable) constraints: {residual}" in (
+            generate_codec_source(spec)
+        )
+        assert compile_spec(spec).residual == ("payload_valid", "n_is_small")
+
+    @pytest.mark.parametrize("mode", ["always", "off"])
+    def test_residual_constraints_still_gate_received_frames(self, mode):
+        spec = _residual_probe()
+        with fastpath.use(mode=mode):
+            for kw, failing in (
+                ({"n": 3, "payload": b"bad"}, "payload_valid"),
+                ({"n": 12, "payload": bytes(12)}, "n_is_small"),
+                ({"n": 0, "payload": b""}, "n_positive"),
+            ):
+                wire = spec.encode(spec.make(**kw))
+                assert spec.try_parse(wire) is None
+                with pytest.raises(VerificationError) as err:
+                    spec.parse(wire)
+                assert [v.constraint_name for v in err.value.violations] == [failing]
+            assert spec.try_parse(spec.encode(spec.make(n=3, payload=b"abc")))
+
+    def test_a_predicate_that_can_raise_stays_residual(self):
+        spec = PacketSpec(
+            "DivProbe",
+            fields=[UInt("a", bits=8), UInt("b", bits=8)],
+            constraints=[Constraint("ratio", this.a // this.b >= 1)],
+        )
+        assert compile_spec(spec).residual == ("ratio",)
+        for mode in ("always", "off"):
+            with fastpath.use(mode=mode):
+                assert spec.try_parse(b"\x04\x02") is not None
+                assert spec.try_parse(b"\x01\x02") is None
+                with pytest.raises(SymbolicError):
+                    spec.parse(b"\x04\x00")
 
 
 class TestGeneratedErrorPaths:
@@ -212,9 +300,9 @@ class TestSharedChecksumKernels:
         with fastpath.use(mode="off"):
             expected = codec.compute_checksums(spec, values)
         assert compiled.finalize(values) == expected
-        assert compiled.validate(expected) == []
+        assert compiled.verify(compiled.build(expected)) == (expected, [])
         forged = dict(expected, chk=expected["chk"] ^ 1)
-        assert compiled.validate(forged) == ["chk_valid"]
+        assert compiled.verify(compiled.build(forged)) == (forged, ["chk_valid"])
 
     @given(seq=st.integers(0, 0xFFFF), payload=st.binary(max_size=64))
     def test_a_later_checksum_covers_an_earlier_one(self, seq, payload):
@@ -234,7 +322,7 @@ class TestSharedChecksumKernels:
         with fastpath.use(mode="off"):
             expected = codec.compute_checksums(spec, values)
         assert compiled.finalize(values) == expected
-        assert compiled.validate(expected) == []
+        assert compiled.verify(compiled.build(expected)) == (expected, [])
 
     def test_adjacent_covered_fields_are_sliced_once(self):
         ack = generate_codec_source(SLIDING_ACK)  # covers kind, seq: one run

@@ -407,6 +407,50 @@ class TestRunner:
         assert main(["--replay", corpus]) == 0
         assert "replayed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("broken", [True, False], ids=["divergent", "clean"])
+    def test_cli_verify_run_fails_when_it_demotes_a_spec(
+        self, monkeypatch, capsys, broken
+    ):
+        from repro import fastpath
+        from repro.conformance.__main__ import main
+        from repro.core import compile as core_compile
+
+        real_compile = core_compile.compile_spec
+
+        def flipping_compile(spec):
+            # An ArqAck codec whose decoding flips seq, on both entry points.
+            codec = real_compile(spec)
+            if spec.name != "ArqAck":
+                return codec
+
+            def parse(data):
+                values = codec.parse(data)
+                return dict(values, seq=values["seq"] ^ 1)
+
+            def verify(data):
+                values, violated = codec.verify(data)
+                return dict(values, seq=values["seq"] ^ 1), violated
+
+            return codec._replace(parse=parse, verify=verify)
+
+        previous = fastpath.get_policy()
+        if broken:
+            monkeypatch.setattr(core_compile, "compile_spec", flipping_compile)
+        fastpath.reset()
+        try:
+            code = main(["--seed", "0", "--budget", "300", "--fastpath", "verify"])
+        finally:
+            monkeypatch.undo()
+            fastpath.reset()
+            fastpath.set_policy(previous)
+        out = capsys.readouterr().out
+        if broken:
+            assert code == 1
+            assert "DEMOTED ArqAck: verify-mismatch" in out
+        else:
+            assert code == 0
+            assert "DEMOTED" not in out
+
 
 @pytest.mark.fuzz
 class TestAcceptanceBudget:

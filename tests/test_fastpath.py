@@ -5,7 +5,10 @@ invalidation, the per-spec codec cache (one compile per spec object,
 reused across policy changes), transparency (compiled results
 byte-identical to the interpreter across every registry spec), error
 canonicalization, the divergence guard (fallback, verify, demotion, obs
-counter), and the generator's refusal of subclassed fields.
+counter), the generator's refusal of subclassed fields, and the compiled
+receive gate and ``make`` (differential against the interpreter on
+fuzzer mutants, arbitrary bytes and every ``make`` reject class; when a
+carried verdict is trusted).
 """
 
 import gc
@@ -16,14 +19,21 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
+import repro.conformance.mutate as mutate_module
 from repro import fastpath, obs
+from repro.conformance.coverage import CoverageMap
+from repro.conformance.mutate import MutationFuzzer
 from repro.conformance.registry import all_spec_entries
 from repro.core import codec
 from repro.core.codec import DecodeError
-from repro.core.fields import UInt
-from repro.core.packet import PacketSpec
+from repro.core.fields import Bytes, ChecksumField, Flag, Reserved, UInt, UIntList
+from repro.core.packet import PacketSpec, VerificationError
+from repro.core.symbolic import this
+from repro.protocols.arq import ARQ_PACKET
+from repro.protocols.headers import TCP_HEADER
 
 
 @pytest.fixture(autouse=True)
@@ -350,3 +360,295 @@ def test_conformance_fuzz_smoke_under_verify():
         report = run_all(seed=0, budget=150, engines=["fuzz"], specs=["ArqData"])
     assert report.ok
     assert fastpath.stats()["demotions"] == 0
+
+
+# --- the compiled receive gate and make ---
+
+ENTRIES = all_spec_entries()
+
+
+def _outcome(spec, data):
+    """What ``parse`` and ``try_parse`` make of ``data``, comparable across tiers."""
+    try:
+        verified = spec.parse(data)
+    except VerificationError as exc:
+        parsed = ("reject", sorted(v.constraint_name for v in exc.violations), str(exc))
+    except Exception as exc:  # the exception type and message are the outcome
+        parsed = ("raise", type(exc), str(exc))
+    else:
+        parsed = ("accept", verified.value.values, verified.certificate)
+    try:
+        tried = spec.try_parse(data)
+    except Exception as exc:
+        tried = ("raise", type(exc), str(exc))
+    return parsed, tried
+
+
+def _both_tiers(spec, inputs, outcome):
+    """``outcome`` of every input interpreted, compiled, and compiled under
+    ``verify`` (which demotes on any differing verdict); all must agree."""
+    with fastpath.use(mode="off"):
+        expected = [outcome(spec, item) for item in inputs]
+    with fastpath.use(mode="always"):
+        compiled = [outcome(spec, item) for item in inputs]
+        assert fastpath.state_of(spec).status == "compiled", spec.name
+    with fastpath.use(mode="always", verify=True):
+        checked = [outcome(spec, item) for item in inputs]
+    assert compiled == expected, spec.name
+    assert checked == expected, spec.name
+    assert fastpath.stats()["demotions"] == 0, fastpath.demoted()
+    return expected
+
+
+def _mutants(entry, budget, seed):
+    """Every input the seeded mutation fuzzer feeds ``entry``'s spec."""
+    seen = []
+    real = mutate_module.classify
+
+    def recording(spec, data):
+        seen.append(data)
+        return real(spec, data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mutate_module, "classify", recording)
+        with fastpath.use(mode="off"):
+            MutationFuzzer(entry, random.Random(seed), CoverageMap(), seed=seed).run(budget)
+    return seen
+
+
+def test_the_gate_agrees_with_the_interpreter_on_fuzzer_mutants():
+    kinds = set()
+    for entry in ENTRIES:
+        outcomes = _both_tiers(entry.spec, _mutants(entry, 150, seed=17), _outcome)
+        kinds.update(parsed[0] for parsed, _ in outcomes)
+    assert kinds == {"accept", "reject", "raise"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(0, len(ENTRIES) - 1),
+    seed=st.integers(0, 2**16),
+    flips=st.lists(st.integers(0, 1 << 16), max_size=3),
+    tail=st.binary(max_size=6),
+    junk=st.booleans(),
+)
+def test_the_gate_agrees_with_the_interpreter_on_arbitrary_bytes(
+    index, seed, flips, tail, junk
+):
+    entry = ENTRIES[index]
+    with fastpath.use(mode="off"):
+        wire = bytearray(entry.spec.encode(entry.generate(random.Random(seed))))
+    for flip in flips:
+        if wire:
+            wire[flip // 8 % len(wire)] ^= 1 << flip % 8
+    data = tail if junk else bytes(wire) + tail
+    _both_tiers(entry.spec, [data], _outcome)
+
+
+def _make_outcome(spec, kw):
+    try:
+        values = spec.make(**kw).values
+    except Exception as exc:  # the exception type and message are the outcome
+        return ("raise", type(exc), str(exc))
+    return ("made", values, list(values))
+
+
+#: Covers every field kind the generated make stages.
+MAKE_PROBE = PacketSpec(
+    "MakeProbe",
+    fields=[
+        UInt("version", bits=4, const=3),
+        Flag("urgent"),
+        Reserved("pad", bits=3),
+        UInt("count", bits=8),
+        UIntList("items", element_bits=8, count=this.count),
+        ChecksumField("chk", algorithm="crc16-ccitt", over=("count", "items")),
+        Bytes("tail"),
+    ],
+)
+
+
+def test_generated_make_agrees_with_the_interpreter_on_valid_values():
+    for entry in ENTRIES:
+        rng = random.Random(5)
+        keyword_sets = []
+        for _ in range(8):
+            packet = entry.generate(rng)
+            keyword_sets.append({
+                name: value
+                for name, value in packet.values.items()
+                if not isinstance(entry.spec.field_map[name], ChecksumField)
+            })
+        outcomes = _both_tiers(entry.spec, keyword_sets, _make_outcome)
+        assert all(kind == "made" for kind, *_ in outcomes), entry.name
+
+
+ARQ_OK = {"seq": 1, "length": 2, "payload": b"hi"}
+PROBE_OK = {"urgent": True, "count": 2, "items": (1, 2), "tail": b"t"}
+
+MAKE_CASES = [
+    (ARQ_PACKET, ARQ_OK),
+    (ARQ_PACKET, dict(ARQ_OK, payload=bytearray(b"hi"))),  # normalized to bytes
+    (ARQ_PACKET, dict(ARQ_OK, chk=0)),  # a supplied checksum
+    (ARQ_PACKET, {"seq": 1, "length": 2}),  # a missing value
+    (ARQ_PACKET, dict(ARQ_OK, bogus=1)),  # an unknown field
+    (ARQ_PACKET, dict(ARQ_OK, seq=True)),  # a bool UInt
+    (ARQ_PACKET, dict(ARQ_OK, seq=256)),  # out of range
+    (ARQ_PACKET, dict(ARQ_OK, seq=-1)),
+    (ARQ_PACKET, dict(ARQ_OK, seq=1.0)),
+    (ARQ_PACKET, dict(ARQ_OK, payload="hi")),  # Bytes that are not bytes
+    (ARQ_PACKET, dict(ARQ_OK, payload=[104, 105])),
+    (ARQ_PACKET, dict(ARQ_OK, payload=memoryview(b"hi"))),
+    (ARQ_PACKET, dict(ARQ_OK, payload=b"h")),  # length mismatch
+    (MAKE_PROBE, PROBE_OK),
+    (MAKE_PROBE, dict(PROBE_OK, items=[1, 2])),  # normalized to a tuple
+    (MAKE_PROBE, dict(PROBE_OK, version=5, pad=0, urgent=1)),
+    (MAKE_PROBE, dict(PROBE_OK, pad=5)),  # Reserved other than its value
+    (MAKE_PROBE, dict(PROBE_OK, pad=None)),
+    (MAKE_PROBE, dict(PROBE_OK, pad=0.0)),
+    (MAKE_PROBE, dict(PROBE_OK, pad=False)),
+    (MAKE_PROBE, dict(PROBE_OK, urgent=2)),
+    (MAKE_PROBE, dict(PROBE_OK, items=(1,))),
+    (MAKE_PROBE, dict(PROBE_OK, items=(1, 256))),
+    (MAKE_PROBE, dict(PROBE_OK, items=(1, -1))),
+    (MAKE_PROBE, dict(PROBE_OK, items=(1, "a"))),
+    (MAKE_PROBE, dict(PROBE_OK, items="ab")),
+    (MAKE_PROBE, dict(PROBE_OK, tail=bytearray(b"t"))),
+    (MAKE_PROBE, dict(PROBE_OK, tail=memoryview(b"t"))),
+    (TCP_HEADER, {
+        "source_port": 1, "destination_port": 2, "sequence": 3,
+        "acknowledgment": 4, "data_offset": 5, "reserved": 1, "urg": 0,
+        "ack": 0, "psh": 0, "rst": 0, "syn": 1, "fin": 0, "window": 9,
+        "urgent_pointer": 0, "options": b"",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec,kw", MAKE_CASES)
+def test_generated_make_agrees_with_the_interpreter_on_each_reject_class(spec, kw):
+    _both_tiers(spec, [kw], _make_outcome)
+
+
+def test_a_zero_divisor_in_a_shape_raises_the_interpreters_error_on_every_tier():
+    divided = PacketSpec(
+        "DividedLength",
+        fields=[
+            UInt("total", bits=8),
+            UInt("unit", bits=8),
+            Bytes("payload", length=this.total // this.unit),
+        ],
+    )
+    outcomes = _both_tiers(divided, [b"\x04\x00", b"\x04\x02ab"], _outcome)
+    assert outcomes[0][0][1].__name__ == "SymbolicError"
+    outcomes = _both_tiers(divided, [{"total": 4, "unit": 0, "payload": b""}], _make_outcome)
+    assert outcomes[0][1].__name__ == "SymbolicError"
+
+
+def _lying_gate(spec):
+    """Compile ``spec`` behind a gate that passes every frame it can parse."""
+    state = fastpath.active_state(spec)
+    parse = state.codec.parse
+    state.codec = state.codec._replace(verify=lambda data: (parse(data), []))
+    return state
+
+
+def _corrupt_arq_frame():
+    with fastpath.use(mode="off"):
+        wire = bytearray(ARQ_PACKET.encode(ARQ_PACKET.make(**ARQ_OK)))
+    wire[1] ^= 0xFF  # the checksum byte
+    return bytes(wire)
+
+
+def test_a_replaced_packet_is_walked_not_trusted():
+    with fastpath.use(mode="always"):
+        packet = ARQ_PACKET.decode(ARQ_PACKET.encode(ARQ_PACKET.make(**ARQ_OK)))
+        assert ARQ_PACKET.verify(packet).value == packet
+        with pytest.raises(VerificationError, match="chk_valid"):
+            ARQ_PACKET.verify(packet.replace(chk=packet.chk ^ 1))
+
+
+def test_a_carried_verdict_counts_only_on_the_tier_that_gave_it():
+    bad = _corrupt_arq_frame()
+    with fastpath.use(mode="always"):
+        _lying_gate(ARQ_PACKET)
+        # While the tier holds, the gate's verdict is what verify trusts.
+        assert ARQ_PACKET.try_parse(bad) is not None
+        packet = ARQ_PACKET.decode(bad)
+        with fastpath.use(mode="off"):
+            with pytest.raises(VerificationError, match="chk_valid"):
+                ARQ_PACKET.verify(packet)
+        with pytest.raises(VerificationError, match="chk_valid"):
+            ARQ_PACKET.verify(packet)  # the policy change made a new tier state
+    with fastpath.use(mode="always"):
+        state = _lying_gate(ARQ_PACKET)
+        packet = ARQ_PACKET.decode(bad)
+        fastpath.demote(state, "test-demotion")
+        with pytest.raises(VerificationError, match="chk_valid"):
+            ARQ_PACKET.verify(packet)
+
+
+def test_try_parse_records_decode_metrics_with_obs_enabled():
+    with fastpath.use(mode="off"):
+        wire = ARQ_PACKET.encode(ARQ_PACKET.make(**ARQ_OK))
+    instr = obs.enable()
+    instr.reset()
+    try:
+        with fastpath.use(mode="always"):
+            assert ARQ_PACKET.try_parse(wire) is not None
+            assert ARQ_PACKET.try_parse(wire[:1]) is None
+        registry = instr.registry
+        assert registry.value("codec.decoded_packets", spec="ArqData") == 1
+        assert registry.value("codec.decoded_bytes", spec="ArqData") == len(wire)
+        assert registry.get("codec.decode_seconds", spec="ArqData").count == 1
+        assert registry.value(
+            "codec.decode_errors", spec="ArqData", kind="DecodeError"
+        ) == 1
+    finally:
+        obs.disable()
+
+
+def test_a_raising_gate_falls_back_and_demotes():
+    with fastpath.use(mode="off"):
+        wire = ARQ_PACKET.encode(ARQ_PACKET.make(**ARQ_OK))
+    with fastpath.use(mode="always"):
+        state = fastpath.active_state(ARQ_PACKET)
+
+        def boom(data):
+            raise ValueError("injected gate bug")
+
+        state.codec = state.codec._replace(verify=boom)
+        assert ARQ_PACKET.parse(wire).value.payload == b"hi"
+        assert (state.status, state.reason) == ("interpreted", "verify-error")
+
+
+def test_verify_mode_catches_a_wrong_verdict():
+    bad = _corrupt_arq_frame()
+    with fastpath.use(mode="always", verify=True):
+        state = _lying_gate(ARQ_PACKET)
+        assert ARQ_PACKET.try_parse(bad) is None
+        assert (state.status, state.reason) == ("interpreted", "verify-mismatch")
+    assert fastpath.demoted() == []  # a policy change re-reads the honest codec
+
+
+def test_a_raising_make_falls_back_and_demotes():
+    with fastpath.use(mode="always"):
+        state = fastpath.active_state(ARQ_PACKET)
+
+        def boom(kw):
+            raise ValueError("injected make bug")
+
+        state.codec = state.codec._replace(make=boom)
+        assert ARQ_PACKET.make(**ARQ_OK).payload == b"hi"
+        assert (state.status, state.reason) == ("interpreted", "make-error")
+        assert fastpath.demoted() == [("ArqData", "make-error")]
+
+
+def test_verify_mode_catches_a_wrong_make():
+    with fastpath.use(mode="off"):
+        expected = ARQ_PACKET.make(**ARQ_OK)
+    with fastpath.use(mode="always", verify=True):
+        state = fastpath.active_state(ARQ_PACKET)
+        make = state.codec.make
+        state.codec = state.codec._replace(make=lambda kw: dict(make(kw), chk=0))
+        assert ARQ_PACKET.make(**ARQ_OK) == expected
+        assert (state.status, state.reason) == ("interpreted", "make-mismatch")

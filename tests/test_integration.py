@@ -73,7 +73,7 @@ class TestGeneratedCodecInLiveTransfer:
         assert frames
         for frame in frames:
             assert compiled.parse(frame) == ARQ_PACKET.decode(frame).values
-            assert compiled.validate(compiled.parse(frame)) == []
+            assert compiled.verify(frame) == (compiled.parse(frame), [])
 
 
 class TestTraceAuditOfRealRun:

@@ -589,6 +589,58 @@ class TestFlightRecorder:
         assert status == "reproduced", detail
         assert "demoted again" in detail
 
+    def _gate_bundle(self, tmp_path, op):
+        # What PacketSpec.decode (op "verify") or PacketSpec.make (op
+        # "make") records when the compiled gate or make diverges.
+        recorder = flightrec.FlightRecorder(str(tmp_path))
+        values = {"seq": 1, "length": 2, "payload": b"hi"}
+        if op == "verify":
+            wire = b"\x01\x00\x02hi"  # a wrong checksum: a rejected frame
+            return recorder.dump(
+                "fastpath_demotion", subject="ArqData", detail="verify-mismatch",
+                data=wire, extra={"op": "verify", "reason": "verify-mismatch"},
+            )
+        return recorder.dump(
+            "fastpath_demotion", subject="ArqData", detail="make-error",
+            extra={"op": "make", "reason": "make-error", "values": repr(values)},
+        )
+
+    @pytest.mark.parametrize("op", ["verify", "make"])
+    def test_gate_bundle_on_clean_spec_drifts(self, tmp_path, op):
+        path = self._gate_bundle(tmp_path, op)
+        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        assert status == "drifted", detail
+
+    @pytest.mark.parametrize("op", ["verify", "make"])
+    def test_gate_bundle_reproduces_while_the_compiled_op_diverges(
+        self, tmp_path, monkeypatch, op
+    ):
+        from repro import fastpath
+        from repro.core import compile as core_compile
+
+        real_compile = core_compile.compile_spec
+
+        def compile_with_broken_op(spec):
+            codec = real_compile(spec)
+            if op == "verify":
+                return codec._replace(verify=lambda data: (codec.parse(data), []))
+
+            def make(kw):
+                raise ValueError("injected make bug")
+
+            return codec._replace(make=make)
+
+        path = self._gate_bundle(tmp_path, op)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(core_compile, "compile_spec", compile_with_broken_op)
+                fastpath.reset()  # the next ArqData call compiles the broken codec
+                status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        finally:
+            fastpath.reset()
+        assert status == "reproduced", detail
+        assert "demoted again" in detail
+
     def test_capture_feeds_the_frame_ring(self, tmp_path):
         from repro.netsim import Simulator
         from repro.netsim.capture import Capture

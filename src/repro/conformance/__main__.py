@@ -8,19 +8,23 @@ Examples::
     python -m repro.conformance --replay out/corpus.jsonl
     python -m repro.conformance --triage out/bundles/fuzz_bug_crash-....jsonl
 
+``--workers N`` runs the same units on N worker processes; the report
+and the corpus file are the ones the serial run writes.
+
 With ``REPRO_OBS_EXPORT`` set (a JSONL path, a ``host:port``, or a
-comma-separated mix) the run streams live metric snapshots — from the
-worker telemetry plane when ``--workers N`` shards the run, from a
-periodic in-process publisher otherwise — and finishes with one
-``final`` payload holding the merged registry.  ``python -m repro.obs
-top <path>`` renders the stream live; ``REPRO_OBS_FLIGHTREC=<dir>``
-additionally dumps a replayable flight-recorder bundle on every
-undeclared failure (see ``--triage``).
+comma-separated mix) a publisher thread streams live snapshots of the
+process registry — under ``--workers N`` it advances as each unit's
+metrics arrive — and the run finishes with one ``final`` payload holding
+the merged registry.  ``python -m repro.obs top <path>`` renders the
+stream live; ``REPRO_OBS_FLIGHTREC=<dir>`` additionally dumps a
+replayable flight-recorder bundle on every undeclared failure (see
+``--triage``).
 
 Exit status 0 means every engine ran clean (or every replayed entry
 still reproduces, or a triaged bundle still reproduces); 1 means
-findings (or replay/triage drift), or a serial ``--fastpath verify`` run
-that demoted a spec (each is printed with its reason).
+findings (or replay/triage drift), or a ``--fastpath verify`` run that
+demoted a spec in this process or in any worker (each is printed with
+its reason).
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro import fastpath
-from repro.conformance.runner import ENGINES, replay_corpus, run_all
+from repro.conformance.runner import ENGINES, ConformanceReport, replay_corpus, run_all
 from repro.fastpath.policy import MODES, FastPath, get_policy, set_policy
 
 
@@ -156,69 +159,45 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  DRIFT: {drift}")
         return 1 if drifts else 0
 
-    # The live telemetry plane, when REPRO_OBS_EXPORT names a target.
-    from repro.obs.instrument import enable, get_default
+    # Live export, when REPRO_OBS_EXPORT names a target.
+    from repro.obs.instrument import enable
     from repro.obs.live.expose import Exporter, PeriodicPublisher
 
     exporter = Exporter.from_env()
-    publisher = None
     if exporter is not None:
-        obs = enable()  # exports need a recording registry
-        if args.workers <= 1:
-            # Serial runs have no worker pipes to ride: publish the
-            # process registry directly on a timer.
-            publisher = PeriodicPublisher(exporter, obs.registry.snapshot)
+        registry = enable().registry  # exports need a recording registry
+        publisher = PeriodicPublisher(exporter, registry.snapshot)
         print(f"obs export: {exporter.describe()}", file=sys.stderr)
     try:
-        if args.workers > 1:
-            from repro.parallel.confrun import run_all_parallel
-
-            report = run_all_parallel(
-                workers=args.workers,
-                seed=args.seed,
-                budget=args.budget,
-                engines=args.engines,
-                specs=args.specs,
-                machines=args.machines,
-                corpus_path=args.corpus,
-                shrink_budget=args.shrink_budget,
-                exporter=exporter,
-            )
-        else:
-            report = run_all(
-                seed=args.seed,
-                budget=args.budget,
-                engines=args.engines,
-                specs=args.specs,
-                machines=args.machines,
-                corpus_path=args.corpus,
-                shrink_budget=args.shrink_budget,
-            )
-            if exporter is not None:
-                exporter.publish(get_default().registry.snapshot(), kind="final")
+        report = run_all(
+            seed=args.seed,
+            budget=args.budget,
+            engines=args.engines,
+            specs=args.specs,
+            machines=args.machines,
+            corpus_path=args.corpus,
+            shrink_budget=args.shrink_budget,
+            workers=args.workers,
+        )
     finally:
-        if publisher is not None:
-            publisher.stop()
         if exporter is not None:
+            publisher.stop()
+            exporter.publish(registry.snapshot(), kind="final")
             exporter.close()
     print(report.to_json() if args.json else report.render())
-    return 0 if report.ok and not _demotions(args.workers) else 1
+    return 0 if report.ok and not _demotions(report) else 1
 
 
-def _demotions(workers: int) -> bool:
-    """Report each spec a serial verify-mode run demoted; True if any.
+def _demotions(report: ConformanceReport) -> bool:
+    """Report each spec a verify-mode run demoted; True if any.
 
     A demotion means a compiled codec diverged from the interpreter, so
-    under ``--fastpath verify`` it fails the run.  Sharded runs demote
-    inside their workers, out of this process's sight.
+    under ``--fastpath verify`` it fails the run.
     """
-    if workers > 1 or not get_policy().verify:
+    if not get_policy().verify or not report.demoted:
         return False
-    count = fastpath.stats()["demotions"]
-    if not count:
-        return False
-    print(f"fastpath: {count} demotion(s) under verify")
-    for name, reason in fastpath.demoted():
+    print(f"fastpath: {len(report.demoted)} demotion(s) under verify")
+    for name, reason in report.demoted:
         print(f"  DEMOTED {name}: {reason}")
     return True
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.instrument import Instrumentation, get_default
 
@@ -91,6 +91,17 @@ class EpochResult:
     delivered: int
     digest: int
     outbox: List[Message]
+
+
+def combine(results: Sequence[EpochResult]) -> EpochResult:
+    """One epoch's global result from every shard's: sums and one outbox."""
+    return EpochResult(
+        fired=sum(result.fired for result in results),
+        emitted=sum(result.emitted for result in results),
+        delivered=sum(result.delivered for result in results),
+        digest=sum(result.digest for result in results) & _MASK,
+        outbox=[message for result in results for message in result.outbox],
+    )
 
 
 @dataclass
@@ -225,23 +236,24 @@ def _transcript_line(epoch: int, fired: int, emitted: int, digest: int) -> str:
     return f"epoch={epoch} fired={fired} msgs={emitted} digest={digest:016x}"
 
 
-def run_serial(
-    config: RunConfig, obs: Optional[Instrumentation] = None
+def run_epochs(
+    config: RunConfig, step: Callable[[int], EpochResult], started: float
 ) -> RunResult:
-    """Run the whole population in one engine, in this process."""
-    started = time.perf_counter()
-    engine = ShardEngine(config, 0, config.machines, obs=obs)
+    """The epoch loop every run mode shares: transcript and totals.
+
+    ``step(epoch)`` advances the whole population one epoch and returns
+    the global result.  ``started`` is when the caller began building
+    its engines, so ``elapsed`` counts the build as well as the epochs.
+    """
     lines = [config.header()]
-    inbox: List[Message] = []
     fired = emitted = 0
     for epoch in range(config.epochs):
-        result = engine.step(epoch, inbox)
+        result = step(epoch)
         lines.append(
             _transcript_line(epoch, result.fired, result.emitted, result.digest)
         )
         fired += result.fired
         emitted += result.emitted
-        inbox = sorted(result.outbox)  # the final epoch's outbox is dropped
     return RunResult(
         config=config,
         lines=lines,
@@ -249,6 +261,23 @@ def run_serial(
         emitted=emitted,
         elapsed=time.perf_counter() - started,
     )
+
+
+def run_serial(
+    config: RunConfig, obs: Optional[Instrumentation] = None
+) -> RunResult:
+    """Run the whole population in one engine, in this process."""
+    started = time.perf_counter()
+    engine = ShardEngine(config, 0, config.machines, obs=obs)
+    inbox: List[Message] = []
+
+    def step(epoch: int) -> EpochResult:
+        nonlocal inbox
+        result = engine.step(epoch, inbox)
+        inbox = sorted(result.outbox)  # the final epoch's outbox is dropped
+        return result
+
+    return run_epochs(config, step, started)
 
 
 def run_partitioned(
@@ -264,28 +293,13 @@ def run_partitioned(
     bounds = shard_bounds(config.machines, shards)
     engines = [ShardEngine(config, lo, hi, obs=obs) for lo, hi in bounds]
     inboxes: List[List[Message]] = [[] for _ in engines]
-    lines = [config.header()]
-    fired = emitted = 0
-    for epoch in range(config.epochs):
-        epoch_fired = epoch_emitted = 0
-        digest = 0
-        all_out: List[Message] = []
-        for engine, inbox in zip(engines, inboxes):
-            result = engine.step(epoch, inbox)
-            epoch_fired += result.fired
-            epoch_emitted += result.emitted
-            digest = (digest + result.digest) & _MASK
-            all_out.extend(result.outbox)
-        lines.append(
-            _transcript_line(epoch, epoch_fired, epoch_emitted, digest)
+
+    def step(epoch: int) -> EpochResult:
+        nonlocal inboxes
+        result = combine(
+            [engine.step(epoch, inbox) for engine, inbox in zip(engines, inboxes)]
         )
-        fired += epoch_fired
-        emitted += epoch_emitted
-        inboxes = route(all_out, bounds)
-    return RunResult(
-        config=config,
-        lines=lines,
-        fired=fired,
-        emitted=emitted,
-        elapsed=time.perf_counter() - started,
-    )
+        inboxes = route(result.outbox, bounds)
+        return result
+
+    return run_epochs(config, step, started)

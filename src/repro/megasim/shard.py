@@ -35,16 +35,17 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.parallel.pool import CallError, ShardedPool
 
 from repro.megasim.engine import (
+    EpochResult,
     Message,
     RunConfig,
     RunResult,
     ShardEngine,
-    _transcript_line,
+    combine,
     route,
+    run_epochs,
     shard_bounds,
 )
 
-_MASK = (1 << 64) - 1
 _TARGET = "repro.megasim.shard:run_epoch"
 _tokens = itertools.count()
 
@@ -134,8 +135,8 @@ class ShardedRun:
             calls.append((_TARGET, kwargs))
         return calls
 
-    def step(self, epoch: int) -> EpochTotals:
-        """Advance every shard one epoch; returns the global aggregates."""
+    def step(self, epoch: int) -> EpochResult:
+        """Advance every shard one epoch; returns the global result."""
         replies = self.pool.run_calls(self._calls(epoch, range(self.shards), False))
         retry = [
             shard
@@ -158,48 +159,25 @@ class ShardedRun:
                 raise RuntimeError(
                     f"megasim shard {shard} failed after rebuild: {reply!r}"
                 )
-        fired = sum(reply["fired"] for reply in replies)
-        emitted = sum(reply["emitted"] for reply in replies)
-        digest = sum(reply["digest"] for reply in replies) & _MASK
+        result = combine(
+            [
+                EpochResult(
+                    fired=reply["fired"],
+                    emitted=reply["emitted"],
+                    delivered=len(inbox),
+                    digest=reply["digest"],
+                    outbox=reply["outbox"],
+                )
+                for reply, inbox in zip(replies, self.inboxes)
+            ]
+        )
         for shard in range(self.shards):
             self.history[shard].append(self.inboxes[shard])
-        outbox = [
-            tuple(message)
-            for reply in replies
-            for message in reply["outbox"]
-        ]
-        self.inboxes = route(outbox, self.bounds)
-        return EpochTotals(fired=fired, emitted=emitted, digest=digest)
-
-
-class EpochTotals:
-    """Global per-epoch aggregates from a sharded step."""
-
-    __slots__ = ("fired", "emitted", "digest")
-
-    def __init__(self, fired: int, emitted: int, digest: int) -> None:
-        self.fired = fired
-        self.emitted = emitted
-        self.digest = digest
+        self.inboxes = route(result.outbox, self.bounds)
+        return result
 
 
 def run_sharded(config: RunConfig, pool: ShardedPool) -> RunResult:
     """Run a full scenario over ``pool``; transcript matches the serial run."""
     started = time.perf_counter()
-    run = ShardedRun(config, pool)
-    lines = [config.header()]
-    fired = emitted = 0
-    for epoch in range(config.epochs):
-        totals = run.step(epoch)
-        lines.append(
-            _transcript_line(epoch, totals.fired, totals.emitted, totals.digest)
-        )
-        fired += totals.fired
-        emitted += totals.emitted
-    return RunResult(
-        config=config,
-        lines=lines,
-        fired=fired,
-        emitted=emitted,
-        elapsed=time.perf_counter() - started,
-    )
+    return run_epochs(config, ShardedRun(config, pool).step, started)

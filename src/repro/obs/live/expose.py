@@ -19,10 +19,9 @@ that operators point real collectors at, and the contract starts here:
   (JSONL stream).  Unset/empty/``off`` means no exporter: the entire
   plane stays inert and costs nothing.
 
-Every published payload is a *cumulative* snapshot (deltas exist only on
-the worker→parent pipe, see ``stream.py``): each JSONL line stands alone,
-so a tailing consumer can join at any point and a crashed run's last
-line is its last known state.
+Every published payload is a *cumulative* snapshot: each JSONL line
+stands alone, so a tailing consumer can join at any point and a crashed
+run's last line is its last known state.
 """
 
 from __future__ import annotations
@@ -290,11 +289,11 @@ class Exporter:
 class PeriodicPublisher:
     """A daemon thread publishing ``source()`` every ``interval`` seconds.
 
-    The serial-run counterpart of the worker streamer: a single-process
-    conformance run has no pipe to ride, so a publisher thread snapshots
-    the process registry directly.  ``source`` returns a metrics
-    snapshot; read errors (a registry mutating mid-snapshot) skip the
-    tick rather than killing the thread.
+    ``python -m repro.conformance`` runs one over the process registry,
+    serial or sharded (a sharded run merges each unit's metrics into
+    that registry as the unit's reply arrives).  ``source`` returns a
+    metrics snapshot; read errors (a registry mutating mid-snapshot)
+    skip the tick rather than killing the thread.
     """
 
     def __init__(
@@ -302,12 +301,10 @@ class PeriodicPublisher:
         exporter: Exporter,
         source: Callable[[], Dict[str, List[Dict[str, Any]]]],
         interval: float = 0.5,
-        **extra: Any,
     ) -> None:
         self.exporter = exporter
         self.source = source
         self.interval = max(0.05, interval)
-        self.extra = extra
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-obs-publisher", daemon=True
@@ -323,7 +320,7 @@ class PeriodicPublisher:
             metrics = self.source()
         except Exception:
             return
-        self.exporter.publish(metrics, kind="live", **self.extra)
+        self.exporter.publish(metrics, kind="live")
 
     def stop(self) -> None:
         """Stop the thread (no final publish; callers publish the final)."""

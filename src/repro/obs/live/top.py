@@ -121,19 +121,7 @@ def render_frame(
     lines = []
     kind = payload.get("kind", "snapshot")
     seq = payload.get("seq", "-")
-    workers = payload.get("workers") or {}
-    header = f"frame seq={seq} kind={kind}"
-    if workers:
-        per_worker = " ".join(
-            f"w{index}:{state.get('seq', 0)}"
-            + ("!" * state.get("restarts", 0))
-            for index, state in sorted(workers.items())
-        )
-        header += f"  workers[{per_worker}]"
-    dropped = payload.get("dropped")
-    if dropped:
-        header += f"  dropped={dropped}"
-    lines.append(header)
+    lines.append(f"frame seq={seq} kind={kind}")
     lines.append("-- rates (counters/s vs previous frame) " + "-" * 31)
     lines.extend(render_rates(payload, previous))
     instr = instrumentation_from(payload)

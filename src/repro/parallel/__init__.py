@@ -2,10 +2,11 @@
 
 A :class:`~repro.parallel.pool.ShardedPool` runs calls named by dotted
 path (``"package.module:function"``) with picklable keyword arguments in
-worker processes and returns their results in unit order.  Two callers
-size a pool for one run and close it afterwards:
-``python -m repro.conformance --workers N`` runs one fuzz, differential
-or machine unit per call (:mod:`repro.parallel.confrun`), and
+worker processes, and hands back each result as it arrives or all of
+them in unit order.  Two callers size a pool for one run and close it
+afterwards: ``python -m repro.conformance --workers N`` runs one fuzz,
+differential or machine unit per call
+(:func:`repro.conformance.runner.run_all`), and
 ``python -m repro.megasim --workers N`` runs one shard epoch per call
 (:mod:`repro.megasim.shard`).  A unit that fails comes back as a
 :class:`~repro.parallel.pool.CallError`; conformance reruns it

@@ -2,9 +2,10 @@
 
 A :class:`ShardedPool` owns N forked workers (``repro.parallel.worker``),
 one private task queue each plus one shared result queue.  Work arrives
-as whole units — ``(target, kwargs)`` calls named by dotted path — and
-comes back in unit order, so callers merge results exactly as a serial
-loop would have produced them.
+as whole units — ``(target, kwargs)`` calls named by dotted path.
+:meth:`~ShardedPool.iter_calls` hands each reply over as it arrives;
+:meth:`~ShardedPool.run_calls` returns them all in unit order, so
+callers merge results exactly as a serial loop would have produced them.
 
 A unit that errors, times out, or dies with its worker comes back as a
 :class:`CallError` in its slot while every other unit still answers;
@@ -17,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as _queue
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.obs.instrument import get_default
 from repro.parallel.worker import worker_main
@@ -50,7 +51,7 @@ class _Worker:
         self.tasks = ctx.Queue()
         self.process = ctx.Process(
             target=worker_main,
-            args=(index, self.tasks, results),
+            args=(self.tasks, results),
             name=f"repro-parallel-{index}",
             daemon=True,
         )
@@ -73,15 +74,7 @@ class ShardedPool:
         ]
         self._task_counter = 0
         self._closed = False
-        #: Optional callable fed every worker telemetry payload (the
-        #: ``("obs", ...)`` messages streamed over the result queue by
-        #: ``repro.obs.live``).  ``None`` — the default — drops them.
-        self.telemetry_sink: Optional[Any] = None
-        self.stats: Dict[str, int] = {
-            "calls": 0,
-            "worker_failures": 0,
-            "telemetry_updates": 0,
-        }
+        self.stats: Dict[str, int] = {"calls": 0, "worker_failures": 0}
 
     @property
     def size(self) -> int:
@@ -124,72 +117,30 @@ class ShardedPool:
     def run_calls(
         self, calls: Sequence[Tuple[str, Dict[str, Any]]]
     ) -> List[Any]:
-        """Run ``(target, kwargs)`` units across workers, results in order.
+        """Run ``(target, kwargs)`` units across workers, results in order."""
+        replies = dict(self.iter_calls(calls))
+        return [replies[chunk] for chunk in range(len(calls))]
 
-        Unit *i* goes to worker ``i % size``.  A unit that fails (or dies
-        with its worker, or outlives :data:`CALL_TIMEOUT`) comes back as
-        a :class:`CallError` in its slot.
+    def iter_calls(
+        self, calls: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> Iterator[Tuple[int, Any]]:
+        """Run ``(target, kwargs)`` units across workers; yield each reply.
+
+        Yields ``(index, reply)`` as replies arrive.  Unit *i* goes to
+        worker ``i % size``.  A unit that fails (or dies with its
+        worker, or outlives :data:`CALL_TIMEOUT`) yields a
+        :class:`CallError`.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        task_id = self._next_task_id()
+        self._task_counter += 1
+        task_id = self._task_counter
         pending: Dict[int, int] = {}
         for chunk, (target, kwargs) in enumerate(calls):
             worker = self._workers[chunk % len(self._workers)]
             worker.tasks.put(("call", task_id, chunk, target, kwargs))
             pending[chunk] = worker.index
         self.stats["calls"] += len(calls)
-        replies = self._collect(task_id, pending)
-        return [replies[chunk] for chunk in range(len(calls))]
-
-    # -- telemetry ---------------------------------------------------------
-
-    def _ingest_telemetry(self, payload: Any) -> None:
-        sink = self.telemetry_sink
-        if sink is None:
-            return
-        self.stats["telemetry_updates"] += 1
-        try:
-            sink(payload)
-        except Exception:
-            pass  # a live view must never take down the run it observes
-
-    def drain_telemetry(self, timeout: float = 0.2) -> int:
-        """Route queued telemetry with no task pending; returns count routed.
-
-        ``_collect`` only reads the result queue while units are
-        outstanding, so worker streamers' final flush ticks (sent when
-        their last unit ends) would otherwise sit unread.  Callers that
-        want a complete live view call this once after the last
-        :meth:`run_calls`.
-        """
-        routed = 0
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            try:
-                message = self._results.get(timeout=0.02)
-            except _queue.Empty:
-                continue
-            if message[0] == "obs":
-                self._ingest_telemetry(message[3])
-                routed += 1
-            # Non-obs messages here are stale replies from aborted
-            # tasks; dropping them matches _collect's policy.
-        return routed
-
-    # -- collection --------------------------------------------------------
-
-    def _next_task_id(self) -> int:
-        self._task_counter += 1
-        return self._task_counter
-
-    def _collect(self, task_id: int, pending: Dict[int, int]) -> Dict[int, Any]:
-        """Drain the result queue until every pending unit is answered.
-
-        Errors, worker deaths and the :data:`CALL_TIMEOUT` deadline each
-        turn the affected units into :class:`CallError` replies.
-        """
-        replies: Dict[int, Any] = {}
         deadline = time.monotonic() + CALL_TIMEOUT
         while pending:
             try:
@@ -206,27 +157,21 @@ class ShardedPool:
                     lost = [c for c, s in pending.items() if s == slot]
                     for chunk in lost:
                         del pending[chunk]
-                        replies[chunk] = CallError(
+                        yield chunk, CallError(
                             f"worker {slot} died holding chunk {chunk}"
                         )
                 if time.monotonic() > deadline:
                     for chunk, slot in list(pending.items()):
-                        replies[chunk] = CallError(
+                        del pending[chunk]
+                        yield chunk, CallError(
                             f"chunk {chunk} timed out on worker {slot}"
                         )
-                    pending.clear()
                 continue
             status, reply_task, chunk, payload = message
-            if status == "obs":
-                # Telemetry rides the result pipe: route to the live
-                # aggregator (if one is attached) and keep collecting.
-                self._ingest_telemetry(payload)
-                continue
             if reply_task != task_id or chunk not in pending:
                 continue  # stale reply from an aborted earlier task
             pending.pop(chunk)
-            replies[chunk] = payload if status == "ok" else CallError(str(payload))
-        return replies
+            yield chunk, payload if status == "ok" else CallError(str(payload))
 
     # -- lifecycle ---------------------------------------------------------
 

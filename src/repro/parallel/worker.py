@@ -6,23 +6,16 @@ queue.  One task shape does the work:
 
 ``("call", task_id, chunk, target, kwargs)``
     Resolve ``target`` (``"package.module:function"``), call it with
-    ``kwargs``, ship back the picklable result.  The parallel
-    conformance runner executes one conformance unit per call, and
-    megasim one shard epoch.  Only a dotted name and plain picklable
-    arguments cross the process boundary — never closures or spec
-    objects — so the plane is correct under ``fork`` and ``spawn``
-    alike.
+    ``kwargs``, ship back the picklable result.  The conformance runner
+    executes one conformance unit per call, and megasim one shard
+    epoch.  Only a dotted name and plain picklable arguments cross the
+    process boundary — never closures or spec objects — so the plane is
+    correct under ``fork`` and ``spawn`` alike.
 
 Every reply is ``("ok", task_id, chunk, payload)`` or ``("err",
 task_id, chunk, message)``.  A worker never retries: any exception is
 reported to the parent, whose caller decides how to redo that unit.
-
-When ``REPRO_OBS_EXPORT`` names a target, each worker also runs a
-:class:`~repro.obs.live.stream.TelemetryStreamer`: a daemon thread that
-puts ``("obs", 0, index, payload)`` metric-delta messages on the same
-result queue, giving the parent a live aggregate view of a sharded run
-(see ``repro.obs.live``).  Telemetry is advisory — the authoritative
-per-unit obs snapshots still travel in task replies.
+Metrics travel inside the payload when the target puts them there.
 """
 
 from __future__ import annotations
@@ -30,10 +23,6 @@ from __future__ import annotations
 import importlib
 import os
 from typing import Any, Callable
-
-
-class WorkerCrash(Exception):
-    """Raised (never caught) by the fault-injection task for tests."""
 
 
 def _resolve(target: str) -> Callable[..., Any]:
@@ -53,31 +42,8 @@ def crash(signum: int = 0) -> None:
     os._exit(17)
 
 
-def _start_telemetry(index: int, results: Any) -> Any:
-    """A running telemetry streamer when exports are on, else ``None``."""
-    raw = os.environ.get("REPRO_OBS_EXPORT", "").strip()
-    if not raw or raw.lower() in ("off", "0", "no", "none", "false"):
-        return None
-    from repro.obs import enable
-    from repro.obs.live.stream import TelemetryStreamer
-
-    enable()  # deltas need a recording default registry in this process
-    streamer = TelemetryStreamer(index, results)
-    streamer.start()
-    return streamer
-
-
-def worker_main(index: int, tasks: Any, results: Any) -> None:
+def worker_main(tasks: Any, results: Any) -> None:
     """Serve tasks until a ``("stop",)`` message or queue breakdown."""
-    streamer = _start_telemetry(index, results)
-    try:
-        _serve(tasks, results)
-    finally:
-        if streamer is not None:
-            streamer.stop()
-
-
-def _serve(tasks: Any, results: Any) -> None:
     while True:
         try:
             task = tasks.get()

@@ -308,7 +308,7 @@ class Server:
                 host=config.host,
                 port=tcp_port,
             )
-        # Telemetry export plane: same env contract as the worker pool.
+        # Telemetry export plane: same env contract as the conformance CLI.
         from repro.obs.live.expose import Exporter
 
         server._exporter = Exporter.from_env()

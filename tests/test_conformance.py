@@ -407,9 +407,13 @@ class TestRunner:
         assert main(["--replay", corpus]) == 0
         assert "replayed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("broken", [True, False], ids=["divergent", "clean"])
+    @pytest.mark.parametrize(
+        "broken, workers",
+        [(True, "1"), (False, "1"), (True, "2"), (False, "2")],
+        ids=["divergent", "clean", "divergent-workers2", "clean-workers2"],
+    )
     def test_cli_verify_run_fails_when_it_demotes_a_spec(
-        self, monkeypatch, capsys, broken
+        self, monkeypatch, capsys, broken, workers
     ):
         from repro import fastpath
         from repro.conformance.__main__ import main
@@ -438,7 +442,8 @@ class TestRunner:
             monkeypatch.setattr(core_compile, "compile_spec", flipping_compile)
         fastpath.reset()
         try:
-            code = main(["--seed", "0", "--budget", "300", "--fastpath", "verify"])
+            argv = ["--seed", "0", "--budget", "300", "--fastpath", "verify"]
+            code = main([*argv, "--workers", workers])
         finally:
             monkeypatch.undo()
             fastpath.reset()

@@ -1,26 +1,22 @@
-"""``repro.obs.live``: streaming telemetry, exporters, flight recorder.
+"""``repro.obs.live``: exporters, live export, flight recorder.
 
 The contracts under test:
 
-* delta snapshots reconstruct the source registry exactly (merge of all
-  deltas == full snapshot), across registry resets and worker respawns;
 * ``MetricsRegistry.merge_snapshot`` validates before applying — a bad
   snapshot raises :class:`MergeError` and the registry is untouched;
 * the exporter plane (Prometheus text, JSONL sinks, localhost server)
   publishes self-contained cumulative payloads, and stays entirely off
   (``None``) when ``REPRO_OBS_EXPORT`` names no target;
-* a sharded conformance run with exports on produces merged counters
-  byte-identical to the serial run — the live plane is advisory;
+* ``python -m repro.conformance --workers 2`` with exports on ends its
+  stream with a ``final`` payload whose counters equal the serial run's;
 * an undeclared fuzzer failure with ``REPRO_OBS_FLIGHTREC`` armed dumps
   a bundle that replays deterministically to the same failure.
 """
 
 import json
 import os
-import queue
 import random
 import socket
-import threading
 
 import pytest
 
@@ -29,17 +25,13 @@ from repro.conformance.corpus import Corpus
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.mutate import BUG_NONVERBATIM, MutationFuzzer, classify
 from repro.conformance.registry import SpecEntry
-from repro.conformance.runner import run_all
 from repro.core.fields import Bytes, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import this
 from repro.obs import MergeError, MetricsRegistry
 from repro.obs.live import flightrec
-from repro.obs.live.delta import DeltaTracker
 from repro.obs.live.expose import Exporter, JsonlSink, MetricsServer, prometheus_text
-from repro.obs.live.stream import LiveAggregator, TelemetryStreamer
 from repro.obs.live.top import load_export, render_frame, render_rates
-from repro.parallel.confrun import run_all_parallel
 from repro.testing import random_packet
 
 
@@ -60,68 +52,6 @@ def _counters(registry):
         for entry in entries
         if entry["kind"] == "counter" and entry["value"]
     }
-
-
-# -- delta snapshots -----------------------------------------------------
-
-
-class TestDeltaTracker:
-    def test_merged_deltas_reconstruct_source_registry(self):
-        source, mirror = MetricsRegistry(), MetricsRegistry()
-        tracker = DeltaTracker(source)
-        source.counter("frames", proto="tcp").inc(3)
-        source.gauge("depth").set(7)
-        source.histogram("lat", bounds=[1, 10]).observe(5)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        source.counter("frames", proto="tcp").inc(4)
-        source.counter("frames", proto="udp").inc(1)
-        source.gauge("depth").set(2)
-        source.histogram("lat", bounds=[1, 10]).observe(0.5)
-        source.histogram("lat", bounds=[1, 10]).observe(40)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        assert mirror.snapshot() == source.snapshot()
-
-    def test_idle_tick_is_empty(self):
-        source = MetricsRegistry()
-        tracker = DeltaTracker(source)
-        source.counter("c").inc()
-        tracker.delta_snapshot()
-        assert tracker.delta_snapshot() == {}
-
-    def test_counter_reset_emits_post_reset_value(self):
-        # execute_unit zeroes the worker registry between units: the
-        # post-reset value is new work, and summed deltas must equal
-        # the total across units.
-        source, mirror = MetricsRegistry(), MetricsRegistry()
-        tracker = DeltaTracker(source)
-        source.counter("cases").inc(10)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        source.reset()
-        source.counter("cases").inc(4)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        assert _counters(mirror)[("cases", ())] == 14
-
-    def test_histogram_reset_ships_whole_entry(self):
-        source, mirror = MetricsRegistry(), MetricsRegistry()
-        tracker = DeltaTracker(source)
-        source.histogram("h", bounds=[1, 2]).observe(0.5)
-        source.histogram("h", bounds=[1, 2]).observe(1.5)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        source.reset()
-        source.histogram("h", bounds=[1, 2]).observe(3.0)
-        mirror.merge_snapshot(tracker.delta_snapshot())
-        merged = mirror.snapshot()["h"][0]
-        assert merged["count"] == 3
-        assert merged["sum"] == pytest.approx(5.0)
-
-    def test_vanished_metrics_prune_baseline(self):
-        source = MetricsRegistry()
-        tracker = DeltaTracker(source)
-        source.counter("gone").inc(5)
-        tracker.delta_snapshot()
-        source.clear()
-        assert tracker.delta_snapshot() == {}
-        assert tracker._base == {}
 
 
 # -- merge hardening -----------------------------------------------------
@@ -287,119 +217,30 @@ class TestExposition:
             server.close()
 
 
-# -- the worker stream ---------------------------------------------------
-
-
-class TestTelemetryStream:
-    def _streamer(self, index=0, sink=None):
-        instr = obs.Instrumentation(enabled=True)
-        return (
-            TelemetryStreamer(index, sink or queue.Queue(), obs=instr, interval=999),
-            instr,
-        )
-
-    def test_payload_shape_matches_pool_reply_tuples(self):
-        sink = queue.Queue()
-        streamer, instr = self._streamer(index=3, sink=sink)
-        instr.registry.counter("work").inc(2)
-        streamer._tick()
-        status, task, worker, payload = sink.get_nowait()
-        assert (status, task, worker) == ("obs", 0, 3)
-        assert payload["seq"] == 1 and payload["worker"] == 3
-        assert payload["metrics"]["work"][0]["value"] == 2
-
-    def test_idle_tick_sends_nothing(self):
-        sink = queue.Queue()
-        streamer, _ = self._streamer(sink=sink)
-        streamer._tick()
-        assert sink.empty()
-
-    def test_trace_records_ship_incrementally(self):
-        streamer, instr = self._streamer()
-        with instr.tracer.span("one"):
-            pass
-        first = streamer.collect()
-        assert [r["name"] for r in first["trace"]] == ["one"]
-        with instr.tracer.span("two"):
-            pass
-        second = streamer.collect()
-        assert [r["name"] for r in second["trace"]] == ["two"]
-
-    def test_aggregator_merges_deltas_and_tracks_respawn(self):
-        aggregator = LiveAggregator()
-        streamer, instr = self._streamer(index=0)
-        instr.registry.counter("cases").inc(5)
-        aggregator.ingest(streamer.collect())
-        # The worker dies; its replacement starts with a fresh registry
-        # and a fresh streamer whose sequence restarts at 1.
-        respawned, instr2 = self._streamer(index=0)
-        instr2.registry.counter("cases").inc(2)
-        aggregator.ingest(respawned.collect())
-        view = aggregator.snapshot()
-        assert view["metrics"]["cases"][0]["value"] == 7
-        assert view["workers"]["0"]["restarts"] == 1
-
-    def test_aggregator_drops_malformed_deltas_without_raising(self):
-        aggregator = LiveAggregator()
-        aggregator.ingest(
-            {
-                "worker": 0,
-                "seq": 1,
-                "metrics": {"c": [{"labels": {}, "kind": "counter", "value": -1}]},
-                "trace": [],
-            }
-        )
-        assert aggregator.dropped == 1
-        assert aggregator.snapshot()["metrics"] == {}
-
-    def test_thread_streams_over_a_real_queue(self):
-        sink = queue.Queue()
-        instr = obs.Instrumentation(enabled=True)
-        streamer = TelemetryStreamer(1, sink, obs=instr, interval=0.02)
-        streamer.start()
-        instr.registry.counter("ticks").inc(9)
-        deadline = threading.Event()
-        deadline.wait(0.2)
-        streamer.stop()
-        total = 0
-        while not sink.empty():
-            message = sink.get_nowait()
-            assert message[0] == "obs"
-            for entry in message[3]["metrics"].get("ticks", []):
-                total += entry["value"]
-        assert total == 9
-
-
-# -- parallel equality with the plane on ---------------------------------
+# -- live export from a sharded run -------------------------------------
 
 
 class TestParallelEquality:
     @pytest.mark.slow
     def test_sharded_run_with_exports_matches_serial(self, tmp_path, monkeypatch):
-        export = str(tmp_path / "live.jsonl")
-        instr = obs.enable()
-        instr.registry.reset()
-        run_all(seed=9, budget=80, engines=("fuzz",))
-        serial = _counters(instr.registry)
+        from repro.conformance.__main__ import main
 
-        instr.registry.reset()
-        monkeypatch.setenv("REPRO_OBS_EXPORT", export)  # workers inherit
-        exporter = Exporter.from_env()
-        run_all_parallel(
-            workers=2, seed=9, budget=80, engines=("fuzz",), exporter=exporter
-        )
-        exporter.close()
-        merged = _counters(instr.registry)
+        def final_counters(*workers):
+            export = str(tmp_path / f"live{len(workers)}.jsonl")
+            monkeypatch.setenv("REPRO_OBS_EXPORT", export)
+            obs.get_default().reset()
+            argv = ["--seed", "9", "--budget", "80", "--engines", "fuzz"]
+            assert main([*argv, *workers]) == 0
+            payloads = load_export(export)
+            kinds = [p["kind"] for p in payloads]
+            assert kinds == ["live"] * (len(kinds) - 1) + ["final"]
+            final = MetricsRegistry()
+            final.merge_snapshot(payloads[-1]["metrics"])
+            return _counters(final)
 
-        # The authoritative merge is byte-identical with the plane on.
-        assert merged == serial
-        # ...and the export stream ends with that same final registry.
-        payloads = load_export(export)
-        finals = [p for p in payloads if p.get("kind") == "final"]
-        assert finals
-        final_registry = MetricsRegistry()
-        final_registry.merge_snapshot(finals[-1]["metrics"])
-        assert _counters(final_registry) == serial
+        serial = final_counters()
+        assert serial
+        assert final_counters("--workers", "2") == serial
 
 
 # -- flight recorder -----------------------------------------------------

@@ -1,9 +1,10 @@
-"""``repro.parallel``: parallel conformance, crash recovery, pool lifetime.
+"""``repro.parallel``: sharded conformance, crash recovery, pool lifetime.
 
 The contract under test everywhere here is *transparency*: sharding a
 run over workers (or having a worker die mid-run) may change timing,
-but never results — conformance findings, coverage, and corpus files
-must be byte-identical to the serial run.
+but never results — conformance findings, coverage, corpus files and
+the metrics the run leaves in the process registry must be identical
+to the serial run's.
 """
 
 import multiprocessing
@@ -11,8 +12,13 @@ import multiprocessing
 import pytest
 
 from repro import obs
-from repro.conformance.runner import run_all
-from repro.parallel.confrun import execute_unit, plan_units, run_all_parallel
+from repro.conformance import runner
+from repro.conformance.runner import (
+    execute_unit,
+    execute_unit_in_worker,
+    plan_units,
+    run_all,
+)
 from repro.parallel.pool import CallError, ShardedPool
 
 
@@ -25,6 +31,25 @@ def pool():
 
 def _live_children():
     return {child.pid for child in multiprocessing.active_children()}
+
+
+def _counters():
+    return {
+        (name, tuple(sorted(entry["labels"].items()))): entry["value"]
+        for name, entries in obs.get_default().registry.snapshot().items()
+        for entry in entries
+        if entry["kind"] == "counter" and entry["value"]
+    }
+
+
+def _run_counted(**run):
+    """A run's report and the counters it leaves in a fresh registry."""
+    instr = obs.enable()
+    try:
+        instr.registry.reset()
+        return run_all(**run), _counters()
+    finally:
+        obs.disable()
 
 
 class TestCrashRecovery:
@@ -73,7 +98,7 @@ class TestPoolLifetime:
 
     def test_parallel_run_leaves_no_live_workers(self):
         before = _live_children()
-        run_all_parallel(workers=2, seed=3, budget=40, engines=("machine",))
+        run_all(workers=2, seed=3, budget=40, engines=("machine",))
         assert _live_children() - before == set()
 
 
@@ -91,7 +116,7 @@ class TestParallelConformance:
         serial_corpus = tmp_path / "serial.jsonl"
         parallel_corpus = tmp_path / "parallel.jsonl"
         serial = run_all(seed=5, budget=120, corpus_path=str(serial_corpus))
-        report = run_all_parallel(
+        report = run_all(
             workers=2, seed=5, budget=120, corpus_path=str(parallel_corpus)
         )
         assert [e.engine for e in report.engines] == [
@@ -104,37 +129,38 @@ class TestParallelConformance:
         assert parallel_corpus.read_bytes() == serial_corpus.read_bytes()
 
     def test_merged_obs_counters_match_serial(self):
-        def counters():
-            return {
-                (name, tuple(sorted(entry["labels"].items()))): entry["value"]
-                for name, entries in obs.get_default().registry.snapshot().items()
-                for entry in entries
-                if entry["kind"] == "counter" and entry["value"]
-            }
-
-        instr = obs.enable()
-        try:
-            instr.registry.reset()
-            run_all(seed=9, budget=80, engines=("fuzz",))
-            serial = counters()
-            instr.registry.reset()
-            run_all_parallel(workers=2, seed=9, budget=80, engines=("fuzz",))
-            merged = counters()
-        finally:
-            obs.disable()
-        assert merged == serial
+        run = dict(seed=9, budget=80, engines=("fuzz",))
+        assert _run_counted(workers=2, **run)[1] == _run_counted(**run)[1]
 
     def test_failed_unit_reruns_in_process(self, monkeypatch):
         # Break every remote call; the parent must quietly redo each unit
-        # itself and still produce the serial report.
-        from repro.parallel import confrun
-
-        monkeypatch.setattr(confrun, "_EXECUTE", "repro.no_such_module:missing")
-        serial = run_all(seed=2, budget=60, engines=("machine",))
-        report = run_all_parallel(workers=2, seed=2, budget=60, engines=("machine",))
+        # itself and still produce the serial report and metrics.
+        run = dict(seed=2, budget=60, engines=("machine",))
+        serial, serial_counters = _run_counted(**run)
+        monkeypatch.setattr(runner, "_WORKER_TARGET", "repro.no_such_module:missing")
+        report, counters = _run_counted(workers=2, **run)
         assert report.engines[0].cases == serial.engines[0].cases
         assert report.engines[0].findings == serial.engines[0].findings
         assert report.coverage == serial.coverage
+        assert counters == serial_counters
+
+    def test_worker_records_when_told_to_even_if_it_starts_disabled(self):
+        # A worker started under spawn has recording off; the unit call
+        # says the parent records, so the reply must carry this unit's
+        # metrics and nothing recorded before it.
+        unit = plan_units(10, ("machine",), None, None, 600)[0]
+        registry = obs.get_default().registry
+        registry.reset()
+        registry.counter("earlier.unit").inc(5)
+        assert not obs.get_default().enabled
+        try:
+            reply = execute_unit_in_worker(record=True, seed=0, **unit)
+        finally:
+            obs.disable()
+            registry.reset()
+        assert reply["obs"]["checker.machines_checked"][0]["value"] > 0
+        assert reply["obs"]["earlier.unit"][0]["value"] == 0
+        assert reply["demoted"] == []
 
     def test_execute_unit_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown conformance unit"):

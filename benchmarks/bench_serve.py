@@ -8,9 +8,7 @@ Four measurements, written to ``BENCH_serve.json``:
 * ``high_session`` — the density tier: ramp to 10k+ *concurrent*
   sessions in one manager, churn accepts through the oldest-idle shed
   path at full density, then measure the steady-state frame rate across
-  the whole table, with peak RSS recorded as the memory envelope.  This
-  is the slab layout's tier: per-session objects would blow both the
-  accept budget and the envelope.
+  the whole table, with peak RSS recorded as the memory envelope.
 * ``handshake_sessions_per_second`` — concurrent three-way handshakes
   over real loopback UDP, client machines included: the end-to-end
   session-establishment rate.
@@ -159,7 +157,6 @@ def bench_high_session(
         "frames_per_second": (
             round(frames / steady_elapsed, 1) if steady_elapsed else 0.0
         ),
-        "slab_capacity": manager.slab.capacity,
         "peak_rss_kb": peak_rss_kb,
     }
 

@@ -1,17 +1,14 @@
-"""The discrete-event simulation core: a virtual clock over a slab event store.
+"""The discrete-event simulation core: a virtual clock over an event queue.
 
 Deterministic by construction: events at equal times fire in scheduling
 order (a monotonically increasing tie-breaker), and all randomness in the
 wider simulator flows from explicitly seeded ``random.Random`` instances —
 never the global RNG.
 
-Storage is a **slab**, not a heap of event objects: the priority queue
-holds plain ``(time, seq, slot)`` tuples (compared in C), and everything
-else about an event — its callback, its flags, the handle returned to the
-caller — lives in parallel arrays indexed by ``slot``.  Slots are recycled
-through a free list the moment an event leaves the queue, so a population
-of machines scheduling and cancelling millions of timers reuses a bounded
-arena instead of churning the allocator with one object per event.
+The priority queue holds ``(time, seq, event)`` tuples: ``(time, seq)`` is
+unique, so the tuples compare in C and never reach the :class:`Event`.
+An event drops its callback once it fires or is cancelled, so a handle
+the caller keeps retains nothing the callback refers to.
 
 Cancellation stays O(1): a cancelled event becomes a tombstone that is
 discarded when its position surfaces.  Tombstones can no longer pile up,
@@ -36,10 +33,6 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs.instrument import Instrumentation, get_default
-
-#: Flag bits in the slab's per-event flag word.
-_CANCELLED = 1
-_FIRED = 2
 
 
 class BudgetExhausted(RuntimeError):
@@ -66,54 +59,25 @@ class BudgetExhausted(RuntimeError):
 class Event:
     """A handle to one scheduled callback.
 
-    While the event is queued the handle is a *view* over the owning
-    simulator's slab (slot indices stay private); once the event fires,
-    is skipped, or is compacted away, the terminal state is copied into
-    the handle and the slab slot is recycled.  Either way ``time``,
-    ``sequence``, ``cancelled`` and ``fired`` keep answering correctly
-    for as long as the caller holds the handle.
+    ``time`` and ``sequence`` say when the event fires (or fired);
+    ``cancelled`` and ``fired`` say whether it still will.
     """
 
-    __slots__ = ("_sim", "_slot", "_time", "_sequence", "_flags")
+    __slots__ = ("_sim", "time", "sequence", "callback", "cancelled", "fired")
 
-    def __init__(self, sim: "Simulator", slot: int) -> None:
-        self._sim: Optional["Simulator"] = sim
-        self._slot = slot
-        self._time = 0.0
-        self._sequence = 0
-        self._flags = 0
-
-    @property
-    def time(self) -> float:
-        """Absolute virtual time this event fires (or fired) at."""
-        sim = self._sim
-        if sim is not None:
-            return sim._ev_time[self._slot]
-        return self._time
-
-    @property
-    def sequence(self) -> int:
-        """The scheduling-order tie-breaker."""
-        sim = self._sim
-        if sim is not None:
-            return sim._ev_seq[self._slot]
-        return self._sequence
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called before firing."""
-        sim = self._sim
-        if sim is not None:
-            return bool(sim._ev_flags[self._slot] & _CANCELLED)
-        return bool(self._flags & _CANCELLED)
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has executed."""
-        sim = self._sim
-        if sim is not None:
-            return bool(sim._ev_flags[self._slot] & _FIRED)
-        return bool(self._flags & _FIRED)
+    def __init__(
+        self,
+        sim: "Simulator",
+        time: float,
+        sequence: int,
+        callback: Callable[[], None],
+    ) -> None:
+        self._sim = sim
+        self.time = time
+        self.sequence = sequence
+        self.callback: Optional[Callable[[], None]] = callback
+        self.cancelled = False
+        self.fired = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (it tombstones in place).
@@ -121,14 +85,11 @@ class Event:
         Cancelling an event that already fired, or twice, is a no-op — the
         owning simulator's live-event accounting stays exact either way.
         """
-        sim = self._sim
-        if sim is None:
+        if self.cancelled or self.fired:
             return
-        flags = sim._ev_flags[self._slot]
-        if flags & (_CANCELLED | _FIRED):
-            return
-        sim._ev_flags[self._slot] = flags | _CANCELLED
-        sim._on_cancel()
+        self.cancelled = True
+        self.callback = None
+        self._sim._on_cancel()
 
     def __repr__(self) -> str:
         state = (
@@ -158,14 +119,7 @@ class Simulator:
     """
 
     def __init__(self, obs: Optional[Instrumentation] = None) -> None:
-        self._heap: List[Tuple[float, int, int]] = []
-        # The slab: parallel arrays indexed by slot, recycled via _free.
-        self._ev_time: List[float] = []
-        self._ev_seq: List[int] = []
-        self._ev_flags: List[int] = []
-        self._ev_callback: List[Optional[Callable[[], None]]] = []
-        self._ev_handle: List[Optional[Event]] = []
-        self._free: List[int] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._now = 0.0
         self._sequence = 0
         self._events_processed = 0
@@ -202,11 +156,6 @@ class Simulator:
         """Times the queue has been compacted to shed tombstones."""
         return self._compactions
 
-    @property
-    def slab_capacity(self) -> int:
-        """Slots the slab has ever grown to (recycled, never shrunk)."""
-        return len(self._ev_time)
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -221,39 +170,13 @@ class Simulator:
             )
         seq = self._sequence
         self._sequence = seq + 1
-        if self._free:
-            slot = self._free.pop()
-            self._ev_time[slot] = time
-            self._ev_seq[slot] = seq
-            self._ev_flags[slot] = 0
-            self._ev_callback[slot] = callback
-        else:
-            slot = len(self._ev_time)
-            self._ev_time.append(time)
-            self._ev_seq.append(seq)
-            self._ev_flags.append(0)
-            self._ev_callback.append(callback)
-            self._ev_handle.append(None)
-        event = Event(self, slot)
-        self._ev_handle[slot] = event
-        heapq.heappush(self._heap, (time, seq, slot))
+        event = Event(self, time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         obs = self.obs
         if obs.enabled:
             obs.registry.counter("sim.events_scheduled").inc()
             obs.registry.gauge("sim.events_pending").set(self.events_pending)
         return event
-
-    def _retire(self, slot: int, flags: int) -> None:
-        """Copy terminal state into the handle and recycle the slot."""
-        handle = self._ev_handle[slot]
-        if handle is not None:
-            handle._time = self._ev_time[slot]
-            handle._sequence = self._ev_seq[slot]
-            handle._flags = flags
-            handle._sim = None
-        self._ev_callback[slot] = None
-        self._ev_handle[slot] = None
-        self._free.append(slot)
 
     def _on_cancel(self) -> None:
         """Bookkeeping hook invoked by :meth:`Event.cancel`."""
@@ -270,18 +193,14 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone from the queue and re-heapify the rest."""
-        flags = self._ev_flags
-        live: List[Tuple[float, int, int]] = []
-        for entry in self._heap:
-            slot = entry[2]
-            f = flags[slot]
-            if f & _CANCELLED:
-                self._retire(slot, f)
-            else:
-                live.append(entry)
-        heapq.heapify(live)
-        self._heap = live
+        """Drop every tombstone from the queue and re-heapify the rest.
+
+        In place: :meth:`run` holds the queue list across the callbacks
+        whose cancellations trigger a compaction.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled_pending = 0
         self._compactions += 1
         obs = self.obs
@@ -295,21 +214,19 @@ class Simulator:
         the clock, :attr:`events_processed`, or any caller's budget.
         """
         heap = self._heap
-        ev_flags = self._ev_flags
         obs = self.obs
         while heap:
-            time, _seq, slot = heapq.heappop(heap)
-            flags = ev_flags[slot]
-            if flags & _CANCELLED:
+            time, _seq, event = heapq.heappop(heap)
+            if event.cancelled:
                 self._cancelled_pending -= 1
-                self._retire(slot, flags)
                 if obs.enabled:
                     obs.registry.counter("sim.events_skipped").inc()
                 continue
-            callback = self._ev_callback[slot]
+            callback = event.callback
+            event.callback = None
+            event.fired = True
             self._now = time
             self._events_processed += 1
-            self._retire(slot, flags | _FIRED)
             if obs.enabled:
                 obs.registry.counter("sim.events_fired").inc()
                 obs.registry.gauge("sim.events_pending").set(self.events_pending)
@@ -331,16 +248,14 @@ class Simulator:
         cancelled events skipped along the way do not consume the budget.
         """
         heap = self._heap
-        ev_flags = self._ev_flags
         executed = 0
         while heap:
             if max_events is not None and executed >= max_events:
                 return
-            top_time, _seq, slot = heap[0]
-            if ev_flags[slot] & _CANCELLED:
+            top_time, _seq, event = heap[0]
+            if event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_pending -= 1
-                self._retire(slot, ev_flags[slot])
                 if self.obs.enabled:
                     self.obs.registry.counter("sim.events_skipped").inc()
                 continue

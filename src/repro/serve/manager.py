@@ -9,40 +9,38 @@ sockets or an event loop.
 Responsibilities, in the order a frame meets them:
 
 1. **Demultiplex** by peer key.  The ``peer -> Session`` table is the
-   *only* hash lookup on the per-frame path; everything else is slab
-   array indexing through the session's slot id
-   (:class:`~repro.serve.session.SessionSlab`).  An unknown peer opens a
-   session: its app is built over a **cached sealed spec** (one spec and
-   one staged dispatch table shared by every session of a protocol —
-   rebuilding them per accept was 75% of PR 7's accept cost), and an
-   exchange recorder is attached when differential recording is on.  The
-   first frame on a packet spec compiles it (:mod:`repro.fastpath`);
-   every later session reuses that codec.
+   *only* hash lookup on the per-frame path; everything else is field
+   access on the :class:`~repro.serve.session.Session`.  An unknown peer
+   opens a session: its app is built over a **cached sealed spec** (one
+   spec and one staged dispatch table shared by every session of a
+   protocol — rebuilding them per accept was 75% of the accept cost),
+   and an exchange recorder is attached when differential recording is
+   on.  The first frame on a packet spec compiles it
+   (:mod:`repro.fastpath`); every later session reuses that codec.
 2. **Admission under overload.**  When the session table is at
    ``max_sessions``, the *oldest-idle* session is shed to make room.
    Finding it rides a lazy min-heap of ``(last_activity, open_seq,
-   generation, slot)`` stamps: activity never touches the heap; a stale
-   stamp surfacing at shed time is re-pushed with the current activity
-   (exact, amortized O(log n) — the PR 7 ``min()`` scan was O(n) per
-   shed, O(n²) under churn at capacity).  Stale stamps left by normal
-   closes are compacted away when they outnumber live sessions, the same
-   tombstone policy as the simulator's event queue.
+   peer)`` stamps: activity never touches the heap; a stamp surfacing at
+   shed time whose session has been active since is re-pushed with the
+   current activity (exact, amortized O(log n) — a ``min()`` scan is
+   O(n) per shed, O(n²) under churn at capacity).  A stamp is stale
+   once its peer has no session or a session with another ``open_seq``;
+   stale stamps left by normal closes are compacted away when they
+   outnumber live sessions, the same tombstone policy as the simulator's
+   event queue.  Stamps name the peer, not the session, so the heap
+   never keeps a closed session alive.
 3. **Bounded queueing.**  Each session's receive queue is capped; a full
    queue drops the frame (UDP) or reports congestion so the transport
    pauses reading (TCP).  Drains are deferred through the host's
-   ``defer`` hook (``loop.call_soon`` live, inline in tests) via a
-   **preallocated per-slot callback** — no ``lambda`` per enqueue —
-   fenced by the slot generation so a drain that outlives its session
-   can never touch a *retired* slot.  The callback is slot-level and
-   idempotent: if the slot was re-allocated before a stale firing, it
-   runs the new occupant's pending drain early, and the occupant's own
-   deferred firing becomes a no-op — delivery is exactly-once either
-   way.  Each session is a fault domain: a role that raises while its
-   queue drains closes that session (reason ``app_error``), drops the
-   rest of its queue and still resumes a paused connection.
-4. **Idle reaping** rides the hashed timer wheel lazily: one
-   preallocated per-slot timer callback per session, rescheduled only
-   when it fires early — no cancel churn and no closure allocation on
+   ``defer`` hook (``loop.call_soon`` live, inline in tests) with the
+   session itself as the callback — no ``lambda`` per enqueue — and a
+   drain that fires after its session closed does nothing.  Each
+   session is a fault domain: a role that raises while its queue drains
+   or while its idle timer fires closes that session (reason
+   ``app_error``); a drain failure drops the rest of the queue and still
+   resumes a paused connection.
+4. **Idle reaping** rides the hashed timer wheel lazily: one timer per
+   session, rescheduled only when it fires early — no cancel churn on
    the per-frame hot path.  The wheel itself is shared: live, the
    :class:`~repro.serve.transport.Server` owns one wheel and every
    manager on it schedules there.
@@ -66,7 +64,7 @@ from repro.obs.instrument import Instrumentation, get_default
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.apps import app_class
 from repro.serve.record import ExchangeRecord, ExchangeRecorder
-from repro.serve.session import Session, SessionSlab
+from repro.serve.session import Session
 from repro.serve.wheel import TimerWheel
 
 Send = Callable[[bytes], None]
@@ -113,34 +111,6 @@ class SendFactory:
 
     def __call__(self, peer: Any) -> Send:
         return self.build(peer)
-
-
-class _DrainTask:
-    """Preallocated per-slot drain callback (reused across occupants)."""
-
-    __slots__ = ("manager", "slot", "gen")
-
-    def __init__(self, manager: "SessionManager", slot: int) -> None:
-        self.manager = manager
-        self.slot = slot
-        self.gen = -1
-
-    def __call__(self) -> None:
-        self.manager._drain_slot(self.slot, self.gen)
-
-
-class _IdleTask:
-    """Preallocated per-slot idle-check callback with a generation fence."""
-
-    __slots__ = ("manager", "slot", "gen")
-
-    def __init__(self, manager: "SessionManager", slot: int) -> None:
-        self.manager = manager
-        self.slot = slot
-        self.gen = -1
-
-    def __call__(self) -> None:
-        self.manager._idle_check(self.slot, self.gen)
 
 
 class _MetricHandles:
@@ -266,23 +236,19 @@ class SessionManager:
         self.record = record
         self.defer: Defer = defer if defer is not None else (lambda fn: fn())
         self.obs = obs if obs is not None else get_default()
-        #: ``peer -> Session`` — the datapath's one hash lookup.  Views
-        #: stay valid after close (frozen); the dict holds live ones only.
+        #: ``peer -> Session`` — the datapath's one hash lookup.  It holds
+        #: live sessions only; a closed one is popped.
         self.sessions: Dict[Any, Session] = {}
-        self.slab = SessionSlab(max_queue=max_queue)
         #: Records of *closed* sessions, in close order.
         self.records: List[ExchangeRecord] = []
         self.opened_total = 0
         self.closed_total = 0
         self.shed_total = 0
         self.drop_total = 0
-        # Preallocated per-slot callbacks, extended with slab capacity.
-        self._drain_tasks: List[_DrainTask] = []
-        self._idle_tasks: List[_IdleTask] = []
-        # Oldest-idle shed heap: (last_activity, open_seq, generation,
-        # slot).  open_seq breaks activity ties in open order, matching
-        # the PR 7 min()-over-insertion-order semantics exactly.
-        self._idle_heap: List[Tuple[float, int, int, int]] = []
+        # Oldest-idle shed heap: (last_activity, open_seq, peer).  open_seq
+        # breaks activity ties in open order, the order of a min() over
+        # the table, and is unique, so peers are never compared.
+        self._idle_heap: List[Tuple[float, int, Any]] = []
         self._heap_stale = 0
         self._open_seq = 0
         self._admission = Admission(False, False, None)
@@ -315,13 +281,11 @@ class SessionManager:
         session = self.sessions.get(peer)
         if session is None:
             session = self._open(peer, send)
-        slab = self.slab
-        slot = session._slot
-        queue = slab.queue[slot]
+        queue = session.queue
         admission = self._admission
         if len(queue) >= self.max_queue:
-            slab.drops[slot] += 1
-            slab.congested[slot] = True
+            session.drops += 1
+            session.congested = True
             self.drop_total += 1
             if self.obs.enabled:
                 self._handles().queue_drops.inc()
@@ -329,33 +293,31 @@ class SessionManager:
         else:
             queue.append(data)
             if len(queue) >= self.max_queue:
-                slab.congested[slot] = True
-            if not slab.drain_scheduled[slot]:
-                slab.drain_scheduled[slot] = True
-                task = self._drain_tasks[slot]
-                task.gen = slab.generation[slot]
-                self.defer(task)
+                session.congested = True
+            if not session.drain_scheduled:
+                session.drain_scheduled = True
+                self.defer(session)
             admission.accepted = True
-        admission.congested = slab.congested[slot]
+        admission.congested = session.congested
         admission.session = session
         return admission
 
-    def _drain_slot(self, slot: int, gen: int) -> None:
-        slab = self.slab
-        if slab.generation[slot] != gen or slab.closed[slot]:
-            return  # the session this drain was scheduled for is gone
-        slab.drain_scheduled[slot] = False
-        queue = slab.queue[slot]
+    def _drain_slot(self, session: Session) -> None:
+        """Feed ``session``'s queued frames to its app (a deferred drain)."""
+        if session.closed:
+            return  # the session this drain was deferred for is gone
+        session.drain_scheduled = False
+        queue = session.queue
         if queue:
-            app = slab.app[slot]
-            recorder = slab.recorder[slot]
-            slab.last_activity[slot] = self.clock()
+            app = session.app
+            recorder = session.recorder
+            session.last_activity = self.clock()
             obs = self.obs
             try:
                 if obs.enabled:
                     frames_in = self._handles().frames_in
                     span = obs.tracer.span
-                    peer_name = str(slab.peer[slot])
+                    peer_name = str(session.peer)
                     protocol = self.protocol
                     while queue:
                         data = queue.popleft()
@@ -374,25 +336,24 @@ class SessionManager:
                         app.on_frame(data)
             except Exception:
                 # Each session is a fault domain: a raising app loses its
-                # own session (and the rest of its queue, which the close
-                # clears) and nobody else's.  A paused connection still
-                # resumes, so its transport is not stranded.
-                resume = slab.resume[slot] if slab.congested[slot] else None
-                self.close(slab.peer[slot], reason="app_error")
+                # own session (and the rest of its queue, which no later
+                # drain delivers) and nobody else's.  A paused connection
+                # still resumes, so its transport is not stranded.
+                resume = session.resume if session.congested else None
+                self.close(session.peer, reason="app_error")
                 if resume is not None:
                     resume()
                 return
-        if slab.congested[slot]:
-            slab.congested[slot] = False
-            resume = slab.resume[slot]
+        if session.congested:
+            session.congested = False
+            resume = session.resume
             if resume is not None:
                 resume()
 
     # -- session lifecycle -------------------------------------------------
 
     def _open(self, peer: Any, send: Any) -> Session:
-        slab = self.slab
-        while slab.live >= self.max_sessions:
+        while len(self.sessions) >= self.max_sessions:
             self._shed_oldest_idle()
         now = self.clock()
         seed = session_seed(self.seed, str(peer))
@@ -416,105 +377,98 @@ class SessionManager:
             _send(data)
 
         app = self.app_cls(sending, seed=seed, **self.app_params)
-        slot = slab.alloc(peer, app, send, now, recorder)
-        while len(self._drain_tasks) <= slot:
-            index = len(self._drain_tasks)
-            self._drain_tasks.append(_DrainTask(self, index))
-            self._idle_tasks.append(_IdleTask(self, index))
-        session = slab.handle[slot]
-        assert session is not None
+        self._open_seq += 1
+        session = Session(self, peer, app, recorder, now, self._open_seq)
         self.sessions[peer] = session
         self.opened_total += 1
-        self._open_seq += 1
-        gen = slab.generation[slot]
-        heapq.heappush(self._idle_heap, (now, self._open_seq, gen, slot))
-        idle_task = self._idle_tasks[slot]
-        idle_task.gen = gen
-        slab.idle_handle[slot] = self.wheel.schedule(
-            self.idle_timeout, idle_task
+        heapq.heappush(self._idle_heap, (now, self._open_seq, peer))
+        session.idle_handle = self.wheel.schedule(
+            self.idle_timeout, session.idle_check
         )
         obs = self.obs
         if obs.enabled:
             handles = self._handles()
             handles.opened.inc()
-            handles.active.set(slab.live)
+            handles.active.set(len(self.sessions))
             obs.tracer.event(
                 "serve.session_open", protocol=self.protocol, peer=str(peer)
             )
         return session
 
-    def _idle_check(self, slot: int, gen: int) -> None:
-        slab = self.slab
-        if slab.generation[slot] != gen or slab.closed[slot]:
-            return  # stale timer: the slot was retired (maybe reused)
-        idle_for = self.clock() - slab.last_activity[slot]
+    def _idle_check(self, session: Session) -> None:
+        idle_for = self.clock() - session.last_activity
         if idle_for + 1e-9 >= self.idle_timeout:
             # Protocol timer first (the handshake responder's RESET),
-            # then reap the slot.
-            slab.app[slot].on_timer()
-            self.close(slab.peer[slot], reason="idle")
+            # then reap.  A raising timer closes only its own session:
+            # the wheel keeps firing everyone else's.
+            try:
+                session.app.on_timer()
+            except Exception:
+                self.close(session.peer, reason="app_error")
+                return
+            self.close(session.peer, reason="idle")
         else:
             # Activity since scheduling: re-arm for the remainder.  This
             # lazy scheme touches the wheel once per timeout window, not
-            # once per frame — and reuses the same callback object.
-            task = self._idle_tasks[slot]
-            task.gen = gen
-            slab.idle_handle[slot] = self.wheel.schedule(
-                self.idle_timeout - idle_for, task
+            # once per frame.
+            session.idle_handle = self.wheel.schedule(
+                self.idle_timeout - idle_for, session.idle_check
             )
 
+    def _stamped(self, open_seq: int, peer: Any) -> Optional[Session]:
+        """The live session a shed-heap stamp was pushed for, or None."""
+        session = self.sessions.get(peer)
+        if session is None or session.open_seq != open_seq:
+            return None
+        return session
+
     def _shed_oldest_idle(self) -> None:
-        slab = self.slab
         heap = self._idle_heap
         while heap:
-            stamp, seq, gen, slot = heap[0]
-            if slab.generation[slot] != gen or slab.closed[slot]:
+            stamp, seq, peer = heap[0]
+            session = self._stamped(seq, peer)
+            if session is None:
                 heapq.heappop(heap)  # tombstone from a normal close
                 self._heap_stale = max(0, self._heap_stale - 1)
                 continue
-            current = slab.last_activity[slot]
+            current = session.last_activity
             if current > stamp:
                 # The session was active since this stamp: refresh the
                 # entry in place and look again (exact lazy deletion).
-                heapq.heapreplace(heap, (current, seq, gen, slot))
+                heapq.heapreplace(heap, (current, seq, peer))
                 continue
             heapq.heappop(heap)
             self.shed_total += 1
             if self.obs.enabled:
                 self._handles().shed.inc()
-            self.close(slab.peer[slot], reason="shed")
+            self.close(peer, reason="shed")
             return
         raise RuntimeError(
             "shed requested with no shedable session "
-            f"(live={slab.live}, max={self.max_sessions})"
+            f"(live={len(self.sessions)}, max={self.max_sessions})"
         )
 
     def close(self, peer: Any, reason: str = "peer") -> Optional[Session]:
-        """Close one session; returns its (frozen) view, or None."""
+        """Close one session; returns it (now ``closed``), or None."""
         session = self.sessions.pop(peer, None)
         if session is None:
             return None
-        slab = self.slab
-        slot = session._slot
-        idle_handle = slab.idle_handle[slot]
-        if idle_handle is not None:
-            self.wheel.cancel(idle_handle)
-        recorder = slab.recorder[slot]
+        session.closed = True
+        self.wheel.cancel(session.idle_handle)
+        session.idle_handle = None
+        recorder = session.recorder
         if recorder is not None:
             self.records.append(recorder.record)
-        opened_at = slab.opened_at[slot]
-        slab.retire(slot)  # freezes the view, bumps the generation
         if reason != "shed":
             # A shed already popped its heap stamp; any other close
             # leaves one behind.  Compact when tombstones outnumber the
             # live table (amortized O(1) per close).
             self._heap_stale += 1
-            if self._heap_stale > slab.live + _HEAP_SLACK:
+            if self._heap_stale > len(self.sessions) + _HEAP_SLACK:
                 self._idle_heap = [
                     entry
                     for entry in self._idle_heap
-                    if slab.generation[entry[3]] == entry[2]
-                    and not slab.closed[entry[3]]
+                    if self._stamped(entry[1], entry[2]) is not None
                 ]
                 heapq.heapify(self._idle_heap)
                 self._heap_stale = 0
@@ -523,8 +477,8 @@ class SessionManager:
         if obs.enabled:
             handles = self._handles()
             handles.closed(reason).inc()
-            handles.active.set(slab.live)
-            handles.seconds.observe(max(0.0, self.clock() - opened_at))
+            handles.active.set(len(self.sessions))
+            handles.seconds.observe(max(0.0, self.clock() - session.opened_at))
             obs.tracer.event(
                 "serve.session_close",
                 protocol=self.protocol,
@@ -543,7 +497,7 @@ class SessionManager:
     # -- introspection -----------------------------------------------------
 
     def collect_records(self) -> List[ExchangeRecord]:
-        """Closed sessions' records plus the live ones, in open order."""
+        """Closed sessions' records in close order, then live ones in open order."""
         live = [
             s.recorder.record
             for s in self.sessions.values()
@@ -554,7 +508,7 @@ class SessionManager:
     def stats(self) -> Dict[str, int]:
         """Operator counters (mirrored in obs when enabled)."""
         return {
-            "active": self.slab.live,
+            "active": len(self.sessions),
             "opened": self.opened_total,
             "closed": self.closed_total,
             "shed": self.shed_total,
@@ -563,6 +517,6 @@ class SessionManager:
 
     def __repr__(self) -> str:
         return (
-            f"SessionManager({self.protocol!r}, active={self.slab.live}, "
+            f"SessionManager({self.protocol!r}, active={len(self.sessions)}, "
             f"max={self.max_sessions})"
         )

@@ -41,7 +41,7 @@ class TimerHandle:
         self.deadline = deadline
         self.tick = tick
         self.seq = seq
-        self.callback = callback
+        self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.fired = False
 
@@ -125,12 +125,15 @@ class TimerWheel:
         """Cancel a pending timer; returns whether it was still live.
 
         O(1): the entry stays in its bucket as a tombstone and is dropped
-        when the cursor reaches it.  Cancelling a fired or already
-        cancelled handle is a no-op, as with simulator events.
+        when the cursor reaches it; its callback is dropped now, so the
+        tombstone keeps nothing the callback refers to alive until then.
+        Cancelling a fired or already cancelled handle is a no-op, as
+        with simulator events.
         """
         if handle.cancelled or handle.fired:
             return False
         handle.cancelled = True
+        handle.callback = None
         self._pending -= 1
         self.cancelled_total += 1
         return True

@@ -151,12 +151,12 @@ class TestCancelTimerAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Slab store vs. the original heap-of-objects semantics
+# The compacting simulator vs. the original never-compacting heap
 # ---------------------------------------------------------------------------
 
 
 class _RefEvent:
-    """One event record in the reference (pre-slab) implementation."""
+    """One event record in the reference implementation."""
 
     __slots__ = ("time", "sequence", "callback", "cancelled", "fired")
 
@@ -175,10 +175,10 @@ class _ReferenceSimulator:
     """The original per-object heap semantics, kept verbatim as the oracle.
 
     Cancelled events stay in the heap forever (no compaction); skipping a
-    tombstone never counts as processing.  The slab simulator must agree
-    on fire order, clock, and all live-event accounting — only the
-    physical queue size (``pending``) may differ, because the slab
-    compacts tombstones away.
+    tombstone never counts as processing.  The simulator must agree on
+    fire order, clock, and all live-event accounting — only the physical
+    queue size (``pending``) may differ, because the simulator compacts
+    tombstones away.
     """
 
     def __init__(self):
@@ -264,7 +264,7 @@ class TestSlabMatchesReferenceHeap:
             assert sim.now == ref.now
             assert sim.events_processed == ref.events_processed
             assert sim.events_pending == ref.events_pending
-            # ...and the slab's physical queue never exceeds the
+            # ...and the simulator's physical queue never exceeds the
             # reference's (compaction only ever sheds tombstones).
             assert sim.pending <= len(ref._heap)
         sim.run()
@@ -294,7 +294,7 @@ class TestSlabMatchesReferenceHeap:
                 sim.run(max_events=b)
                 ref.run(max_events=b)
             # Every handle ever issued — pending, fired, cancelled,
-            # compacted, slot-recycled — answers like the old object did.
+            # compacted — answers like the reference record does.
             for ours, theirs in zip(sim_events, ref_events):
                 assert ours.time == theirs.time
                 assert ours.sequence == theirs.sequence
@@ -320,13 +320,28 @@ class TestTombstoneCompaction:
             assert sim.events_pending == 1
             assert sim.pending <= 3  # 1 live + at most 1 tombstone + slack
         assert sim.compactions > 0
-        assert sim.slab_capacity <= 4  # slots recycled, not accumulated
         fired = []
         sim.schedule(0.5, lambda: fired.append("first"))
         sim.run(max_events=2)
         assert fired == ["first"]
         assert sim.events_processed == 2
         assert sim.events_pending == 0
+
+    def test_compaction_inside_run_keeps_until_and_accounting(self):
+        # A callback's cancellations compact the queue while run() is
+        # walking it: run must still stop at `until` and count exactly.
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(10.0 + i, lambda: fired.append("doomed"))
+                  for i in range(4)]
+        sim.schedule(14.0, lambda: fired.append(14.0))
+        sim.schedule(20.0, lambda: fired.append(20.0))
+        sim.schedule(1.0, lambda: [event.cancel() for event in doomed])
+        sim.run(until=15.0)
+        assert sim.compactions > 0
+        assert fired == [14.0]
+        assert sim.now == 15.0
+        assert sim.events_pending == sim.pending == 1
 
     def test_mass_cancel_compacts_immediately(self):
         sim = Simulator()

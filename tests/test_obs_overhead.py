@@ -91,8 +91,8 @@ def _time_serve_datapath(obs) -> float:
     """The serve demux hot path: frame_from + inline drain, at density.
 
     Accepts run untimed (they include app construction); the timed
-    region is the steady-state per-frame path the slab rewrite made
-    allocation-free — one dict lookup, slab indexing, drain, app
+    region is the steady-state per-frame path, which allocates nothing
+    of its own — one dict lookup, session field access, drain, app
     dispatch, ack out.
     """
     wheel = TimerWheel(tick=0.01, now=0.0)

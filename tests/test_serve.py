@@ -18,12 +18,13 @@ Five layers of scrutiny, cheapest first:
    as separate processes, the server's records replayed afterwards.
 
 The 5000-session soak (shed threshold 4000) lives behind the ``slow``
-marker with the other long lanes; the slab rewrite's regression tests
-(slot recycling, frozen views, stale-drain fences, bounded bookkeeping)
-ride layer 2.
+marker with the other long lanes; the session-storage regression tests
+(bounded bookkeeping, closed sessions that keep their state, stale
+drains, sessions freed by reference counting) ride layer 2.
 """
 
 import asyncio
+import gc
 import io
 import json
 import os
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -270,22 +272,19 @@ class TestSessionManager:
 
 
 class TestSlabStorage:
-    """The slab rewrite's contract: density without observable change."""
+    """Session storage: density without observable change."""
 
     def test_slot_recycling_bounds_the_arena(self):
-        # 200 peers churn through one-at-a-time; the slab never grows
-        # past peak concurrency and close() leaves no per-peer residue
-        # (the PR 7 _drain_scheduled dict leaked one entry per peer ever
-        # seen — this is its regression test).
+        # 200 peers churn through one-at-a-time; close() leaves no
+        # per-peer residue (a per-peer _drain_scheduled dict once leaked
+        # one entry per peer ever seen — this is its regression test).
         h = _Harness()
         for index in range(200):
             peer = f"peer:{index}"
             h.offer(peer, _data_frame(0))
             h.manager.close(peer)
-        assert h.manager.slab.capacity == 1  # one slot, recycled 200x
-        assert len(h.manager._drain_tasks) == 1
-        assert len(h.manager._idle_tasks) == 1
         assert not hasattr(h.manager, "_drain_scheduled")
+        assert h.wheel.pending == 0  # every close cancelled its idle timer
         assert h.manager.stats() == {
             "active": 0,
             "opened": 200,
@@ -308,23 +307,20 @@ class TestSlabStorage:
         h = _Harness()
         h.offer("a", _data_frame(0, b"from-a"))
         view_a = h.manager.sessions["a"]
-        slot_a = view_a.slot
         h.manager.close("a")
         assert view_a.closed
-        # The slot is recycled by the next session...
+        # A later session opens...
         h.offer("b", _data_frame(0, b"from-b"))
         view_b = h.manager.sessions["b"]
-        assert view_b.slot == slot_a
-        # ...but the frozen view still answers for its own session.
+        # ...and the closed session still answers for itself.
         assert view_a.peer == "a"
         assert view_a.app.delivered == [b"from-a"]
         assert view_b.app.delivered == [b"from-b"]
         assert not view_b.closed
 
     def test_stale_drain_never_touches_a_retired_slot(self):
-        # A drain deferred for session a fires after a was closed: the
-        # generation fence must discard it (the slot's arrays are
-        # cleared; touching them would be an AttributeError on None).
+        # A drain deferred for session a fires after a was closed: it
+        # must deliver nothing and change nothing.
         pending = []
         h = _Harness(defer=pending.append)
         h.offer("a", _data_frame(0))
@@ -334,16 +330,13 @@ class TestSlabStorage:
         assert h.manager.stats()["active"] == 0
 
     def test_drain_across_slot_reuse_delivers_exactly_once(self):
-        # The drain callback is slot-level and idempotent: when a's
-        # stale drain fires after b recycled the slot, it runs b's
-        # pending drain early — and the second firing is a no-op, so
-        # delivery stays exactly-once in order.
+        # a's stale drain fires after b opened: it is a no-op, and b's
+        # own drain delivers b's frame exactly once.
         pending = []
         h = _Harness(defer=pending.append)
         h.offer("a", _data_frame(0))
         h.manager.close("a")
         h.offer("b", _data_frame(0, b"for-b"))
-        assert h.manager.sessions["b"].slot == 0  # recycled slot
         for drain in pending:
             drain()
         assert h.manager.sessions["b"].app.delivered == [b"for-b"]
@@ -377,6 +370,34 @@ class TestSlabStorage:
         assert built == ["a", "b"]  # once per open, never per frame
         assert len(sent) == 3  # every frame was acked
 
+    def test_closed_session_is_freed_by_reference_counting(self):
+        # Nothing the manager, the wheel or the shed heap keeps after a
+        # close may refer to the session: with the cyclic collector off,
+        # a session closed normally, shed, or reaped idle must be freed
+        # as soon as the test drops its own references.
+        h = _Harness(max_sessions=1, idle_timeout=1.0)
+
+        def open_session(peer):
+            admission = h.offer(peer, _data_frame(0))
+            ref = weakref.ref(admission.session)
+            admission.session = None  # the manager reuses this record
+            return ref
+
+        gc.disable()
+        try:
+            closed = open_session("a")
+            h.manager.close("a")
+            assert closed() is None
+            shed = open_session("b")
+            reaped = open_session("c")  # max_sessions=1: sheds b
+            assert h.manager.shed_total == 1
+            assert shed() is None
+            h.tick(1.05)
+            assert h.manager.stats()["active"] == 0
+            assert reaped() is None
+        finally:
+            gc.enable()
+
 
 class _RaisingReceiver(ArqResponderApp):
     """An ARQ responder that raises after delivering ``b"boom"``."""
@@ -385,6 +406,14 @@ class _RaisingReceiver(ArqResponderApp):
         super().on_frame(data)
         if self.delivered and self.delivered[-1] == b"boom":
             raise RuntimeError("injected role failure")
+
+
+class _RaisingTimer(ArqResponderApp):
+    """An ARQ responder whose protocol timer raises once it delivered ``b"boom"``."""
+
+    def on_timer(self):
+        if self.delivered == [b"boom"]:
+            raise RuntimeError("injected timer failure")
 
 
 class TestSessionFaultDomain:
@@ -414,6 +443,78 @@ class TestSessionFaultDomain:
         for drain in pending:
             drain()
         assert h.manager.sessions["a"].app.delivered == [b"again"]
+
+    def test_raising_timer_closes_only_its_session(self, monkeypatch):
+        # Both sessions fall idle in one advance; a's protocol timer
+        # raises.  The exception must not escape the wheel, which has
+        # already taken b's entry out of its bucket by then.
+        monkeypatch.setitem(APPS, "arq", _RaisingTimer)
+        h = _Harness(idle_timeout=1.0)
+        reasons = {}
+        close = h.manager.close
+
+        def recording_close(peer, reason="peer"):
+            reasons[peer] = reason
+            return close(peer, reason=reason)
+
+        h.manager.close = recording_close
+        h.offer("a", _data_frame(0, b"boom"))
+        h.offer("b", _data_frame(0, b"fine"))
+        h.tick(1.05)
+        assert reasons == {"a": "app_error", "b": "idle"}
+        assert h.wheel.pending == 0
+
+    def test_tcp_framing_error_closes_only_that_connection(self):
+        from repro.obs.instrument import Instrumentation
+
+        instr = Instrumentation()
+
+        async def read_frames(reader, deframer):
+            frames = []
+            while not frames:
+                frames += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
+            return frames
+
+        async def main():
+            server = await Server.start(
+                ServeConfig(protocol="arq", kind="tcp"), obs=instr
+            )
+            bad_reader, bad_writer = await asyncio.open_connection(
+                "127.0.0.1", server.tcp_port
+            )
+            good_reader, good_writer = await asyncio.open_connection(
+                "127.0.0.1", server.tcp_port
+            )
+            good = StreamDeframer()
+            for reader, writer, deframer in (
+                (bad_reader, bad_writer, StreamDeframer()),
+                (good_reader, good_writer, good),
+            ):
+                writer.write(encode_frame(_data_frame(0)))
+                await writer.drain()
+                await read_frames(reader, deframer)
+            opened = len(server.manager.sessions)
+            bad_writer.write(b"\x00\x00")  # a zero-length prefix
+            await bad_writer.drain()
+            eof = await asyncio.wait_for(bad_reader.read(64), 5)
+            good_writer.write(encode_frame(_data_frame(1)))
+            await good_writer.drain()
+            acks = await read_frames(good_reader, good)
+            peers = list(server.manager.sessions)
+            good_peer = good_writer.get_extra_info("sockname")
+            bad_writer.close()
+            good_writer.close()
+            await server.close()
+            return opened, eof, acks, peers, good_peer
+
+        opened, eof, acks, peers, good_peer = asyncio.run(main())
+        assert opened == 2
+        assert eof == b""  # the server closed the desynchronized stream
+        assert len(acks) == 1  # the other connection is still served
+        assert peers == [good_peer]
+        assert instr.registry.value(
+            "serve.sessions_closed", protocol="arq", reason="framing"
+        ) == 1
 
     def test_full_tcp_queue_resumes_after_an_app_error(self, monkeypatch):
         monkeypatch.setitem(APPS, "arq", _RaisingReceiver)
@@ -746,9 +847,6 @@ class TestSoak:
         # slots (nobody refreshed, so arrival order is idleness order).
         survivors = {int(p.split(":")[1]) for p in h.manager.sessions}
         assert survivors == set(range(1000, 5000))
-        # Density bookkeeping: the slab arena equals peak concurrency,
-        # not peers-ever-seen.
-        assert h.manager.slab.capacity == 4000
 
     def test_no_session_observes_anothers_frames(self):
         h = _Harness(max_sessions=4000, idle_timeout=300.0)

@@ -5,7 +5,8 @@ schedule, cancel, and advance:
 
 * ``pending`` always equals the number of scheduled-but-unfired,
   uncancelled entries;
-* a cancelled entry never fires, no matter how the wheel's slots wrap;
+* a cancelled entry never fires, no matter how the wheel's slots wrap,
+  and holds no callback;
 * nothing fires early — an entry's callback runs only once the clock
   has passed its deadline (bounded lateness: at most one tick);
 * within one ``advance`` call, entries fire in (deadline, seq) order;
@@ -133,6 +134,9 @@ class TestWheelAccounting:
             if kill:
                 wheel.cancel(handle)
                 cancelled.add(i)
+                # The tombstone stays in its bucket until the cursor
+                # passes; it must not keep the callback's referents alive.
+                assert handle.callback is None
         wheel.advance(1.0)  # everything due
         assert set(fired).isdisjoint(cancelled)
         assert set(fired) == set(range(len(delays))) - cancelled
@@ -274,9 +278,9 @@ class TestSharedWheelAcrossManagers:
         assert rig.wheel.pending == 0
 
 
-# One step of a recycling interleaving over a tiny peer namespace, so
-# slots are reused constantly while stale idle entries linger in the
-# wheel: (op, peer_index, advance_step).
+# One step of a churning interleaving over a tiny peer namespace, so
+# peers reopen constantly while their earlier sessions' idle entries
+# linger in the wheel: (op, peer_index, advance_step).
 _recycle_steps = st.lists(
     st.tuples(
         st.sampled_from(["open", "touch", "close", "advance"]),
@@ -292,15 +296,13 @@ class TestSlotRecyclingNeverMisfires:
     @given(steps=_recycle_steps)
     @settings(max_examples=150, deadline=None)
     def test_stale_idle_checks_never_reap_a_fresh_occupant(self, steps):
-        """Slot recycling + lingering wheel entries never close early.
+        """Peer churn + lingering wheel entries never close early.
 
-        Four peers churn through open/touch/close against a manager
-        whose slots are recycled on every close, so the wheel keeps
-        entries armed for dead generations of the same slot.  The
-        property: a session is only ever reaped after a full
-        ``idle_timeout`` of genuine silence — a stale generation's
-        entry firing into a reused slot must never shorten the new
-        occupant's life.
+        Four peers churn through open/touch/close, so the wheel keeps
+        (cancelled) entries armed for earlier sessions of the same peer.
+        The property: a session is only ever reaped after a full
+        ``idle_timeout`` of genuine silence — an earlier session's entry
+        must never shorten a later session's life.
         """
         timeout = 0.1
         now = [0.0]
@@ -331,8 +333,8 @@ class TestSlotRecyclingNeverMisfires:
                 if now[0] - t < timeout - 1e-9:
                     assert p in manager.sessions, (
                         f"{p} reaped after only {now[0] - t:.4f}s idle "
-                        f"(timeout {timeout}); stale idle-check leaked "
-                        "into a recycled slot"
+                        f"(timeout {timeout}); an earlier session's idle "
+                        "check reaped a later one"
                     )
             # Reaped peers were genuinely idle for at least the timeout.
             for p in list(last_activity):

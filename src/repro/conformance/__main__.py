@@ -12,13 +12,15 @@ Examples::
 and the corpus file are the ones the serial run writes.
 
 With ``REPRO_OBS_EXPORT`` set (a JSONL path, a ``host:port``, or a
-comma-separated mix) a publisher thread streams live snapshots of the
-process registry — under ``--workers N`` it advances as each unit's
-metrics arrive — and the run finishes with one ``final`` payload holding
-the merged registry.  ``python -m repro.obs top <path>`` renders the
-stream live; ``REPRO_OBS_FLIGHTREC=<dir>`` additionally dumps a
+comma-separated mix) a publisher thread streams live ``export`` records
+of the process registry — under ``--workers N`` it advances as each
+unit's metrics arrive — and the run finishes with one ``final`` record
+holding the merged registry.  ``python -m repro.obs top <path>`` renders
+the stream live; ``REPRO_OBS_FLIGHTREC=<dir>`` additionally dumps a
 replayable flight-recorder bundle on every undeclared failure (see
-``--triage``).
+``--triage``).  Corpora and bundles are :mod:`repro.obs.records` files:
+a bundle leads with one corpus entry, so ``--replay`` and ``--triage``
+run both through the same per-engine replay.
 
 Exit status 0 means every engine ran clean (or every replayed entry
 still reproduces, or a triaged bundle still reproduces); 1 means
@@ -33,8 +35,16 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.conformance.runner import ENGINES, ConformanceReport, replay_corpus, run_all
+from repro.conformance.corpus import load_entries
+from repro.conformance.runner import (
+    ENGINES,
+    ConformanceReport,
+    replay,
+    replay_corpus,
+    run_all,
+)
 from repro.fastpath.policy import MODES, FastPath, get_policy, set_policy
+from repro.obs import records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,19 +142,24 @@ def _apply_fastpath(choice: Optional[str]) -> None:
 
 def _triage(path: str) -> int:
     """Replay one flight-recorder bundle; 0 when it still reproduces."""
-    from repro.obs.live.flightrec import load_bundle, replay_bundle
-
-    bundle = load_bundle(path)
+    items = records.read(path)
+    kinds = [r.kind for r in items]
     print(
-        f"bundle {path}: kind={bundle.kind} subject={bundle.subject or '-'} "
-        f"seed={bundle.seed} frames={len(bundle.frames)} "
-        f"trace={len(bundle.trace)} spans"
+        f"bundle {path}: frames={kinds.count('frame')} "
+        f"trace={kinds.count('span')} spans"
     )
-    if bundle.detail:
-        print(f"  recorded: {bundle.detail}")
-    status, detail = replay_bundle(bundle)
-    print(f"  {status.upper()}: {detail}")
-    return 0 if status == "reproduced" else 1
+    statuses = []
+    for entry in load_entries(path):
+        print(
+            f"  entry engine={entry.engine} outcome={entry.outcome} "
+            f"subject={entry.subject or '-'} seed={entry.seed}"
+        )
+        if entry.detail:
+            print(f"  recorded: {entry.detail}")
+        status, detail = replay(entry)
+        print(f"  {status.upper()}: {detail}")
+        statuses.append(status)
+    return 0 if statuses and set(statuses) == {"reproduced"} else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -182,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if exporter is not None:
             publisher.stop()
-            exporter.publish(registry.snapshot(), kind="final")
+            exporter.publish(registry.snapshot(), phase="final")
             exporter.close()
     print(report.to_json() if args.json else report.render())
     return 0 if report.ok and not _demotions(report) else 1

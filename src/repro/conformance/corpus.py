@@ -1,6 +1,8 @@
 """The replayable corpus: interesting inputs and counterexamples on disk.
 
-A corpus is a JSONL file of :class:`CorpusEntry` records.  Two uses:
+A corpus is a file of ``entry`` records (:mod:`repro.obs.records`), one
+:class:`CorpusEntry` each, with a null ``ts`` so that one seed always
+writes the same bytes.  Two uses:
 
 * **seeding** — inputs that reached new coverage are persisted, so the
   next fuzzing run starts from territory the last one conquered;
@@ -9,14 +11,18 @@ A corpus is a JSONL file of :class:`CorpusEntry` records.  Two uses:
   ``python -m repro.conformance --replay FILE`` re-runs each entry and
   verifies the behaviour is still reproducible — the regression gate for
   every future codec/runtime change.
+
+A flight-recorder bundle leads with one entry too, so ``--replay`` and
+``--triage`` read bundles and corpora alike.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
+
+from repro.obs import records as obs_records
 
 
 @dataclass
@@ -36,36 +42,16 @@ class CorpusEntry:
         """The bytes to replay: the shrunk form when available."""
         return self.shrunk if self.shrunk is not None else self.data
 
-    def to_json(self) -> str:
-        record = {
-            "engine": self.engine,
-            "subject": self.subject,
-            "outcome": self.outcome,
-            "data": self.data.hex(),
-            "shrunk": self.shrunk.hex() if self.shrunk is not None else None,
-            "seed": self.seed,
-            "detail": self.detail,
-            "meta": self.meta,
-        }
-        return json.dumps(record, sort_keys=True)
+    def to_dict(self) -> Dict[str, Any]:
+        """The ``entry`` record body: every field, bytes as hex."""
+        shrunk = None if self.shrunk is None else self.shrunk.hex()
+        return dict(vars(self), data=self.data.hex(), shrunk=shrunk)
 
     @classmethod
-    def from_json(cls, line: str) -> "CorpusEntry":
-        record = json.loads(line)
-        return cls(
-            engine=record["engine"],
-            subject=record["subject"],
-            outcome=record["outcome"],
-            data=bytes.fromhex(record["data"]),
-            shrunk=(
-                bytes.fromhex(record["shrunk"])
-                if record.get("shrunk") is not None
-                else None
-            ),
-            seed=record.get("seed"),
-            detail=record.get("detail", ""),
-            meta=record.get("meta", {}),
-        )
+    def from_dict(cls, body: Dict[str, Any]) -> "CorpusEntry":
+        """Inverse of :meth:`to_dict`."""
+        shrunk = None if body["shrunk"] is None else bytes.fromhex(body["shrunk"])
+        return cls(**dict(body, data=bytes.fromhex(body["data"]), shrunk=shrunk))
 
 
 class Corpus:
@@ -75,7 +61,7 @@ class Corpus:
         self.path = path
         self.entries: List[CorpusEntry] = []
         if path is not None and os.path.exists(path):
-            self.entries = list(load_entries(path))
+            self.entries = load_entries(path)
 
     def add(self, entry: CorpusEntry) -> None:
         """Record an entry (in memory; call :meth:`save` to persist)."""
@@ -90,16 +76,16 @@ class Corpus:
         return [e for e in self.entries if e.outcome.startswith("bug")]
 
     def save(self, path: Optional[str] = None) -> str:
-        """Write all entries as JSONL; returns the path written."""
+        """Write all entries as ``entry`` records; returns the path written."""
         target = path or self.path
         if target is None:
             raise ValueError("no corpus path configured")
         directory = os.path.dirname(target)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                handle.write(entry.to_json() + "\n")
+        obs_records.write(
+            target, [obs_records.Record("entry", e.to_dict()) for e in self.entries]
+        )
         return target
 
     def __len__(self) -> int:
@@ -109,10 +95,7 @@ class Corpus:
         return iter(self.entries)
 
 
-def load_entries(path: str) -> Iterator[CorpusEntry]:
-    """Stream entries from a JSONL corpus file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield CorpusEntry.from_json(line)
+def load_entries(path: str) -> List[CorpusEntry]:
+    """The entries in a corpus file or flight-recorder bundle."""
+    records = obs_records.read(path)
+    return [CorpusEntry.from_dict(r.body) for r in records if r.kind == "entry"]

@@ -26,7 +26,7 @@ corpus for replay.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.codec import DecodeError, _patch_bits, encode_with_spans
@@ -283,29 +283,20 @@ class MutationFuzzer:
                     detail=classify(self.spec, shrunk)[1] or detail,
                 )
                 findings.append(finding)
-                # Arm REPRO_OBS_FLIGHTREC and every confirmed bug also
-                # drops a replayable bundle (no-op when unarmed).
-                flightrec.record_crash(
-                    f"fuzz_{outcome}",
+                entry = CorpusEntry(
+                    engine="fuzz",
                     subject=self.spec.name,
-                    detail=finding.detail,
-                    seed=self.seed,
+                    outcome=outcome,
                     data=mutated,
                     shrunk=shrunk,
-                    extra={"engine": "fuzz", "strategy": strategy},
+                    seed=self.seed,
+                    detail=finding.detail,
                 )
+                # Arm REPRO_OBS_FLIGHTREC and every confirmed bug also
+                # drops a replayable bundle (no-op when unarmed).
+                flightrec.record_crash(replace(entry, meta={"strategy": strategy}))
                 if self.corpus is not None:
-                    self.corpus.add(
-                        CorpusEntry(
-                            engine="fuzz",
-                            subject=self.spec.name,
-                            outcome=outcome,
-                            data=mutated,
-                            shrunk=shrunk,
-                            seed=self.seed,
-                            detail=finding.detail,
-                        )
-                    )
+                    self.corpus.add(entry)
         return findings
 
 

@@ -21,6 +21,7 @@ thin wrappers over this module.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
@@ -28,12 +29,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import fastpath
-from repro.conformance.corpus import Corpus, load_entries
+from repro.conformance import registry
+from repro.conformance.corpus import Corpus, CorpusEntry, load_entries
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.differential import DifferentialEngine
 from repro.conformance.machineconf import MachineConformance, replay_machine_entry
 from repro.conformance.mutate import Finding, MutationFuzzer, replay_entry
-from repro.conformance.registry import all_machine_entries, all_spec_entries
+from repro.core import codec as core_codec
+from repro.fastpath import policy as fp_policy
 from repro.obs.instrument import enable, get_default
 from repro.parallel.pool import CallError, ShardedPool
 
@@ -144,7 +147,9 @@ def plan_units(
     """
     units: List[Dict[str, Any]] = []
     if "fuzz" in engines:
-        entries = [e for e in all_spec_entries() if specs is None or e.name in specs]
+        entries = [
+            e for e in registry.all_spec_entries() if specs is None or e.name in specs
+        ]
         per_spec = max(1, budget // max(1, len(entries)))
         units.extend(
             {
@@ -166,7 +171,9 @@ def plan_units(
         )
     if "machine" in engines:
         entries = [
-            e for e in all_machine_entries() if machines is None or e.name in machines
+            e
+            for e in registry.all_machine_entries()
+            if machines is None or e.name in machines
         ]
         per_machine = max(1, budget // max(1, len(entries)))
         units.extend(
@@ -194,7 +201,7 @@ def execute_unit(
     corpus = Corpus()
     engine: Any
     if kind == "fuzz":
-        entry = next(e for e in all_spec_entries() if e.name == name)
+        entry = next(e for e in registry.all_spec_entries() if e.name == name)
         engine = MutationFuzzer(
             entry,
             derive_rng(seed, "fuzz", name),
@@ -212,7 +219,7 @@ def execute_unit(
             shrink_budget=shrink_budget,
         )
     elif kind == "machine":
-        entry = next(e for e in all_machine_entries() if e.name == name)
+        entry = next(e for e in registry.all_machine_entries() if e.name == name)
         engine = MachineConformance(
             entry,
             derive_rng(seed, "machine", name),
@@ -314,34 +321,83 @@ def run_all(
     )
 
 
+def replay(entry: CorpusEntry) -> Tuple[str, str]:
+    """Re-execute one corpus or flight-bundle entry: ``(status, detail)``.
+
+    ``status`` is ``"reproduced"`` (the recorded outcome recurs),
+    ``"drifted"`` (it no longer does: the bug moved or was fixed) or
+    ``"unreplayable"`` (the engine has no replay, the subject has left
+    the registry, or the entry holds nothing to re-run).  Registry
+    entries are looked up at call time.
+    """
+    if entry.engine == "machine":
+        subjects = registry.all_machine_entries()
+    elif entry.engine in ("fuzz", "fastpath"):
+        subjects = registry.all_spec_entries()
+    else:
+        return "unreplayable", f"{entry.engine!r} entries record context only"
+    subject = next((s for s in subjects if s.name == entry.subject), None)
+    if subject is None:
+        return "unreplayable", f"{entry.subject!r} is not in the registry"
+    if entry.engine == "fastpath":
+        return _replay_demotion(entry, subject.spec)
+    if entry.engine == "fuzz":
+        ok, detail = replay_entry(entry, subject.spec)
+    else:
+        ok, detail = replay_machine_entry(entry, subject)
+    return ("reproduced" if ok else "drifted"), detail or entry.detail
+
+
+def _replay_demotion(entry: CorpusEntry, spec: Any) -> Tuple[str, str]:
+    """Re-run the demoted op under ``verify``; does the spec demote again?"""
+    op = entry.meta.get("op")
+    values: Optional[Dict[str, Any]] = None
+    if op in ("encode", "finalize", "make"):
+        try:
+            values = ast.literal_eval(entry.meta.get("values", ""))
+        except (ValueError, SyntaxError):
+            return "unreplayable", f"recorded {op} values do not parse back"
+    elif op not in ("decode", "verify") or not entry.data:
+        return "unreplayable", f"demotion entry has no replayable op ({op!r})"
+    before = fastpath.stats()["demotions"]
+    with fastpath.use(mode="always", verify=True):
+        fp_policy.invalidate()  # fresh per-spec state: demotion can recur
+        try:
+            if op == "decode":
+                core_codec.decode_packet(spec, entry.data)
+            elif op == "verify":
+                spec.decode(entry.data)  # the receive gate, cross-checked
+            elif op == "finalize":
+                core_codec.compute_checksums(spec, values)
+            elif op == "make":
+                spec.make(**values)
+            else:
+                # encode_verbatim takes the raw value environment the
+                # demoted call saw (make() would recompute checksums).
+                core_codec.encode_verbatim(spec, values)
+        except Exception as exc:
+            # A declared error is fine — the question is whether the
+            # compiled tier diverged, which the demotion counter answers.
+            detail = f"replay raised {type(exc).__name__}: {exc}"
+        else:
+            detail = "replay completed"
+    if fastpath.stats()["demotions"] > before:
+        return "reproduced", f"compiled tier demoted again ({detail})"
+    return "drifted", f"no divergence on replay ({detail})"
+
+
 def replay_corpus(path: str) -> Tuple[int, List[str]]:
-    """Replay every entry in a corpus file.
+    """Replay every entry in a corpus file or flight bundle.
 
     Returns ``(entries_checked, drift_messages)`` — an empty second
     element means every recorded behaviour still reproduces.
+    Differential entries carry free-form reproducers with nothing
+    generic to recheck, so they count as checked but cannot drift.
     """
-    spec_entries = {e.name: e for e in all_spec_entries()}
-    machine_entries = {e.name: e for e in all_machine_entries()}
+    entries = load_entries(path)
     drifts: List[str] = []
-    checked = 0
-    for entry in load_entries(path):
-        checked += 1
-        if entry.engine == "fuzz":
-            spec_entry = spec_entries.get(entry.subject)
-            if spec_entry is None:
-                drifts.append(f"unknown spec {entry.subject!r} in corpus")
-                continue
-            ok, detail = replay_entry(entry, spec_entry.spec)
-        elif entry.engine == "machine":
-            machine_entry = machine_entries.get(entry.subject)
-            if machine_entry is None:
-                drifts.append(f"unknown machine {entry.subject!r} in corpus")
-                continue
-            ok, detail = replay_machine_entry(entry, machine_entry)
-        else:
-            # Differential entries carry free-form reproducers; nothing
-            # generic to recheck without the original oracle pairing.
-            continue
-        if not ok:
+    for entry in entries:
+        status, detail = replay(entry)
+        if status != "reproduced" and entry.engine != "differential":
             drifts.append(f"{entry.engine}/{entry.subject}: {detail}")
-    return checked, drifts
+    return len(entries), drifts

@@ -162,21 +162,19 @@ def _fp_demote(
         obs.registry.counter(
             "fastpath.divergences", spec=spec.name, reason=reason
         ).inc()
+    from repro.conformance.corpus import CorpusEntry
     from repro.obs.live.flightrec import record_crash
 
-    extra: Dict[str, Any] = {"reason": reason}
-    data: Optional[bytes] = None
-    if payload is not None:
-        data = payload.get("data")
-        extra.update(
-            (key, value) for key, value in payload.items() if key != "data"
-        )
+    meta = dict(payload or {})
     record_crash(
-        "fastpath_demotion",
-        subject=spec.name,
-        detail=reason,
-        data=data,
-        extra=extra,
+        CorpusEntry(
+            engine="fastpath",
+            subject=spec.name,
+            outcome="demotion",
+            data=meta.pop("data", b""),
+            detail=reason,
+            meta=meta,
+        )
     )
 
 

@@ -1,13 +1,13 @@
 """``python -m repro.obs`` — the operational CLI for the telemetry plane.
 
-Two subcommands, both reading live-export streams (see
-``repro.obs.live.expose``):
+Two subcommands, both reading :mod:`repro.obs.records` files:
 
-* ``report <export>`` renders the final dashboard from an export file —
-  the post-run view;
-* ``top <export>`` tails the stream and redraws the dashboard per
-  payload with counter rates — the during-run view, meant for a second
-  terminal beside ``python -m repro.conformance --workers N``.
+* ``report <file>`` renders the dashboard from the metrics and spans of
+  any record file — a live-export stream's ``final`` record, an
+  ``export_json`` file, a flight-recorder bundle — the post-run view;
+* ``top <export>`` tails a live-export stream and redraws the dashboard
+  per ``export`` record with counter rates — the during-run view, meant
+  for a second terminal beside ``python -m repro.conformance --workers N``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="render the dashboard from an export file"
     )
-    report.add_argument("export", help="live-export JSONL (or export_json file)")
+    report.add_argument(
+        "export", help="a record file: live export, export_json or flight bundle"
+    )
     report.add_argument(
         "--trace-limit",
         type=int,
@@ -51,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--frames",
         type=int,
         default=None,
-        help="stop after N frames (default: follow until a final payload)",
+        help="stop after N frames (default: follow until a final record)",
     )
     top.add_argument(
         "--no-follow",

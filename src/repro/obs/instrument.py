@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.records import Record
 from repro.obs.trace import Tracer
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -57,12 +58,10 @@ class Instrumentation:
         self.registry.reset()
         self.tracer.reset()
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Metrics + trace as plain JSON-ready data."""
-        return {
-            "metrics": self.registry.snapshot(),
-            "trace": [record.to_dict() for record in self.tracer.records()],
-        }
+    def to_records(self) -> List[Record]:
+        """A ``metrics`` record, then the trace as ``span`` records."""
+        metrics = Record("metrics", {"metrics": self.registry.snapshot()}, time.time())
+        return [metrics, *self.tracer.to_records()]
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

@@ -11,9 +11,10 @@ system runs*:
   append-only JSONL stream, republished by a
   :class:`~repro.obs.live.expose.PeriodicPublisher` thread;
 * :mod:`~repro.obs.live.flightrec` — the flight recorder: on any
-  undeclared crash (fuzzer bug bucket, fast-path demotion) dump the trace ring, recent wire frames, a metric snapshot
-  and the run seed to a replayable JSONL bundle (opt-in via
-  ``REPRO_OBS_FLIGHTREC``);
+  undeclared crash (fuzzer bug bucket, fast-path demotion) dump the
+  failure as a corpus entry, plus recent wire frames, a metric snapshot
+  and the trace ring, to a replayable :mod:`repro.obs.records` bundle
+  (opt-in via ``REPRO_OBS_FLIGHTREC``);
 * :mod:`~repro.obs.live.top` — the live TTY dashboard behind
   ``python -m repro.obs top`` (and ``... report``).
 
@@ -24,7 +25,6 @@ the run advance unit by unit.
 """
 
 from repro.obs.live.expose import (
-    EXPORT_SCHEMA,
     Exporter,
     JsonlSink,
     MetricsServer,
@@ -32,15 +32,11 @@ from repro.obs.live.expose import (
     prometheus_text,
 )
 from repro.obs.live.flightrec import (
-    BUNDLE_SCHEMA,
-    FlightBundle,
     FlightRecorder,
     active_recorder,
     install_recorder,
-    load_bundle,
     record_crash,
     record_frame,
-    replay_bundle,
 )
 
 __all__ = [
@@ -49,14 +45,9 @@ __all__ = [
     "MetricsServer",
     "PeriodicPublisher",
     "prometheus_text",
-    "EXPORT_SCHEMA",
     "FlightRecorder",
-    "FlightBundle",
-    "BUNDLE_SCHEMA",
     "active_recorder",
     "install_recorder",
     "record_crash",
     "record_frame",
-    "load_bundle",
-    "replay_bundle",
 ]

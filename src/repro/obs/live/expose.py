@@ -6,12 +6,13 @@ that operators point real collectors at, and the contract starts here:
 * :func:`prometheus_text` renders any metrics snapshot in the Prometheus
   text exposition format (counters, gauges, cumulative histogram
   buckets);
-* :class:`JsonlSink` appends timestamped snapshot payloads to a JSONL
-  file — the stream ``python -m repro.obs top`` tails;
+* :class:`JsonlSink` appends each published ``export`` record to a
+  JSONL file (:mod:`repro.obs.records` format) — the stream ``python -m
+  repro.obs top`` tails;
 * :class:`MetricsServer` is a localhost socket server (a ~hundred-line
   HTTP/1.0 responder, no ``http.server`` import) answering ``GET
-  /metrics`` with Prometheus text and ``GET /metrics.json`` with the raw
-  snapshot;
+  /metrics`` with Prometheus text and ``GET /metrics.json`` with the
+  latest ``export`` record;
 * :class:`Exporter` bundles any number of sinks behind one
   :meth:`~Exporter.publish` call and is built from the
   ``REPRO_OBS_EXPORT`` environment variable — a comma-separated list of
@@ -19,14 +20,14 @@ that operators point real collectors at, and the contract starts here:
   (JSONL stream).  Unset/empty/``off`` means no exporter: the entire
   plane stays inert and costs nothing.
 
-Every published payload is a *cumulative* snapshot: each JSONL line
-stands alone, so a tailing consumer can join at any point and a crashed
-run's last line is its last known state.
+Every published record is a *cumulative* snapshot — body ``seq``,
+``phase`` (``live``, ``final`` or ``snapshot``) and ``metrics`` — so
+each JSONL line stands alone: a tailing consumer can join at any point
+and a crashed run's last line is its last known state.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import socket
@@ -34,7 +35,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-EXPORT_SCHEMA = "repro.obs/live-export/v1"
+from repro.obs import records as obs_records
+from repro.obs.records import Record
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -104,7 +106,7 @@ def prometheus_text(snapshot: Dict[str, List[Dict[str, Any]]]) -> str:
 
 
 class JsonlSink:
-    """Appends one JSON payload per publish to a JSONL file."""
+    """Appends one ``export`` record per publish to a JSONL file."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -115,9 +117,8 @@ class JsonlSink:
         with open(path, "w", encoding="utf-8"):
             pass
 
-    def publish(self, payload: Dict[str, Any]) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+    def publish(self, record: Record) -> None:
+        obs_records.write(self.path, [record], mode="a")
 
     def close(self) -> None:  # file is opened per publish; nothing held
         pass
@@ -130,9 +131,9 @@ class MetricsServer:
     """A localhost socket serving the latest published snapshot.
 
     ``GET /metrics`` answers Prometheus text, ``GET /metrics.json`` the
-    raw payload; anything else is 404.  One thread, blocking accept,
-    HTTP/1.0 close-per-request — this is an exposition endpoint for a
-    scraper, not a web framework.
+    latest record as one JSON line; anything else is 404.  One thread,
+    blocking accept, HTTP/1.0 close-per-request — this is an exposition
+    endpoint for a scraper, not a web framework.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -141,15 +142,15 @@ class MetricsServer:
         self._sock.bind((host, port))
         self._sock.listen(8)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._latest: Optional[Dict[str, Any]] = None
+        self._latest = Record("export", {"seq": 0, "phase": "live", "metrics": {}})
         self._closed = False
         self._thread = threading.Thread(
             target=self._serve_forever, name="repro-obs-expose", daemon=True
         )
         self._thread.start()
 
-    def publish(self, payload: Dict[str, Any]) -> None:
-        self._latest = payload  # atomic reference swap; readers copy it
+    def publish(self, record: Record) -> None:
+        self._latest = record  # atomic reference swap
 
     def _serve_forever(self) -> None:
         while not self._closed:
@@ -176,13 +177,13 @@ class MetricsServer:
         first = request.split("\r\n", 1)[0]
         parts = first.split()
         path = parts[1] if len(parts) >= 2 else "/"
-        payload = self._latest or {"schema": EXPORT_SCHEMA, "metrics": {}}
+        record = self._latest
         if path.startswith("/metrics.json"):
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            body = obs_records.dumps(record).encode("utf-8")
             ctype = "application/json"
             status = "200 OK"
         elif path.startswith("/metrics"):
-            body = prometheus_text(payload.get("metrics", {})).encode("utf-8")
+            body = prometheus_text(record.body["metrics"]).encode("utf-8")
             ctype = "text/plain; version=0.0.4; charset=utf-8"
             status = "200 OK"
         else:
@@ -252,28 +253,22 @@ class Exporter:
         return cls(sinks)
 
     def publish(
-        self,
-        metrics: Dict[str, List[Dict[str, Any]]],
-        kind: str = "snapshot",
-        **extra: Any,
-    ) -> Dict[str, Any]:
-        """Publish one cumulative snapshot to every sink; returns the payload."""
+        self, metrics: Dict[str, List[Dict[str, Any]]], phase: str = "snapshot"
+    ) -> Record:
+        """Publish one cumulative snapshot to every sink; returns the record."""
         with self._lock:
             self._seq += 1
-            payload: Dict[str, Any] = {
-                "schema": EXPORT_SCHEMA,
-                "seq": self._seq,
-                "ts": time.time(),
-                "kind": kind,
-                "metrics": metrics,
-            }
-            payload.update(extra)
+            record = Record(
+                "export",
+                {"seq": self._seq, "phase": phase, "metrics": metrics},
+                time.time(),
+            )
             for sink in self.sinks:
                 try:
-                    sink.publish(payload)
+                    sink.publish(record)
                 except OSError:
                     pass  # a full disk must not take down the run
-            return payload
+            return record
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -320,7 +315,7 @@ class PeriodicPublisher:
             metrics = self.source()
         except Exception:
             return
-        self.exporter.publish(metrics, kind="live")
+        self.exporter.publish(metrics, phase="live")
 
     def stop(self) -> None:
         """Stop the thread (no final publish; callers publish the final)."""

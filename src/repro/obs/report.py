@@ -7,15 +7,19 @@ DSL runtime should be inspectable from a shell, with no collector stack.
 ``render_dashboard`` shows counters, gauges, histograms (with a unicode
 bar sketch of the bucket distribution) and a trace excerpt in which spans
 indent by nesting depth and every line carries *virtual* and *wall* time.
-``export_json`` emits the same data machine-readably (used by the
-benchmark harness to build ``BENCH_obs.json``).
+``export_json`` emits the same data machine-readably: one ``metrics``
+record plus one ``span`` record per trace record, in the
+:mod:`repro.obs.records` format, which ``python -m repro.obs report``
+renders back into this dashboard.  (``BENCH_obs.json`` does not come
+from here: ``benchmarks/conftest.py`` builds it from
+:func:`~repro.obs.metrics.compact_snapshot`.)
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.obs import records as obs_records
 from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.trace import SpanRecord
@@ -139,11 +143,11 @@ def render_dashboard(
     return "\n".join(lines)
 
 
-def export_json(obs: Instrumentation, path: Optional[str] = None, indent: int = 2) -> Dict[str, Any]:
-    """Metrics + trace as a JSON-ready dict; optionally written to ``path``."""
-    data = obs.snapshot()
+def export_json(
+    obs: Instrumentation, path: Optional[str] = None
+) -> List[obs_records.Record]:
+    """A ``metrics`` record plus ``span`` records; written to ``path`` if given."""
+    records = obs.to_records()
     if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=indent, sort_keys=True)
-            handle.write("\n")
-    return data
+        obs_records.write(path, records)
+    return records

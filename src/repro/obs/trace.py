@@ -15,17 +15,19 @@ runtime requires seeing both axes against one timeline.
 
 Spans nest: entering a span pushes it onto a stack, so records created
 inside it (child spans, point events) carry its id as ``parent_id``.
-Export is JSONL — one JSON object per record — and round-trips through
-:meth:`Tracer.from_jsonl`.
+Export is one ``span`` record per line in the :mod:`repro.obs.records`
+format, and round-trips through :meth:`Tracer.from_jsonl`.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import time
 import zlib
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs import records as obs_records
 
 
 def frame_digest(data: bytes) -> str:
@@ -97,7 +99,7 @@ class SpanRecord:
         return self.virt_end - self.virt_start
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form, as written to JSONL."""
+        """Plain-dict form: the body of a ``span`` record."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -256,19 +258,22 @@ class Tracer:
         """Buffered records whose parent is ``record``."""
         return [r for r in self._records if r.parent_id == record.span_id]
 
+    def to_records(self) -> List[obs_records.Record]:
+        """The buffer as ``span`` records, oldest first."""
+        return [obs_records.Record("span", r.to_dict()) for r in self._records]
+
     def to_jsonl(self) -> str:
-        """The buffer as JSON Lines (one record object per line)."""
-        return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in self._records)
+        """The buffer as JSON Lines, one ``span`` record per line."""
+        return "\n".join(map(obs_records.dumps, self.to_records()))
 
     @staticmethod
     def from_jsonl(text: str) -> List[SpanRecord]:
-        """Parse JSONL back into records (the export round-trip)."""
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                records.append(SpanRecord.from_dict(json.loads(line)))
-        return records
+        """The spans in JSONL text (the export round-trip)."""
+        return [
+            SpanRecord.from_dict(r.body)
+            for r in obs_records.read(io.StringIO(text))
+            if r.kind == "span"
+        ]
 
     def reset(self) -> None:
         """Drop all records and any open span state."""

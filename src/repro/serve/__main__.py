@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``serve`` binds a real UDP (and/or TCP) listener hosting a registry
   protocol; with ``--record FILE`` every session's exchange is written
-  as JSONL for offline differential replay.  Point
+  as an ``exchange`` record (:mod:`repro.obs.records`) for offline
+  differential replay.  Point
   ``REPRO_OBS_EXPORT`` at a path and ``python -m repro.obs top`` at the
   same path for a live dashboard.
 * ``client`` hosts one protocol's initiator role against a server.

@@ -41,9 +41,8 @@ Responsibilities, in the order a frame meets them:
    resumes a paused connection.
 4. **Idle reaping** rides the hashed timer wheel lazily: one timer per
    session, rescheduled only when it fires early — no cancel churn on
-   the per-frame hot path.  The wheel itself is shared: live, the
-   :class:`~repro.serve.transport.Server` owns one wheel and every
-   manager on it schedules there.
+   the per-frame hot path.  The wheel is the host's: live, the
+   :class:`~repro.serve.transport.Server` owns and ticks it.
 
 The per-frame metric handles (frames in/out, queue drops) are resolved
 once through ``MetricsRegistry.handle_cache`` instead of re-resolving
@@ -182,8 +181,8 @@ class SessionManager:
         Registry key into :data:`repro.serve.apps.APPS`.
     wheel:
         The hashed timer wheel driving idle reaping.  Live, this is the
-        owning :class:`~repro.serve.transport.Server`'s wheel, shared by
-        every manager (and ticked once); tests hand-advance it.
+        owning :class:`~repro.serve.transport.Server`'s wheel; tests
+        hand-advance it, and may share one wheel between managers.
     clock:
         Monotonic float source; ``loop.time`` live, hand-advanced in
         tests.

@@ -9,19 +9,20 @@ is the bridge between the planes: feeding its inbound side to
 the simulator oracle, and the oracle's responses are compared against
 the recorded outbound side byte for byte.
 
-Records serialize to JSONL (hex frames) so a live server's exchanges
-can be shipped to an offline differential run, and they render with
+Records serialize as ``exchange`` records (:mod:`repro.obs.records`,
+hex frames) so a live server's exchanges can be shipped to an offline
+differential run, and they render with
 :func:`~repro.netsim.capture.describe_frame` so a serve transcript
 reads exactly like a netsim capture transcript.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.netsim.capture import describe_frame
+from repro.obs import records as obs_records
 
 IN = "in"
 OUT = "out"
@@ -72,7 +73,6 @@ class ExchangeRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "type": "exchange",
             "protocol": self.protocol,
             "peer": self.peer,
             "seed": self.seed,
@@ -138,21 +138,13 @@ class ExchangeRecorder:
 
 
 def save_records(records: Sequence[ExchangeRecord], stream: TextIO) -> int:
-    """Write records as JSONL; returns the count."""
-    for record in records:
-        stream.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    return len(records)
+    """Write records as ``exchange`` records; returns the count."""
+    return obs_records.write(
+        stream, [obs_records.Record("exchange", r.to_dict()) for r in records]
+    )
 
 
 def load_records(stream: TextIO) -> List[ExchangeRecord]:
-    """Read back a JSONL record stream (blank lines ignored)."""
-    records = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        raw = json.loads(line)
-        if raw.get("type") != "exchange":
-            continue
-        records.append(ExchangeRecord.from_dict(raw))
-    return records
+    """The ``exchange`` records in a stream."""
+    records = obs_records.read(stream)
+    return [ExchangeRecord.from_dict(r.body) for r in records if r.kind == "exchange"]

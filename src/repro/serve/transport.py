@@ -220,11 +220,8 @@ class LossyDatagramTransport:
 class Server:
     """A bound serving plane: listeners + wheel tick + telemetry export.
 
-    The server owns **one** :class:`TimerWheel`; every manager it hosts
-    (the primary listener's plus any added through :meth:`add_listener`)
-    schedules into it, so a multi-protocol server ticks one wheel and
-    reaps every protocol's idle sessions in the same batch — not one
-    tick task per manager.
+    One :class:`SessionManager` serves the UDP and/or TCP listener, and
+    the server's one :class:`TimerWheel` tick task drives its timers.
     """
 
     def __init__(
@@ -237,52 +234,25 @@ class Server:
         self.loop = loop
         self.obs = obs if obs is not None else get_default()
         self.wheel = TimerWheel(tick=WHEEL_TICK, slots=WHEEL_SLOTS, now=loop.time())
-        self.managers: list[SessionManager] = []
-        self.manager = self._make_manager(config)
-        self.udp_transport: Optional[asyncio.DatagramTransport] = None
-        self.tcp_server: Optional[asyncio.AbstractServer] = None
-        self._extra_udp: list[asyncio.DatagramTransport] = []
-        self._tick_task: Optional[asyncio.Task] = None
-        self._exporter: Any = None
-        self._export_every = 0.25
-        self._last_export = 0.0
-
-    def _make_manager(self, config: ServeConfig) -> SessionManager:
-        manager = SessionManager(
+        self.manager = SessionManager(
             config.protocol,
-            wheel=self.wheel,  # shared: one wheel serves every manager
-            clock=self.loop.time,
+            wheel=self.wheel,
+            clock=loop.time,
             max_sessions=config.max_sessions,
             max_queue=config.max_queue,
             idle_timeout=config.idle_timeout,
             app_params=config.app_params,
             seed=config.seed,
             record=config.record,
-            defer=self.loop.call_soon,
+            defer=loop.call_soon,
             obs=self.obs,
         )
-        self.managers.append(manager)
-        return manager
-
-    async def add_listener(self, config: ServeConfig) -> SessionManager:
-        """Bind an additional UDP listener with its own manager.
-
-        The new manager rides this server's wheel and tick task —
-        wheel-sharing across managers is the point (see
-        ``tests/test_timer_wheel.py`` for the interleaving guarantees).
-        Returns the manager so callers can inspect its sessions/stats.
-        """
-        if config.kind != "udp":
-            raise ValueError(
-                f"add_listener supports udp listeners, got {config.kind!r}"
-            )
-        manager = self._make_manager(config)
-        transport, _ = await self.loop.create_datagram_endpoint(
-            lambda: UdpServeProtocol(manager),
-            local_addr=(config.host, config.port),
-        )
-        self._extra_udp.append(transport)
-        return manager
+        self.udp_transport: Optional[asyncio.DatagramTransport] = None
+        self.tcp_server: Optional[asyncio.AbstractServer] = None
+        self._tick_task: Optional[asyncio.Task] = None
+        self._exporter: Any = None
+        self._export_every = 0.25
+        self._last_export = 0.0
 
     @classmethod
     async def start(
@@ -358,15 +328,11 @@ class Server:
         if self.udp_transport is not None:
             self.udp_transport.close()
             self.udp_transport = None
-        for transport in self._extra_udp:
-            transport.close()
-        self._extra_udp.clear()
         if self.tcp_server is not None:
             self.tcp_server.close()
             await self.tcp_server.wait_closed()
             self.tcp_server = None
-        for manager in self.managers:
-            manager.close_all(reason="shutdown")
+        self.manager.close_all(reason="shutdown")
         if self._exporter is not None:
             try:
                 self._exporter.close()

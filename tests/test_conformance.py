@@ -10,6 +10,7 @@ Three kinds of test:
 * unit — shrinkers, coverage accounting, corpus round-trips, CLI.
 """
 
+import io
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from repro.conformance.runner import replay_corpus
 from repro.core.fields import Bytes, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import Var, this
+from repro.obs import records
 from repro.protocols.arq import build_sender_spec
 from repro.testing import random_packet
 
@@ -124,7 +126,11 @@ class TestCorpus:
             detail="decode raised X",
             meta={"k": "v"},
         )
-        assert CorpusEntry.from_json(entry.to_json()) == entry
+        stream = io.StringIO()
+        records.write(stream, [records.Record("entry", entry.to_dict())])
+        (record,) = records.read(io.StringIO(stream.getvalue()))
+        assert record.kind == "entry" and record.ts is None
+        assert CorpusEntry.from_dict(record.body) == entry
         assert entry.reproducer() == b"\xff"
 
     def test_save_and_load(self, tmp_path):

@@ -23,6 +23,7 @@ from repro.obs import (
     profiled,
     render_dashboard,
 )
+from repro.obs import records
 from repro.obs.trace import frame_digest
 
 PKT = PacketSpec(
@@ -516,9 +517,10 @@ class TestReport:
         instr.registry.counter("c").inc()
         with instr.tracer.span("s"):
             pass
-        path = tmp_path / "obs.json"
+        path = tmp_path / "obs.jsonl"
         data = obs.export_json(instr, path=str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(data))
-        assert loaded["metrics"]["c"][0]["value"] == 1
-        assert loaded["trace"][0]["name"] == "s"
+        loaded = records.read(str(path))
+        assert loaded == data
+        assert [r.kind for r in loaded] == ["metrics", "span"]
+        assert loaded[0].body["metrics"]["c"][0]["value"] == 1
+        assert loaded[1].body["name"] == "s"

@@ -5,12 +5,13 @@ The contracts under test:
 * ``MetricsRegistry.merge_snapshot`` validates before applying — a bad
   snapshot raises :class:`MergeError` and the registry is untouched;
 * the exporter plane (Prometheus text, JSONL sinks, localhost server)
-  publishes self-contained cumulative payloads, and stays entirely off
-  (``None``) when ``REPRO_OBS_EXPORT`` names no target;
+  publishes self-contained cumulative ``export`` records, and stays
+  entirely off (``None``) when ``REPRO_OBS_EXPORT`` names no target;
 * ``python -m repro.conformance --workers 2`` with exports on ends its
-  stream with a ``final`` payload whose counters equal the serial run's;
+  stream with a ``final`` record whose counters equal the serial run's;
 * an undeclared fuzzer failure with ``REPRO_OBS_FLIGHTREC`` armed dumps
-  a bundle that replays deterministically to the same failure.
+  a bundle whose corpus entry replays deterministically to the same
+  failure.
 """
 
 import json
@@ -21,14 +22,15 @@ import socket
 import pytest
 
 from repro import obs
-from repro.conformance.corpus import Corpus
+from repro.conformance.corpus import Corpus, CorpusEntry, load_entries
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.mutate import BUG_NONVERBATIM, MutationFuzzer, classify
 from repro.conformance.registry import SpecEntry
+from repro.conformance.runner import replay
 from repro.core.fields import Bytes, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import this
-from repro.obs import MergeError, MetricsRegistry
+from repro.obs import MergeError, MetricsRegistry, records
 from repro.obs.live import flightrec
 from repro.obs.live.expose import Exporter, JsonlSink, MetricsServer, prometheus_text
 from repro.obs.live.top import load_export, render_frame, render_rates
@@ -175,22 +177,27 @@ class TestExposition:
         exporter = Exporter.from_env({"REPRO_OBS_EXPORT": path})
         registry = MetricsRegistry()
         registry.counter("c").inc(1)
-        exporter.publish(registry.snapshot(), kind="live")
+        exporter.publish(registry.snapshot(), phase="live")
         registry.counter("c").inc(9)
-        exporter.publish(registry.snapshot(), kind="final", workers={"0": {}})
+        exporter.publish(registry.snapshot(), phase="final")
         exporter.close()
-        payloads = [json.loads(line) for line in open(path)]
-        assert [p["seq"] for p in payloads] == [1, 2]
-        assert payloads[0]["metrics"]["c"][0]["value"] == 1
-        assert payloads[1]["metrics"]["c"][0]["value"] == 10  # cumulative
-        assert payloads[1]["kind"] == "final"
+        payloads = [records.loads(line) for line in open(path)]
+        assert [p.body["seq"] for p in payloads] == [1, 2]
+        assert payloads[0].body["metrics"]["c"][0]["value"] == 1
+        assert payloads[1].body["metrics"]["c"][0]["value"] == 10  # cumulative
+        assert payloads[1].body["phase"] == "final"
 
     def test_metrics_server_answers_prometheus_and_json(self):
         server = MetricsServer()
         try:
             registry = MetricsRegistry()
             registry.counter("hits").inc(4)
-            server.publish({"schema": "x", "metrics": registry.snapshot()})
+            server.publish(
+                records.Record(
+                    "export",
+                    {"seq": 1, "phase": "live", "metrics": registry.snapshot()},
+                )
+            )
 
             def get(path):
                 with socket.create_connection(
@@ -211,7 +218,7 @@ class TestExposition:
             assert "200 OK" in text and "hits 4" in text
             raw = get("/metrics.json")
             body = raw.split("\r\n\r\n", 1)[1]
-            assert json.loads(body)["metrics"]["hits"][0]["value"] == 4
+            assert json.loads(body)["body"]["metrics"]["hits"][0]["value"] == 4
             assert "404" in get("/somewhere-else")
         finally:
             server.close()
@@ -232,10 +239,10 @@ class TestParallelEquality:
             argv = ["--seed", "9", "--budget", "80", "--engines", "fuzz"]
             assert main([*argv, *workers]) == 0
             payloads = load_export(export)
-            kinds = [p["kind"] for p in payloads]
+            kinds = [p.body["phase"] for p in payloads]
             assert kinds == ["live"] * (len(kinds) - 1) + ["final"]
             final = MetricsRegistry()
-            final.merge_snapshot(payloads[-1]["metrics"])
+            final.merge_snapshot(payloads[-1].body["metrics"])
             return _counters(final)
 
         serial = final_counters()
@@ -262,16 +269,22 @@ def _broken_spec():
     )
 
 
+def _replay(path):
+    """Replay a bundle's one entry, as ``--triage`` does."""
+    (entry,) = load_entries(path)
+    return replay(entry)
+
+
 class TestFlightRecorder:
     def test_unarmed_hooks_are_noops(self):
         assert flightrec.active_recorder() is None
-        assert flightrec.record_crash("fuzz_bug_crash", data=b"x") is None
+        assert flightrec.record_crash(CorpusEntry("fuzz", "X", "bug_crash", b"x")) is None
         flightrec.record_frame(b"x")  # must not raise
 
     def test_env_arms_the_recorder(self, tmp_path, monkeypatch):
         flightrec.reset_env_cache()
         monkeypatch.setenv("REPRO_OBS_FLIGHTREC", str(tmp_path))
-        path = flightrec.record_crash("fuzz_bug_crash", subject="X", data=b"\x01")
+        path = flightrec.record_crash(CorpusEntry("fuzz", "X", "bug_crash", b"\x01"))
         assert path is not None and os.path.dirname(path) == str(tmp_path)
 
     def test_bundle_round_trip_with_frame_ring(self, tmp_path):
@@ -285,21 +298,26 @@ class TestFlightRecorder:
         for index in range(4):
             recorder.record_frame(bytes([index]), context=f"ch{index}")
         path = recorder.dump(
-            "fuzz_bug_crash",
-            subject="Demo",
-            detail="boom",
-            seed=7,
-            data=b"\x01\x02",
-            shrunk=b"\x01",
-            extra={"engine": "fuzz"},
+            CorpusEntry(
+                engine="fuzz",
+                subject="Demo",
+                outcome="bug_crash",
+                data=b"\x01\x02",
+                shrunk=b"\x01",
+                seed=7,
+                detail="boom",
+            )
         )
-        bundle = flightrec.load_bundle(path)
-        assert bundle.kind == "fuzz_bug_crash"
-        assert bundle.seed == 7
-        assert bundle.reproducer() == b"\x01"  # shrunk wins
-        assert [f["context"] for f in bundle.frames] == ["ch2", "ch3"]  # ring
-        assert bundle.metrics["crashes"][0]["value"] == 1
-        assert len(bundle.trace) == 1
+        bundle = records.read(path)
+        (entry,) = load_entries(path)
+        assert (entry.engine, entry.outcome) == ("fuzz", "bug_crash")
+        assert entry.seed == 7
+        assert entry.reproducer() == b"\x01"  # shrunk wins
+        frames = [r.body for r in bundle if r.kind == "frame"]
+        assert [f["context"] for f in frames] == ["ch2", "ch3"]  # ring
+        (metrics,) = [r.body["metrics"] for r in bundle if r.kind == "metrics"]
+        assert metrics["crashes"][0]["value"] == 1
+        assert len([r for r in bundle if r.kind == "span"]) == 1
 
     def test_fuzzer_crash_dumps_replayable_bundle(self, tmp_path, monkeypatch):
         """The acceptance check: an injected decoder bug must leave a
@@ -313,11 +331,12 @@ class TestFlightRecorder:
         findings = fuzzer.run(300)
         assert any(f.outcome == BUG_NONVERBATIM for f in findings)
         bundles = [
-            flightrec.load_bundle(os.path.join(str(tmp_path), name))
+            bundle_entry
             for name in sorted(os.listdir(str(tmp_path)))
+            for bundle_entry in load_entries(os.path.join(str(tmp_path), name))
         ]
         nonverbatim = [
-            b for b in bundles if b.kind == f"fuzz_{BUG_NONVERBATIM}"
+            b for b in bundles if (b.engine, b.outcome) == ("fuzz", BUG_NONVERBATIM)
         ]
         assert nonverbatim
         bundle = nonverbatim[0]
@@ -329,10 +348,10 @@ class TestFlightRecorder:
         monkeypatch.setattr(
             registry_module, "all_spec_entries", lambda: [entry]
         )
-        status, detail = flightrec.replay_bundle(bundle)
+        status, detail = replay(bundle)
         assert status == "reproduced", detail
         # Deterministic: the same bundle replays the same way again.
-        assert flightrec.replay_bundle(bundle)[0] == "reproduced"
+        assert replay(bundle)[0] == "reproduced"
         # And the classification itself is stable on the reproducer.
         assert classify(broken, bundle.reproducer())[0] == BUG_NONVERBATIM
 
@@ -342,7 +361,7 @@ class TestFlightRecorder:
         packet = random_packet(broken, random.Random(0))
         wire = broken.encode(packet)
         path = recorder.dump(
-            "fuzz_bug_nonverbatim", subject="FlightRecDemo", data=wire
+            CorpusEntry("fuzz", "FlightRecDemo", "bug_nonverbatim", wire)
         )
         # After the fix ships, the registry holds a spec whose decoder
         # no longer lies — replay then finds nothing wrong and reports
@@ -361,14 +380,16 @@ class TestFlightRecorder:
         monkeypatch.setattr(
             registry_module, "all_spec_entries", lambda: [fixed_entry]
         )
-        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        status, detail = _replay(path)
         assert status == "drifted"
         assert "accept" in detail
 
     def test_operational_bundles_are_unreplayable(self, tmp_path):
         recorder = flightrec.FlightRecorder(str(tmp_path))
-        path = recorder.dump("operator_note", detail="worker 1 died")
-        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        path = recorder.dump(
+            CorpusEntry("operator", "", "note", b"", detail="worker 1 died")
+        )
+        status, detail = _replay(path)
         assert status == "unreplayable"
 
     def test_demotion_bundle_on_clean_spec_drifts(self, tmp_path):
@@ -380,13 +401,16 @@ class TestFlightRecorder:
         wire = entry.spec.encode(entry.generate(random.Random(0)))
         recorder = flightrec.FlightRecorder(str(tmp_path))
         path = recorder.dump(
-            "fastpath_demotion",
-            subject="ArqData",
-            detail="decode-mismatch",
-            data=wire,
-            extra={"op": "decode", "reason": "decode-mismatch"},
+            CorpusEntry(
+                engine="fastpath",
+                subject="ArqData",
+                outcome="demotion",
+                data=wire,
+                detail="decode-mismatch",
+                meta={"op": "decode"},
+            )
         )
-        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        status, detail = _replay(path)
         assert status == "drifted", detail
 
     def _finalize_bundle(self, tmp_path):
@@ -394,15 +418,19 @@ class TestFlightRecorder:
         values = {"seq": 1, "chk": 0, "length": 2, "payload": b"hi"}
         recorder = flightrec.FlightRecorder(str(tmp_path))
         return recorder.dump(
-            "fastpath_demotion",
-            subject="ArqData",
-            detail="finalize-error",
-            extra={"op": "finalize", "reason": "finalize-error", "values": repr(values)},
+            CorpusEntry(
+                engine="fastpath",
+                subject="ArqData",
+                outcome="demotion",
+                data=b"",
+                detail="finalize-error",
+                meta={"op": "finalize", "values": repr(values)},
+            )
         )
 
     def test_finalize_bundle_on_clean_spec_drifts(self, tmp_path):
         path = self._finalize_bundle(tmp_path)
-        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        status, detail = _replay(path)
         assert status == "drifted", detail
 
     def test_finalize_bundle_reproduces_while_finalize_diverges(
@@ -424,7 +452,7 @@ class TestFlightRecorder:
             with monkeypatch.context() as patch:
                 patch.setattr(core_compile, "compile_spec", compile_with_broken_finalize)
                 fastpath.reset()  # the next ArqData call compiles the broken codec
-                status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+                status, detail = _replay(path)
         finally:
             fastpath.reset()
         assert status == "reproduced", detail
@@ -438,18 +466,22 @@ class TestFlightRecorder:
         if op == "verify":
             wire = b"\x01\x00\x02hi"  # a wrong checksum: a rejected frame
             return recorder.dump(
-                "fastpath_demotion", subject="ArqData", detail="verify-mismatch",
-                data=wire, extra={"op": "verify", "reason": "verify-mismatch"},
+                CorpusEntry(
+                    "fastpath", "ArqData", "demotion", wire,
+                    detail="verify-mismatch", meta={"op": "verify"},
+                )
             )
         return recorder.dump(
-            "fastpath_demotion", subject="ArqData", detail="make-error",
-            extra={"op": "make", "reason": "make-error", "values": repr(values)},
+            CorpusEntry(
+                "fastpath", "ArqData", "demotion", b"",
+                detail="make-error", meta={"op": "make", "values": repr(values)},
+            )
         )
 
     @pytest.mark.parametrize("op", ["verify", "make"])
     def test_gate_bundle_on_clean_spec_drifts(self, tmp_path, op):
         path = self._gate_bundle(tmp_path, op)
-        status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+        status, detail = _replay(path)
         assert status == "drifted", detail
 
     @pytest.mark.parametrize("op", ["verify", "make"])
@@ -476,7 +508,7 @@ class TestFlightRecorder:
             with monkeypatch.context() as patch:
                 patch.setattr(core_compile, "compile_spec", compile_with_broken_op)
                 fastpath.reset()  # the next ArqData call compiles the broken codec
-                status, detail = flightrec.replay_bundle(flightrec.load_bundle(path))
+                status, detail = _replay(path)
         finally:
             fastpath.reset()
         assert status == "reproduced", detail
@@ -500,10 +532,10 @@ class TestFlightRecorder:
         capture.tap(channel)
         channel.send(b"\xaa\xbb")
         sim.run()
-        path = flightrec.record_crash("fuzz_bug_crash", subject="X")
-        bundle = flightrec.load_bundle(path)
-        assert [f["data"] for f in bundle.frames] == ["aabb"]
-        assert bundle.frames[0]["context"] == "a->b"
+        path = flightrec.record_crash(CorpusEntry("fuzz", "X", "bug_crash", b""))
+        frames = [r.body for r in records.read(path) if r.kind == "frame"]
+        assert [f["data"] for f in frames] == ["aabb"]
+        assert frames[0]["context"] == "a->b"
 
 
 # -- the CLI surfaces ----------------------------------------------------
@@ -515,9 +547,9 @@ class TestCli:
         exporter = Exporter([JsonlSink(path)])
         registry = MetricsRegistry()
         registry.counter("frames").inc(5)
-        exporter.publish(registry.snapshot(), kind="live")
+        exporter.publish(registry.snapshot(), phase="live")
         registry.counter("frames").inc(15)
-        exporter.publish(registry.snapshot(), kind="final")
+        exporter.publish(registry.snapshot(), phase="final")
         return path
 
     def test_load_export_and_rates(self, tmp_path):
@@ -526,7 +558,7 @@ class TestCli:
         rates = "\n".join(render_rates(payloads[1], payloads[0]))
         assert "frames" in rates and "+      15" in rates
         frame = render_frame(payloads[1], payloads[0])
-        assert "kind=final" in frame and "frames" in frame
+        assert "phase=final" in frame and "frames" in frame
 
     def test_report_command_renders_final_payload(self, tmp_path, capfd):
         from repro.obs.__main__ import main
@@ -553,7 +585,9 @@ class TestCli:
         from repro.conformance.__main__ import main
 
         recorder = flightrec.FlightRecorder(str(tmp_path))
-        path = recorder.dump("operator_note", detail="pool wedged")
+        path = recorder.dump(
+            CorpusEntry("operator", "", "note", b"", detail="pool wedged")
+        )
         assert main(["--triage", path]) == 1  # unreplayable != reproduced
         out = capfd.readouterr().out
         assert "UNREPLAYABLE" in out

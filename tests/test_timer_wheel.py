@@ -195,7 +195,7 @@ _ARQ_FRAME = ARQ_PACKET.encode(ARQ_PACKET.make(seq=0, length=2, payload=b"hi"))
 
 
 class _TwoManagerRig:
-    """Two session managers riding one wheel, the live Server topology."""
+    """Two session managers riding one wheel (``SessionManager(wheel=...)``)."""
 
     def __init__(self, idle_a=1.0, idle_b=1.0, **kwargs):
         self.now = 0.0

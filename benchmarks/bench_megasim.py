@@ -9,7 +9,7 @@ preserves it when regenerating its own tiers):
   rescheduling :class:`~repro.netsim.simulator.Simulator` timer, the
   way ``repro.adapt``/``repro.trust`` host their nodes today;
 * ``megasim`` — the population plane: the same sealed spec in
-  :mod:`repro.megasim`'s dense arrays with cohort-batched staged
+  :mod:`repro.megasim`'s dense arrays with cohort-batched compiled
   dispatch, measured over a full serial scenario (planning, barrier
   routing and transcript digests included).
 

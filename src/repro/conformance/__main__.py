@@ -82,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus",
         default=None,
         metavar="FILE",
-        help="persist interesting inputs and counterexamples to this JSONL file",
+        help=(
+            "write this run's interesting inputs and counterexamples to this "
+            "JSONL file, replacing it"
+        ),
     )
     parser.add_argument(
         "--replay",
@@ -123,9 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*MODES, "verify"),
         default=None,
         help=(
-            "compiled-codec tier policy for this run: off / always, "
-            "or 'verify' (= always, with every compiled result cross-checked "
-            "against the interpreter); default: the process policy"
+            "compiled codec and machine tier policy for this run: off / "
+            "always, or 'verify' (= always, with every compiled result "
+            "cross-checked against the interpreter); default: the process "
+            "policy"
         ),
     )
     return parser
@@ -206,8 +210,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _demotions(report: ConformanceReport) -> bool:
     """Report each spec a verify-mode run demoted; True if any.
 
-    A demotion means a compiled codec diverged from the interpreter, so
-    under ``--fastpath verify`` it fails the run.
+    A demotion means a compiled codec or machine diverged from the
+    interpreter, so under ``--fastpath verify`` it fails the run.
     """
     if not get_policy().verify or not report.demoted:
         return False

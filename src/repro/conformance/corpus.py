@@ -2,15 +2,13 @@
 
 A corpus is a file of ``entry`` records (:mod:`repro.obs.records`), one
 :class:`CorpusEntry` each, with a null ``ts`` so that one seed always
-writes the same bytes.  Two uses:
-
-* **seeding** — inputs that reached new coverage are persisted, so the
-  next fuzzing run starts from territory the last one conquered;
-* **replay** — every reported failure carries the exact bytes (original
-  and shrunk) plus the classification it produced, so
-  ``python -m repro.conformance --replay FILE`` re-runs each entry and
-  verifies the behaviour is still reproducible — the regression gate for
-  every future codec/runtime change.
+writes the same bytes.  A conformance run writes exactly its own
+entries, replacing the file.  Its use is **replay**: every reported
+failure carries the exact bytes (original and shrunk) plus the
+classification it produced, so ``python -m repro.conformance --replay
+FILE`` re-runs each entry and verifies the behaviour is still
+reproducible — the regression gate for every future codec/runtime
+change.
 
 A flight-recorder bundle leads with one entry too, so ``--replay`` and
 ``--triage`` read bundles and corpora alike.

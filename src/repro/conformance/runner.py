@@ -299,7 +299,7 @@ def run_all(
         finally:
             pool.close()
     coverage = CoverageMap()
-    corpus = Corpus(corpus_path) if corpus_path else Corpus()
+    corpus = Corpus()
     reports = {name: EngineReport(name, 0) for name in ENGINES if name in engines}
     for unit, result in zip(units, results):
         if result is None:
@@ -316,7 +316,7 @@ def run_all(
         budget=budget,
         engines=list(reports.values()),
         coverage=coverage.summary(),
-        corpus_path=corpus.save() if corpus_path else None,
+        corpus_path=corpus.save(corpus_path) if corpus_path else None,
         demoted=sorted(demoted),
     )
 

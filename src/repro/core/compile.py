@@ -39,6 +39,11 @@ user's symbolic constraints that cannot raise.  The rest
 (:func:`residual_constraints`: callables, and predicates that divide or
 name a non-integer field) are listed in the module docstring and run
 interpreted after the gate.
+
+A sealed machine spec compiles the same way, with the same expression
+and predicate translation: :func:`generate_machine_source` emits one
+``exec_<T>`` per transition and a ``cohort_<T>`` population kernel where
+the transition fuses, and :func:`compile_machine` executes that source.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from repro.core.fields import (
     UInt,
     UIntList,
 )
+from repro.core.statemachine import StateInstance
 from repro.core.symbolic import (
     BinOp,
     BoolOp,
@@ -65,8 +71,10 @@ from repro.core.symbolic import (
     Expr,
     FieldRef,
     Not,
+    Predicate,
     Var,
 )
+from repro.core.verified import Verified
 from repro.wire.bits import ByteOrder
 
 _HELPERS = '''
@@ -1036,4 +1044,220 @@ def compile_spec(spec: Any) -> CompiledCodec:
         residual=module.residual,
         source=source,
         module=module,
+    )
+
+
+# -- machine specs -----------------------------------------------------------
+
+
+def generate_machine_source(spec: Any) -> str:
+    """Emit Python source running every transition of a sealed machine spec.
+
+    ``exec_<T>(current, payload, inputs)`` runs transition ``T`` from the
+    concrete state ``current``: it matches the source pattern, checks
+    the inputs and the payload's evidence, evaluates the guard, and
+    computes and normalizes the target.  It returns ``(target,
+    bindings)``; ``False`` when the guard alone refused; ``None`` for any
+    other refusal, whose canonical error the interpreted walk supplies.
+    ``cohort_<T>`` is the whole transition over a population slab
+    (:func:`_generate_cohort`), for each transition that fuses.
+
+    The source names no state object: it matches a state by name and
+    reaches a new one through ``current.state.machine``, so the module
+    does not keep its spec alive in the weakly keyed compile cache.  A
+    callable guard is bound in as ``_guard_<T>`` (so one that refers to
+    its own spec does keep it alive).
+    """
+    sections = []
+    cohorts = []
+    for transition in spec.transitions:
+        sections.append(_generate_exec(transition))
+        cohort = _generate_cohort(transition)
+        if cohort is not None:
+            sections.append(cohort)
+            cohorts.append(transition.name)
+    names = [transition.name for transition in spec.transitions]
+    parts = [
+        f'"""Generated transitions for machine spec {spec.name!r}.',
+        "",
+        "Produced by repro.core.compile.generate_machine_source; do not edit.",
+        '"""',
+        "",
+        *("\n".join(lines) + "\n" for lines in sections),
+        "execs = {" + ", ".join(f"{n!r}: exec_{n}" for n in names) + "}",
+        "cohorts = {" + ", ".join(f"{n!r}: cohort_{n}" for n in cohorts) + "}",
+        "",
+    ]
+    return "\n".join(parts)
+
+
+def _generate_exec(transition: Any) -> List[str]:
+    """``exec_<T>``: one transition, from source match to normalized target."""
+    name = transition.name
+    source, target = transition.source, transition.target
+    lines = [
+        f"def exec_{name}(current, payload, inputs):",
+        f'    """{name}: {source!r} -> {target!r}."""',
+        "    state = current.state",
+        f"    if state.name != {source.state.name!r}:",
+        "        return None",
+    ]
+    if source.args:
+        lines.append("    _v = current.values")
+    first: Dict[str, int] = {}
+    for index, arg in enumerate(source.args):
+        if isinstance(arg, Var) and arg.name not in first:
+            first[arg.name] = index
+            continue
+        if isinstance(arg, Var):
+            lines.append(f"    if _v[{index}] != _v[{first[arg.name]}]:")
+        elif isinstance(arg, Const):
+            lines.append(f"    if _v[{index}] != {arg.value!r}:")
+        else:
+            raise CodegenError(
+                f"transition {name!r}: source argument {arg} is neither a "
+                "variable nor a constant"
+            )
+        lines.append("        return None")
+    items = ", ".join(f"{var!r}: _v[{index}]" for var, index in first.items())
+    lines.append(f"    values = {{{items}}}")
+    if transition.inputs:
+        declared = ", ".join(repr(n) for n in sorted(transition.inputs))
+        lines.append(f"    if inputs.keys() != {{{declared}}}:")
+        lines.append("        return None")
+        for input_name in transition.inputs:
+            lines.append(f"    _i = inputs[{input_name!r}]")
+            lines.append("    if not isinstance(_i, int) or _i.__class__ is bool:")
+            lines.append("        return None")
+            lines.append(f"    values[{input_name!r}] = _i")
+    else:
+        lines.append("    if inputs:")
+        lines.append("        return None")
+    requires = transition.requires
+    if requires is None:
+        lines.append("    if payload is not None:")
+    elif requires == "bytes":
+        lines.append("    if not isinstance(payload, (bytes, bytearray)):")
+    else:
+        lines.append(
+            "    if not isinstance(payload, _Verified) or "
+            f"payload._certificate.spec_name != {requires.name!r}:"
+        )
+    lines.append("        return None")
+    guard = transition.guard
+    if isinstance(guard, Predicate):
+        lines.append(f"    if not {_predicate_code(guard)}:")
+        lines.append("        return False")
+    elif guard is not None:
+        lines.append(f"    if not _guard_{name}(values, payload):")
+        lines.append("        return False")
+    computed = []
+    for index, (param, arg) in enumerate(zip(target.state.params, target.args)):
+        code = _expr_code(arg)
+        if param.bits is not None:
+            lines.append(f"    _t{index} = ({code}) % {1 << param.bits}")
+        else:
+            lines.append(f"    _t{index} = {code}")
+            lines.append(f"    if _t{index} < 0:")
+            lines.append("        return None")
+        computed.append(f"_t{index}")
+    state = (
+        "state"
+        if target.state is source.state
+        else f"state.machine.states[{target.state.name!r}]"
+    )
+    arguments = f"({', '.join(computed)},)" if computed else "()"
+    lines.append(f"    return _StateInstance({state}, {arguments}), values")
+    return lines
+
+
+def _generate_cohort(transition: Any) -> Optional[List[str]]:
+    """``cohort_<T>``: the whole transition over a slab of machines, or None.
+
+    ``cohort_<T>(indices, slab, states, target_sid)`` applies the
+    transition to every machine index in ``indices``, reading and writing
+    the single parameter value in ``slab`` (an array indexed by machine)
+    and the dense state id in ``states`` when the transition changes
+    state.  It returns the indices that did *not* fire (pattern or guard
+    miss), so a population can fall through to the next transition of
+    an event group.
+
+    Only transitions with no payload, no inputs, arity ≤ 1 on both ends
+    and a symbolic guard (or none) fuse; population code runs the
+    interpreted walk for the rest.
+    """
+    if transition.requires is not None or transition.inputs:
+        return None
+    source, target = transition.source, transition.target
+    if len(source.args) > 1 or len(target.args) > 1:
+        return None
+    if transition.guard is not None and not isinstance(transition.guard, Predicate):
+        return None
+    lines = [
+        f"def cohort_{transition.name}(indices, slab, states, target_sid):",
+        "    misses = []",
+        "    _miss = misses.append",
+        "    for _i in indices:",
+    ]
+    bound: Optional[str] = None
+    if source.args:
+        arg = source.args[0]
+        if isinstance(arg, Var):
+            bound = arg.name
+        else:  # a Const: _generate_exec refuses every other argument
+            lines.append(f"        if slab[_i] != {arg.value!r}:")
+            lines.append("            _miss(_i)")
+            lines.append("            continue")
+    body: List[str] = []
+    if transition.guard is not None:
+        body.append(f"        if not {_predicate_code(transition.guard)}:")
+        body.append("            _miss(_i)")
+        body.append("            continue")
+    if target.args:
+        param = target.state.params[0]
+        code = _expr_code(target.args[0])
+        if param.bits is not None:
+            body.append(f"        slab[_i] = ({code}) % {1 << param.bits}")
+        else:
+            body.append(f"        _t = {code}")
+            body.append("        if _t < 0:")
+            body.append(
+                f"            raise ValueError('negative value for param "
+                f"{param.name}')"
+            )
+            body.append("        slab[_i] = _t")
+    if target.state is not source.state:
+        body.append("        states[_i] = target_sid")
+    # Bind the source parameter only when the guard or target reads it.
+    if any("values[" in line for line in body):
+        if bound is None:
+            return None
+        lines.append(f"        values = {{{bound!r}: slab[_i]}}")
+    lines.extend(body if body else ["        pass"])
+    lines.append("    return misses")
+    return lines
+
+
+class CompiledMachine(NamedTuple):
+    """The callable surface of a generated machine module, by transition name."""
+
+    execs: Dict[str, Callable[..., Any]]
+    cohorts: Dict[str, Callable[..., List[int]]]
+    source: str
+    module: ModuleType
+
+
+def compile_machine(spec: Any) -> CompiledMachine:
+    """Generate, execute and return the compiled transitions of ``spec``."""
+    source = generate_machine_source(spec)
+    module = ModuleType(f"repro_generated_machine_{spec.name.lower()}")
+    module.__dict__.update(_StateInstance=StateInstance, _Verified=Verified)
+    for transition in spec.transitions:
+        if transition.guard is not None and not isinstance(
+            transition.guard, Predicate
+        ):
+            setattr(module, f"_guard_{transition.name}", transition.guard)
+    exec(compile(source, module.__name__, "exec"), module.__dict__)
+    return CompiledMachine(
+        execs=module.execs, cohorts=module.cohorts, source=source, module=module
     )

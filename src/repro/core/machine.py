@@ -25,6 +25,18 @@ Any failure raises :class:`InvalidTransitionError` and leaves the machine
 unchanged: invalid transitions cannot be executed, which is the paper's
 soundness property enforced dynamically at the last line of defence (the
 first line being the sealed spec).
+
+The four phases have two implementations.  Under the ``repro.fastpath``
+policy a spec compiles, like a packet spec, into one generated module
+(:func:`repro.core.compile.compile_machine`), and ``exec_trans`` calls
+its ``exec_<T>``, which runs all four phases in one function.  The
+interpreted walk below is the other, and the oracle: it runs when the
+policy is ``off``, the spec is demoted or obs is enabled (the walk
+records one span per phase); it supplies the canonical error for every
+generated refusal except a guard's; and under ``verify`` it checks every
+generated result.  A walk that succeeds where the generated function
+refused or raised, or that disagrees with it, demotes the spec's module
+(``fastpath.divergences``) and its own result is committed.
 """
 
 from __future__ import annotations
@@ -33,8 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import dispatch as _dispatch
-from repro.core.codec import encode_verbatim
+from repro.core.codec import _FALLBACK_ERRORS, _fp_demote, encode_verbatim
 from repro.core.statemachine import (
     MachineSpec,
     MachineSpecError,
@@ -43,6 +54,7 @@ from repro.core.statemachine import (
 )
 from repro.core.symbolic import UnificationError
 from repro.core.verified import Verified
+from repro.fastpath.cache import active_state as _fp_active
 from repro.obs.instrument import NULL_OBS, Instrumentation, get_default
 from repro.obs.trace import frame_digest
 
@@ -150,10 +162,6 @@ class Machine:
         self._trace: List[TraceStep] = []
         self._observers: List[Observer] = []
         self._obs = obs if obs is not None else get_default()
-        # Staged dispatch closures, built once per spec and shared by
-        # every machine over it.  A None table runs the interpreted
-        # reference path; tests get one by patching staged_table.
-        self._staged = _dispatch.staged_table(spec)
 
     # -- inspection ---------------------------------------------------------
 
@@ -184,31 +192,7 @@ class Machine:
         the completeness tests use.
         """
         current = self._current
-        table = self._staged
         matching = []
-        if table is not None:
-            for staged in table.by_source.get(current.state.name, ()):
-                matcher = staged.match
-                if matcher is not None:
-                    if matcher(current) is not None:
-                        matching.append(staged.transition)
-                        continue
-                    # Staged miss: the interpreted matcher is the oracle
-                    # for *excluding* a transition too — a successful
-                    # interpreted match here means the closure diverged.
-                    try:
-                        staged.transition.source.match(current)
-                    except UnificationError:
-                        continue
-                    self._staged_divergence(staged, "match")
-                    matching.append(staged.transition)
-                else:
-                    try:
-                        staged.transition.source.match(current)
-                    except UnificationError:
-                        continue
-                    matching.append(staged.transition)
-            return matching
         for transition in self.spec.transitions_from(current.state.name):
             try:
                 transition.source.match(current)
@@ -263,7 +247,21 @@ class Machine:
         obs = self._obs
         if obs.enabled:
             return self._exec_trans_observed(obs, transition_name, payload, inputs)
-        return self._execute(self._lookup(transition_name), payload, inputs)
+        state = _fp_active(self.spec)
+        run = state.codec.execs.get(transition_name) if state is not None else None
+        if run is None:
+            return self._execute(self._lookup(transition_name), payload, inputs)
+        try:
+            result = run(self._current, payload, inputs)
+        except _FALLBACK_ERRORS:
+            return self._oracle(state, transition_name, payload, inputs, None)
+        if result is None or state.verify:
+            return self._oracle(state, transition_name, payload, inputs, result)
+        if result is False:
+            raise InvalidTransitionError(
+                self.spec.name, transition_name, "guard predicate failed", code="guard"
+            )
+        return self._commit(transition_name, result[0], result[1], payload)
 
     def try_exec(
         self, transition_name: str, payload: Any = None, **inputs: int
@@ -296,10 +294,42 @@ class Machine:
     def _execute(
         self, transition: TransitionSpec, payload: Any, inputs: Dict[str, int]
     ) -> StateInstance:
-        bindings = self._dispatch(transition, inputs)
-        self._check_payload(transition, payload)
-        self._check_guard(transition, bindings, payload)
-        return self._step(transition, bindings, payload)
+        target, bindings = self._walk(transition, payload, inputs)
+        return self._commit(transition.name, target, bindings, payload)
+
+    def _oracle(
+        self,
+        state: Any,
+        transition_name: str,
+        payload: Any,
+        inputs: Dict[str, int],
+        result: Any,
+    ) -> StateInstance:
+        """Run the interpreted walk on a generated result and commit its own.
+
+        ``result`` is what ``exec_<T>`` returned — ``(target, bindings)``,
+        or ``False`` for a guard refusal — or ``None`` when it refused
+        otherwise or raised.  The walk's error propagates.  Wherever the
+        walk disagrees with ``result``, the spec's module is demoted.
+        """
+        reason = "exec-error" if result is None else "exec-mismatch"
+        try:
+            transition = self._lookup(transition_name)
+            target, bindings = self._walk(transition, payload, inputs)
+        except Exception as exc:
+            guard_refused = (
+                isinstance(exc, InvalidTransitionError) and exc.code == "guard"
+            )
+            if result is not None and not (result is False and guard_refused):
+                self._demote(state, transition_name, reason)
+            raise
+        if result != (target, bindings):
+            self._demote(state, transition_name, reason)
+        return self._commit(transition_name, target, bindings, payload)
+
+    def _demote(self, state: Any, transition_name: str, reason: str) -> None:
+        op = {"op": "exec", "transition": transition_name, "state": repr(self._current)}
+        _fp_demote(self.spec, state, reason, None, op)
 
     def _exec_trans_observed(
         self,
@@ -308,7 +338,7 @@ class Machine:
         payload: Any,
         inputs: Dict[str, int],
     ) -> StateInstance:
-        """The same four phases as :meth:`_execute`, under the tracer.
+        """The interpreted walk's four phases under the tracer.
 
         Records an ``exec_trans`` span with one child span per phase, an
         execution-latency histogram, and executed/rejected counters (the
@@ -346,7 +376,12 @@ class Machine:
                 with tracer.span("guard"):
                     self._check_guard(transition, bindings, payload)
                 with tracer.span("step"):
-                    target = self._step(transition, bindings, payload)
+                    target = self._commit(
+                        transition.name,
+                        transition.target.instantiate(bindings),
+                        bindings,
+                        payload,
+                    )
                 span.set_attr("target", repr(target))
         except InvalidTransitionError as exc:
             registry.counter(
@@ -366,49 +401,22 @@ class Machine:
         ).observe(time.perf_counter() - start)
         return target
 
-    # -- the four phases (see module docstring) ---------------------------
+    # -- the interpreted walk (see module docstring) -----------------------
 
-    def _staged_for(self, transition: TransitionSpec) -> Any:
-        table = self._staged
-        if table is None:
-            return None
-        return table.by_name.get(transition.name)
+    def _walk(
+        self, transition: TransitionSpec, payload: Any, inputs: Dict[str, int]
+    ) -> Tuple[StateInstance, Dict[str, int]]:
+        """Dispatch, evidence and guard, then the computed target."""
+        bindings = self._dispatch(transition, inputs)
+        self._check_payload(transition, payload)
+        self._check_guard(transition, bindings, payload)
+        return transition.target.instantiate(bindings), bindings
 
-    def _staged_divergence(self, staged: Any, phase: str) -> None:
-        """Retire a diverging closure and count it in repro.obs."""
-        _dispatch.demote(staged, phase)
-        obs = self._obs
-        if obs.enabled:
-            obs.registry.counter(
-                "machine.staged_divergences",
-                machine=self.spec.name,
-                transition=staged.transition.name,
-                phase=phase,
-            ).inc()
-
-    def _match_source(self, transition: TransitionSpec) -> Dict[str, int]:
-        """Source-pattern bindings, staged matcher first, interpreter as oracle."""
-        staged = self._staged_for(transition)
-        if staged is not None and staged.match is not None:
-            bindings = staged.match(self._current)
-            if bindings is not None:
-                return bindings
-            # Miss: rerun interpreted for the canonical error — or, if it
-            # succeeds where the closure refused, demote the closure.
-            try:
-                bindings = transition.source.match(self._current)
-            except UnificationError as exc:
-                raise InvalidTransitionError(
-                    self.spec.name,
-                    transition.name,
-                    f"current state {self._current!r} does not match source "
-                    f"pattern {transition.source!r} ({exc})",
-                    code="dispatch",
-                ) from None
-            self._staged_divergence(staged, "match")
-            return bindings
+    def _dispatch(
+        self, transition: TransitionSpec, inputs: Dict[str, int]
+    ) -> Dict[str, int]:
         try:
-            return transition.source.match(self._current)
+            bindings = transition.source.match(self._current)
         except UnificationError as exc:
             raise InvalidTransitionError(
                 self.spec.name,
@@ -417,11 +425,6 @@ class Machine:
                 f"pattern {transition.source!r} ({exc})",
                 code="dispatch",
             ) from None
-
-    def _dispatch(
-        self, transition: TransitionSpec, inputs: Dict[str, int]
-    ) -> Dict[str, int]:
-        bindings = self._match_source(transition)
         if set(inputs) != set(transition.inputs):
             raise InvalidTransitionError(
                 self.spec.name,
@@ -444,37 +447,21 @@ class Machine:
     def _check_guard(
         self, transition: TransitionSpec, bindings: Dict[str, int], payload: Any
     ) -> None:
-        staged = self._staged_for(transition)
-        if staged is not None and staged.guard is not None:
-            try:
-                holds = bool(staged.guard(bindings, payload))
-            except Exception:
-                # Oracle rerun: a raise here is canonical (tiers agree);
-                # a clean verdict means the staged closure diverged.
-                holds = transition.guard_holds(bindings, payload)
-                self._staged_divergence(staged, "guard")
-        else:
-            holds = transition.guard_holds(bindings, payload)
-        if not holds:
+        if not transition.guard_holds(bindings, payload):
             raise InvalidTransitionError(
                 self.spec.name, transition.name, "guard predicate failed", code="guard"
             )
 
-    def _step(
-        self, transition: TransitionSpec, bindings: Dict[str, int], payload: Any
+    def _commit(
+        self,
+        transition_name: str,
+        target: StateInstance,
+        bindings: Dict[str, int],
+        payload: Any,
     ) -> StateInstance:
-        staged = self._staged_for(transition)
-        if staged is not None and staged.target is not None:
-            try:
-                target = staged.target(bindings)
-            except Exception:
-                # Oracle rerun: canonical error, or a demoting divergence.
-                target = transition.target.instantiate(bindings)
-                self._staged_divergence(staged, "target")
-        else:
-            target = transition.target.instantiate(bindings)
+        """Move to ``target``, append the step to the trace, tell observers."""
         step = TraceStep(
-            transition=transition.name,
+            transition=transition_name,
             source=self._current,
             target=target,
             bindings=tuple(sorted(bindings.items())),

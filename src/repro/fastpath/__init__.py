@@ -1,16 +1,18 @@
-"""repro.fastpath — the transparent compiled codec tier.
+"""repro.fastpath — the transparent compiled tier for codecs and machines.
 
 The paper's §5 position is that implementations *generated from* the DSL
-spec are correct by construction; ``core.compile`` builds those
-generated codecs, and this package makes the runtime actually use them.
+spec are correct by construction; ``core.compile`` generates one module
+per packet spec (its codec) and per sealed machine spec (its
+transitions), and this package makes the runtime actually use them.
 Every ``encode_verbatim``/``decode_packet``/``compute_checksums`` call,
-and every ``PacketSpec.decode``/``verify``/``make``, consults a
-process-wide :class:`FastPath` policy: the first call on a spec compiles
-it once, and every later call runs at generated-code speed — with the
-interpreter retained as the semantic oracle.  A compiled closure that
-errors where the interpreter succeeds, or (under ``verify=True``)
-produces different bytes, values or verdicts, *demotes* its spec back to
-the interpreter and counts a ``fastpath.divergences`` metric.
+every ``PacketSpec.decode``/``verify``/``make`` and every
+``Machine.exec_trans`` consults a process-wide :class:`FastPath` policy:
+the first call on a spec compiles it once, and every later call runs at
+generated-code speed — with the interpreter retained as the semantic
+oracle.  A generated function that errors or refuses where the
+interpreter succeeds, or (under ``verify=True``) produces different
+bytes, values, verdicts or states, *demotes* its spec back to the
+interpreter and counts a ``fastpath.divergences`` metric.
 
 Layout
 ------
@@ -18,7 +20,7 @@ Layout
     The :class:`FastPath` dataclass and the process-wide current policy
     (``configure``/``use`` helpers).
 ``cache``
-    Per-spec tier state, the per-spec codec cache, demotion.
+    Per-spec tier state, the per-spec compile cache, demotion.
 """
 
 from __future__ import annotations

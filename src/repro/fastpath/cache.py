@@ -1,21 +1,23 @@
 """The spec-compilation cache and per-spec tier state.
 
 This is the machinery behind the transparent fast path: the first module
-consulted by every ``encode_verbatim``/``decode_packet`` call.  Each
-:class:`~repro.core.packet.PacketSpec` carries a small :class:`SpecState`
-(stored as an attribute, rebuilt whenever the process-wide policy
-changes) that says which tier handles the spec:
+consulted by every ``encode_verbatim``/``decode_packet`` call and every
+``Machine.exec_trans``.  Each :class:`~repro.core.packet.PacketSpec` and
+each sealed :class:`~repro.core.statemachine.MachineSpec` carries a small
+:class:`SpecState` (stored as an attribute, rebuilt whenever the
+process-wide policy changes) that says which tier handles the spec:
 
 ``compiled``
-    ``state.codec`` holds the :class:`~repro.core.compile.CompiledCodec`
-    closures; the codec layer dispatches to them.
+    ``state.codec`` holds the generated functions: a
+    :class:`~repro.core.compile.CompiledCodec` for a packet spec, a
+    :class:`~repro.core.compile.CompiledMachine` for a machine spec.
 ``interpreted``
     Terminal for this policy generation: the generator refused the spec
     (``CodegenError``), or a divergence demoted it (see
     :func:`demote`).  Changing the policy or calling :func:`reset`
     re-evaluates.
 
-The first codec call on a spec compiles it.  The compiled codec, or the
+The first call on a spec compiles it.  The compiled module, or the
 generator's refusal, is cached against that spec object (weakly: the
 cache never keeps a spec alive), so a policy change re-reads it instead
 of compiling again.
@@ -35,7 +37,7 @@ COMPILED = "compiled"
 INTERPRETED = "interpreted"
 
 _LOCK = threading.Lock()
-# spec -> CompiledCodec, or the CodegenError message of a refused spec
+# spec -> CompiledCodec or CompiledMachine, or the refused spec's CodegenError message
 _CODECS: "weakref.WeakKeyDictionary[Any, Any]" = weakref.WeakKeyDictionary()
 _STATS = {"compiles": 0, "failures": 0, "demotions": 0}
 
@@ -83,7 +85,7 @@ def state_of(spec: Any) -> Optional[SpecState]:
 
 
 def _load(spec: Any, state: SpecState) -> None:
-    """Point a fresh state at the spec's codec, compiling it on first use."""
+    """Point a fresh state at the spec's compiled module, compiling it on first use."""
     with _LOCK:
         try:
             codec = _CODECS.get(spec)
@@ -93,10 +95,18 @@ def _load(spec: Any, state: SpecState) -> None:
         if codec is None:
             # Lazy import: keeps this module import-light so core.codec
             # can import the fastpath package without a cycle.
-            from repro.core.compile import CodegenError, compile_spec
+            from repro.core.compile import (
+                CodegenError,
+                compile_machine,
+                compile_spec,
+            )
+            from repro.core.statemachine import MachineSpec
 
+            compiler = (
+                compile_machine if isinstance(spec, MachineSpec) else compile_spec
+            )
             try:
-                codec = compile_spec(spec)
+                codec = compiler(spec)
             except CodegenError as exc:
                 codec = str(exc)
                 _STATS["failures"] += 1
@@ -113,10 +123,11 @@ def _load(spec: Any, state: SpecState) -> None:
 def demote(state: SpecState, reason: str) -> None:
     """Send a spec back to the interpreter for this policy generation.
 
-    Called by the codec layer when a compiled closure diverges from the
-    interpreter (error where the interpreter succeeds, or a byte-level
-    mismatch under ``verify``).  The compiled closures stay referenced
-    for post-mortem inspection but are no longer dispatched to.
+    Called by the codec layer and the machine runtime when a generated
+    function diverges from the interpreter (an error or refusal where
+    the interpreter succeeds, or a mismatch under ``verify``).  The
+    generated module stays referenced for post-mortem inspection but is
+    no longer dispatched to.
     """
     state.status = INTERPRETED
     state.reason = reason

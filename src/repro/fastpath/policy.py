@@ -1,10 +1,11 @@
-"""Process-wide policy for the compiled codec tier.
+"""Process-wide policy for the compiled codec and machine tier.
 
-A :class:`FastPath` value decides whether specs run on their compiled
-closures:
+A :class:`FastPath` value decides whether packet and machine specs run
+on their generated modules:
 
-* ``mode="always"`` (default) — compile a spec on its first codec call;
-* ``mode="off"`` — interpret everything (the compiled tier is inert).
+* ``mode="always"`` (default) — compile a spec on its first call;
+* ``mode="off"`` — interpret every codec and machine (the compiled tier
+  is inert).
 
 ``verify=True`` keeps the interpreter in the loop as an oracle: every
 compiled result is cross-checked byte-for-byte and any divergence demotes
@@ -28,7 +29,7 @@ MODES = ("off", "always")
 
 @dataclass(frozen=True)
 class FastPath:
-    """Whether and how the compiled codec tier engages."""
+    """Whether and how the compiled codec and machine tier engages."""
 
     mode: str = "always"
     verify: bool = False  # cross-check every compiled result vs the interpreter

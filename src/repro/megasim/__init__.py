@@ -7,8 +7,9 @@ nodes interact, not from any one node's trace.  Hosting each node as a
 tops out around 10⁵ events per second; ``repro.megasim`` hosts the same
 sealed :class:`~repro.core.statemachine.MachineSpec` definitions as
 dense integer arrays and dispatches events in *cohorts* — one generated
-Python loop per (state, transition) batch, built at seal time by
-``repro.core.dispatch`` — for an order of magnitude more.
+Python loop per (state, transition) batch, from the spec's compiled
+module (``repro.core.compile.compile_machine``) — for an order of
+magnitude more.
 
 Time is an integer epoch with a message barrier: every machine plans
 its epoch from a hash of ``(seed, epoch, global index)``, messages are

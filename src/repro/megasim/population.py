@@ -1,4 +1,4 @@
-"""Dense machine populations with cohort-batched staged dispatch.
+"""Dense machine populations with cohort-batched compiled dispatch.
 
 A :class:`Population` hosts machines ``[lo, hi)`` of a megasim run as
 two parallel arrays — a dense state id and a single integer parameter
@@ -9,22 +9,20 @@ the per-event interpreter overhead (instance allocation, pattern
 unification, symbolic evaluation) is paid once per cohort, not once per
 machine.
 
-Three kernel tiers, best available wins per transition:
+Two kernels, per transition:
 
-1. the **fused cohort closure** compiled at seal time by
-   :func:`repro.core.dispatch._compile_cohort` — match, guard, target
+1. the **cohort kernel** ``cohort_<T>`` of the spec's generated module
+   (:func:`repro.core.compile.compile_machine`) — match, guard, target
    and normalization in one generated loop over the slab;
-2. the per-instance **staged closures** (``match``/``guard``/``target``)
-   from the same :class:`~repro.core.dispatch.StagedTransition`, driven
-   by a loop here;
-3. the fully **interpreted** pattern/guard path, used when there is no
-   staged table — the semantics oracle the differential tests compare
-   against (they patch :func:`~repro.core.dispatch.staged_table` to
-   return ``None``).
+2. the **interpreted walk** — pattern unification, guard and target
+   evaluation per machine — when the ``repro.fastpath`` policy is off,
+   the spec is demoted, or the transition does not fuse.  It is the
+   semantics oracle the differential tests compare the kernels against
+   (under ``fastpath.use(mode="off")``).
 
-Every tier applies candidates of an event group in declaration order
-and passes guard-rejected indices to the next candidate, mirroring how
-a :class:`Machine` caller would probe ``try_exec`` down the group.
+Both apply the candidates of an event group in declaration order and
+pass guard-rejected indices to the next candidate, mirroring how a
+:class:`Machine` caller would probe ``try_exec`` down the group.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core import dispatch as _dispatch
 from repro.core.statemachine import StateInstance, TransitionSpec
 from repro.core.symbolic import UnificationError
+from repro.fastpath.cache import active_state
 
 from repro.megasim.workloads import Workload, mix64
 
@@ -47,46 +45,30 @@ _Step = Callable[[Sequence[int]], List[int]]
 
 def _interpreted_step(
     transition: TransitionSpec,
-    staged: Optional[_dispatch.StagedTransition],
     state_spec: Any,
-    arity: int,
     target_sid: int,
     values: array,
     state_ids: array,
 ) -> _Step:
-    """Tier 2/3: per-instance closures, or raw patterns when staging is off."""
+    """The interpreted walk over a cohort, one machine at a time."""
     source, target = transition.source, transition.target
-    match = staged.match if staged is not None else None
-    guard = staged.guard if staged is not None else None
-    build = staged.target if staged is not None else None
-    has_guard = transition.guard is not None
+    arity = state_spec.arity
     same_state = target.state is state_spec
-    instance = StateInstance
 
     def step(indices: Sequence[int]) -> List[int]:
         misses: List[int] = []
         miss = misses.append
         for i in indices:
-            inst = instance(state_spec, (values[i],) if arity else ())
-            if match is not None:
-                bindings = match(inst)
-            else:
-                try:
-                    bindings = source.match(inst)
-                except UnificationError:
-                    bindings = None
-            if bindings is None:
+            inst = StateInstance(state_spec, (values[i],) if arity else ())
+            try:
+                bindings = source.match(inst)
+            except UnificationError:
                 miss(i)
                 continue
-            if has_guard:
-                if guard is not None:
-                    ok = guard(bindings, None)
-                else:
-                    ok = transition.guard_holds(bindings, None)
-                if not ok:
-                    miss(i)
-                    continue
-            new = build(bindings) if build is not None else target.instantiate(bindings)
+            if not transition.guard_holds(bindings, None):
+                miss(i)
+                continue
+            new = target.instantiate(bindings)
             if new.values:
                 values[i] = new.values[0]
             if not same_state:
@@ -121,7 +103,8 @@ class Population:
             "q", (workload.initial_value(i) for i in range(lo, hi))
         )
         self.rejected = 0  # events no candidate accepted (workload bug tell)
-        table = _dispatch.staged_table(spec)
+        compiled = active_state(spec)
+        kernels = compiled.codec.cohorts if compiled is not None else {}
         # chains[event_id][state_id] -> miss-chain of candidate steps, or
         # None when no candidate starts from that state.
         self._chains: List[List[Optional[List[_Step]]]] = []
@@ -134,19 +117,14 @@ class Population:
                     if transition.source.state is not state:
                         continue
                     target_sid = sid_of[transition.target.state.name]
-                    staged = table.by_name[name] if table is not None else None
-                    cohort = staged.cohort if staged is not None else None
-                    if cohort is not None:
-                        chain.append(
-                            self._fused_step(cohort, target_sid)
-                        )
+                    kernel = kernels.get(name)
+                    if kernel is not None:
+                        chain.append(self._fused_step(kernel, target_sid))
                     else:
                         chain.append(
                             _interpreted_step(
                                 transition,
-                                staged,
                                 state,
-                                state.arity,
                                 target_sid,
                                 self.values,
                                 self.state_ids,

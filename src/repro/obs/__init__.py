@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Histogram,
     MergeError,
     MetricsRegistry,
-    compact_snapshot,
     log_buckets,
 )
 from repro.obs.report import export_json, render_dashboard
@@ -51,7 +50,6 @@ __all__ = [
     "MergeError",
     "MetricsRegistry",
     "DEFAULT_TIME_BUCKETS",
-    "compact_snapshot",
     "log_buckets",
     "Tracer",
     "SpanRecord",

@@ -432,43 +432,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-def compact_snapshot(
-    snapshot: Dict[str, List[Dict[str, Any]]]
-) -> Dict[str, List[Dict[str, Any]]]:
-    """A summary-stat view of a snapshot: histograms lose their buckets.
-
-    Counters and gauges pass through untouched; each histogram entry is
-    reduced to ``count``/``sum``/``min``/``max``/``mean``/``p50``/``p95``
-    with the raw ``bounds``/``bucket_counts`` arrays dropped.  This is
-    what keeps committed artifacts like ``BENCH_obs.json`` reviewable —
-    a bucket ladder is ~40 numbers per histogram, the summary is 7.
-
-    A compacted histogram can no longer be re-merged (the bucket counts
-    are gone), so this is a *terminal* export form: compact for storage
-    and diffing, keep the full snapshot when further aggregation is
-    needed.
-    """
-    out: Dict[str, List[Dict[str, Any]]] = {}
-    for name, entries in snapshot.items():
-        compacted = []
-        for entry in entries:
-            if entry.get("kind") != "histogram":
-                compacted.append(dict(entry))
-                continue
-            compacted.append(
-                {
-                    "labels": entry.get("labels", {}),
-                    "kind": "histogram",
-                    "count": entry.get("count", 0),
-                    "sum": entry.get("sum", 0.0),
-                    "min": entry.get("min"),
-                    "max": entry.get("max"),
-                    "mean": entry.get("mean", 0.0),
-                    "p50": entry.get("p50", 0.0),
-                    "p95": entry.get("p95", 0.0),
-                }
-            )
-        out[name] = compacted
-    return out

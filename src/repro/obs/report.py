@@ -10,9 +10,7 @@ indent by nesting depth and every line carries *virtual* and *wall* time.
 ``export_json`` emits the same data machine-readably: one ``metrics``
 record plus one ``span`` record per trace record, in the
 :mod:`repro.obs.records` format, which ``python -m repro.obs report``
-renders back into this dashboard.  (``BENCH_obs.json`` does not come
-from here: ``benchmarks/conftest.py`` builds it from
-:func:`~repro.obs.metrics.compact_snapshot`.)
+renders back into this dashboard.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def build_receiver_spec(max_seq_bits: int = SEQ_BITS) -> MachineSpec:
 
 
 # One sealed spec per role, shared by every instance: the compiled
-# dispatch table and codec state key off the spec *object*, so a fresh
+# machine module and codec state key off the spec *object*, so a fresh
 # spec per instance would recompile per session (it was ~75% of the
 # serving plane's accept cost).
 _sender_spec = lru_cache(maxsize=None)(build_sender_spec)

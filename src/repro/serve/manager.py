@@ -12,11 +12,11 @@ Responsibilities, in the order a frame meets them:
    *only* hash lookup on the per-frame path; everything else is field
    access on the :class:`~repro.serve.session.Session`.  An unknown peer
    opens a session: its app is built over a **cached sealed spec** (one
-   spec and one staged dispatch table shared by every session of a
-   protocol — rebuilding them per accept was 75% of the accept cost),
-   and an exchange recorder is attached when differential recording is
-   on.  The first frame on a packet spec compiles it
-   (:mod:`repro.fastpath`); every later session reuses that codec.
+   spec shared by every session of a protocol — rebuilding it and its
+   dispatch per accept was 75% of the accept cost), and an exchange
+   recorder is attached when differential recording is on.  The first
+   frame compiles the role's packet and machine specs
+   (:mod:`repro.fastpath`); every later session reuses those modules.
 2. **Admission under overload.**  When the session table is at
    ``max_sessions``, the *oldest-idle* session is shed to make room.
    Finding it rides a lazy min-heap of ``(last_activity, open_seq,

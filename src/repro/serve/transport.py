@@ -12,8 +12,8 @@ Three pieces:
   buffer by TCP itself.
 * :class:`Server` — binds either (or both) listener kinds, owns the
   hashed timer wheel and its tick task, publishes obs snapshots to the
-  ``REPRO_OBS_EXPORT`` plane while running, and tears everything down
-  cleanly.
+  ``REPRO_OBS_EXPORT`` plane while running and a ``final`` one on
+  close, and tears everything down cleanly.
 
 :class:`LossyDatagramTransport` is the test/demo impairment shim: a
 ``tc netem``-style wrapper over a real ``DatagramTransport`` that
@@ -317,7 +317,11 @@ class Server:
             pass
 
     async def close(self) -> None:
-        """Stop listeners, reap sessions, stop the wheel and exporter."""
+        """Stop listeners, reap sessions, stop the wheel and exporter.
+
+        The exporter's last record is a ``final`` snapshot, which ends a
+        ``python -m repro.obs top`` following the stream.
+        """
         if self._tick_task is not None:
             self._tick_task.cancel()
             try:
@@ -334,6 +338,7 @@ class Server:
             self.tcp_server = None
         self.manager.close_all(reason="shutdown")
         if self._exporter is not None:
+            self._exporter.publish(self.obs.registry.snapshot(), phase="final")
             try:
                 self._exporter.close()
             except Exception:

@@ -1,7 +1,8 @@
 """Per-frame call budgets on the receive path (paper §3.4 gate, compiled).
 
 Each test counts the Python ``call`` events into code under
-``src/repro`` or a generated codec module (``repro_generated_*``) while a
+``src/repro`` or a generated codec or machine module
+(``repro_generated_*``) while a
 role or the session manager handles steady-state frames, and holds the
 mean per frame to a budget.  Counts do not drift with host load the way
 timings do, so a structural slip on the per-frame path — one more
@@ -25,13 +26,13 @@ from repro.protocols.sliding import SLIDING_PACKET, SelectiveRepeatReceiver
 from repro.serve.manager import SessionManager
 from repro.serve.wheel import TimerWheel
 
-#: Calls per frame after the generated receive gate and make (the
-#: interpreted gate cost 101, 107, 111 and 106).
+#: Calls per frame with the generated receive gate, make and machine
+#: transitions, as measured: one more call per frame on a path fails it.
 BUDGETS = {
-    "ArqReceiver.on_frame": 55,
-    "SelectiveRepeatReceiver.on_frame": 58,
-    "HandshakeResponder.on_frame": 56,
-    "SessionManager.frame_from": 60,
+    "ArqReceiver.on_frame": 46,
+    "SelectiveRepeatReceiver.on_frame": 49,
+    "HandshakeResponder.on_frame": 47,
+    "SessionManager.frame_from": 51,
 }
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep

@@ -383,6 +383,13 @@ class TestRunner:
         assert checked == len(Corpus(path))
         assert drifts == []
 
+    def test_a_second_run_into_one_corpus_writes_the_same_bytes(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        run_all(seed=0, budget=120, corpus_path=str(path))
+        first = path.read_bytes()
+        run_all(seed=0, budget=120, corpus_path=str(path))
+        assert first and path.read_bytes() == first
+
     def test_same_seed_reproduces_the_same_run(self):
         first = run_all(seed=5, budget=60, engines=("fuzz",), specs=("ArqData",))
         second = run_all(seed=5, budget=60, engines=("fuzz",), specs=("ArqData",))

@@ -1,7 +1,12 @@
 """The machine runtime: exec_trans soundness, evidence demands, traces."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 
+from repro import fastpath, obs
 from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.machine import (
     InvalidTransitionError,
@@ -12,6 +17,7 @@ from repro.core.machine import (
 from repro.core.packet import PacketSpec
 from repro.core.statemachine import MachineSpec, MachineSpecError, Param
 from repro.core.symbolic import Var, this
+from repro.obs import NULL_OBS
 
 ARQ = PacketSpec(
     "ArqT",
@@ -338,17 +344,17 @@ class TestStagedDispatch:
         log.append(("trace", tuple(s.transition for s in machine.trace)))
         return log
 
-    def _compare_modes(self, build, steps, monkeypatch):
-        from repro.core import dispatch
+    def _compare_modes(self, build, steps):
+        with fastpath.use(mode="always"):
+            spec = build()
+            compiled = self._transcript(spec, steps)
+            # Never demoted: no generated refusal was one the walk accepts.
+            assert fastpath.state_of(spec).status == "compiled"
+        with fastpath.use(mode="off"):
+            interpreted = self._transcript(build(), steps)
+        assert compiled == interpreted
 
-        staged = self._transcript(build(), steps)
-        # No staged table: every machine built now runs interpreted.
-        monkeypatch.setattr(dispatch, "staged_table", lambda spec: None)
-        assert Machine(build())._staged is None
-        interpreted = self._transcript(build(), steps)
-        assert staged == interpreted
-
-    def test_sender_behaviour_identical_staged_or_not(self, monkeypatch):
+    def test_sender_behaviour_identical_staged_or_not(self):
         self._compare_modes(
             sender_spec,
             [
@@ -360,10 +366,9 @@ class TestStagedDispatch:
                 ("FINISH", None, {}),
                 ("SEND", b"z", {}),  # invalid: machine finished
             ],
-            monkeypatch,
         )
 
-    def test_guarded_behaviour_identical_staged_or_not(self, monkeypatch):
+    def test_guarded_behaviour_identical_staged_or_not(self):
         self._compare_modes(
             self._guarded_spec,
             [
@@ -372,7 +377,6 @@ class TestStagedDispatch:
                 ("ACK", None, {"ack": 9}),
                 ("STOP", None, {}),
             ],
-            monkeypatch,
         )
 
     def test_sealed_spec_carries_dispatch_indexes(self):
@@ -394,31 +398,126 @@ class TestStagedDispatch:
             ]
             assert indexed == scanned
 
-    def test_staged_table_covers_sender(self):
-        from repro.core import dispatch
-
+    def test_compiled_module_covers_sender(self):
         spec = sender_spec()
-        table = dispatch.staged_table(spec)
-        assert table is not None
-        assert set(table.by_name) == {"SEND", "OK", "FAIL", "FINISH"}
-        machine = Machine(spec)
-        machine.exec_trans("SEND", b"x")
-        machine.exec_trans("OK", verified_packet())
-        # A clean run never demotes a staged closure.
-        assert all(
-            staged.match is not None for staged in table.by_name.values()
-        )
+        with fastpath.use(mode="always"):
+            machine = Machine(spec)
+            machine.exec_trans("SEND", b"x")
+            machine.exec_trans("OK", verified_packet())
+            state = fastpath.state_of(spec)
+            assert state.status == "compiled"
+            assert set(state.codec.execs) == {"SEND", "OK", "FAIL", "FINISH"}
+            assert state.codec.module.__name__ == "repro_generated_machine_sender"
+            # Only the payload-free, input-free transitions fuse.
+            assert set(state.codec.cohorts) == {"FAIL", "FINISH"}
+            assert fastpath.demoted() == []
+
+    def test_compiled_module_does_not_keep_its_spec_alive(self):
+        spec = sender_spec()
+        with fastpath.use(mode="always"):
+            Machine(spec).exec_trans("SEND", b"x")
+            assert fastpath.state_of(spec).status == "compiled"
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
 
     def test_divergence_counter_absent_on_clean_run(self):
-        from repro.core import dispatch
-        from repro.obs import Instrumentation
+        instr = obs.enable()
+        instr.reset()
+        try:
+            with fastpath.use(mode="always", verify=True):
+                # Obs off for the machine itself, or it walks interpreted.
+                machine = Machine(sender_spec(), obs=NULL_OBS)
+                machine.exec_trans("SEND", b"x")
+                machine.exec_trans("FAIL")
+                assert fastpath.state_of(machine.spec).status == "compiled"
+        finally:
+            obs.disable()
+        for reason in ("exec-error", "exec-mismatch"):
+            assert instr.registry.value(
+                "fastpath.divergences", spec="sender", reason=reason
+            ) == 0
 
-        instr = Instrumentation()
-        machine = Machine(sender_spec(), obs=instr)
-        machine.exec_trans("SEND", b"x")
-        machine.exec_trans("FAIL")
+    @staticmethod
+    def _replace_exec(spec, name, run):
+        """Swap one generated ``exec_<T>`` of ``spec``'s current module."""
+        state = fastpath.active_state(spec)
+        execs = dict(state.codec.execs, **{name: run})
+        state.codec = state.codec._replace(execs=execs)
+        return state
+
+    def test_verify_demotes_a_wrong_generated_target(self):
+        spec = sender_spec()
+        instr = obs.enable()
+        instr.reset()
+        try:
+            with fastpath.use(mode="always", verify=True):
+                machine = Machine(spec, obs=NULL_OBS)
+                machine.exec_trans("SEND", b"x")
+                ok = fastpath.active_state(spec).codec.execs["OK"]
+
+                def lies(current, payload, inputs):
+                    target, bindings = ok(current, payload, inputs)
+                    return target.state.instance(target.values[0] + 1), bindings
+
+                self._replace_exec(spec, "OK", lies)
+                ready = spec.states["Ready"].instance(1)
+                assert machine.exec_trans("OK", verified_packet()) == ready
+                assert machine.current == ready
+                assert fastpath.demoted() == [("sender", "exec-mismatch")]
+        finally:
+            obs.disable()
         assert instr.registry.value(
-            "machine.staged_divergences",
-            machine="sender", transition="SEND", phase="match",
-        ) == 0
-        assert dispatch.stats()["tables"] >= 1
+            "fastpath.divergences", spec="sender", reason="exec-mismatch"
+        ) == 1
+
+    def test_always_demotes_a_refusal_the_walk_accepts(self):
+        spec = sender_spec()
+        with fastpath.use(mode="always"):
+            machine = Machine(spec)
+            self._replace_exec(spec, "SEND", lambda current, payload, inputs: None)
+            wait = spec.states["Wait"].instance(0)
+            assert machine.exec_trans("SEND", b"x") == wait
+            assert [step.transition for step in machine.trace] == ["SEND"]
+            assert fastpath.demoted() == [("sender", "exec-error")]
+            # Demoted: the walk runs from now on.
+            assert machine.exec_trans("FAIL").name == "Ready"
+
+    def test_a_refusal_the_walk_shares_keeps_the_module(self):
+        spec = sender_spec()
+        with fastpath.use(mode="always"):
+            machine = Machine(spec)
+            with pytest.raises(InvalidTransitionError) as excinfo:
+                machine.exec_trans("OK", verified_packet())  # in Ready, not Wait
+            assert excinfo.value.code == "dispatch"
+            assert fastpath.state_of(spec).status == "compiled"
+
+    @staticmethod
+    def _generated_calls(mode):
+        """Names of the generated machine functions a short run calls."""
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(
+                "repro_generated_machine_"
+            ):
+                calls.append(code.co_name)
+
+        packet = verified_packet()
+        with fastpath.use(mode=mode):
+            machine = Machine(sender_spec())
+            fastpath.active_state(machine.spec)  # compile outside the count
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                machine.exec_trans("SEND", b"x")
+                machine.exec_trans("OK", packet)
+            finally:
+                sys.setprofile(previous)
+        return calls
+
+    def test_off_runs_no_generated_machine_function(self):
+        assert self._generated_calls("always") == ["exec_SEND", "exec_OK"]
+        assert self._generated_calls("off") == []

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core import dispatch
+from repro import fastpath
 from repro.core.machine import Machine
 from repro.megasim import (
     Population,
@@ -81,12 +81,13 @@ class TestWorkloads:
     def test_specs_seal_and_stage_fully(self, name):
         workload = get_workload(name)
         assert workload.spec.sealed
-        table = dispatch.staged_table(workload.spec)
+        with fastpath.use(mode="always"):
+            compiled = fastpath.active_state(workload.spec)
+        assert compiled is not None
         for group in workload.events:
             for transition_name in group:
-                staged = table.by_name[transition_name]
-                # Every workload transition gets the fused cohort tier.
-                assert staged.cohort is not None, transition_name
+                # Every workload transition gets a generated cohort kernel.
+                assert transition_name in compiled.codec.cohorts, transition_name
         for kind, event_id in workload.message_event.items():
             assert 0 <= event_id < len(workload.events)
 
@@ -121,13 +122,13 @@ class TestFidelity:
             assert engine.population.state_of(i) == machine.current, i
 
     @pytest.mark.parametrize("config", [SMALL_TRUST], ids=["trust"])
-    def test_interpreted_tier_matches_staged(self, config, monkeypatch):
-        staged_run = run_serial(config)
-        # No staged table: a fresh population built now uses the
-        # interpreted kernels.
-        monkeypatch.setattr(dispatch, "staged_table", lambda spec: None)
-        interpreted_run = run_serial(config)
-        assert interpreted_run.text() == staged_run.text()
+    def test_interpreted_tier_matches_staged(self, config):
+        with fastpath.use(mode="always"):
+            compiled_run = run_serial(config)
+        # Policy off: a fresh population built now runs the interpreted walk.
+        with fastpath.use(mode="off"):
+            interpreted_run = run_serial(config)
+        assert interpreted_run.text() == compiled_run.text()
 
 
 class TestDeterminismAndInvariance:

@@ -179,16 +179,18 @@ class TestSessionManager:
         assert apps["b"].delivered == [b"from-b"]
 
     def test_first_frame_compiles_every_responder_spec(self):
-        # No accept-time warm-up: the session's own codec calls compile.
+        # No accept-time warm-up: the session's own codec and machine
+        # calls compile.
         fastpath.reset()
         with fastpath.use(mode="off"):
             frame = _data_frame(0)
         h = _Harness()
         h.offer("a", frame)
-        specs = h.manager.sessions["a"].app.specs
+        app = h.manager.sessions["a"].app
+        specs = [*app.specs, app.machine.spec]
         statuses = [getattr(fastpath.state_of(s), "status", None) for s in specs]
-        assert statuses == ["compiled"] * len(specs)
-        assert fastpath.stats()["compiles"] == len(specs)
+        assert statuses == ["compiled"] * 3
+        assert fastpath.stats()["compiles"] == 3
 
     def test_per_peer_seed_is_deterministic_and_distinct(self):
         assert session_seed(1, "a") == session_seed(1, "a")
@@ -822,6 +824,36 @@ class TestServeCli:
             differential = replay_records(load_records(handle))
         assert differential.summary()["records"] == 1
         assert differential.divergent == []
+
+
+class TestServerExport:
+    def test_close_publishes_a_final_record_that_ends_top(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import records
+        from repro.obs.live.top import top_command
+
+        export = tmp_path / "export.jsonl"
+        monkeypatch.setenv("REPRO_OBS_EXPORT", str(export))
+
+        async def main():
+            server = await Server.start(ServeConfig(protocol="arq", port=0))
+            await server.close()
+
+        asyncio.run(main())
+        exports = [r for r in records.read(str(export)) if r.kind == "export"]
+        assert exports and exports[-1].body["phase"] == "final"
+        # Following the stream stops at that record instead of waiting on.
+        done = []
+        follower = threading.Thread(
+            target=lambda: done.append(
+                top_command(str(export), interval=0.05, out=io.StringIO())
+            ),
+            daemon=True,
+        )
+        follower.start()
+        follower.join(timeout=10)
+        assert done == [0]
 
 
 # ---------------------------------------------------------------------------

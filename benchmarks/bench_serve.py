@@ -116,7 +116,6 @@ def bench_high_session(
         wheel=wheel,
         clock=time.perf_counter,
         max_sessions=sessions,
-        max_queue=64,
         idle_timeout=3600.0,
     )
     packet = ARQ_PACKET.make(seq=0, length=4, payload=b"ping")

@@ -330,7 +330,9 @@ def replay(entry: CorpusEntry) -> Tuple[str, str]:
     the registry, or the entry holds nothing to re-run).  Registry
     entries are looked up at call time.
     """
-    if entry.engine == "machine":
+    # A machine spec's demotion (op "exec") names a machine, not a spec.
+    machine_op = entry.engine == "fastpath" and entry.meta.get("op") == "exec"
+    if entry.engine == "machine" or machine_op:
         subjects = registry.all_machine_entries()
     elif entry.engine in ("fuzz", "fastpath"):
         subjects = registry.all_spec_entries()
@@ -339,6 +341,8 @@ def replay(entry: CorpusEntry) -> Tuple[str, str]:
     subject = next((s for s in subjects if s.name == entry.subject), None)
     if subject is None:
         return "unreplayable", f"{entry.subject!r} is not in the registry"
+    if machine_op:
+        return "unreplayable", "machine demotion entries record no payload"
     if entry.engine == "fastpath":
         return _replay_demotion(entry, subject.spec)
     if entry.engine == "fuzz":

@@ -34,9 +34,10 @@ interpreted walk below is the other, and the oracle: it runs when the
 policy is ``off``, the spec is demoted or obs is enabled (the walk
 records one span per phase); it supplies the canonical error for every
 generated refusal except a guard's; and under ``verify`` it checks every
-generated result.  A walk that succeeds where the generated function
-refused or raised, or that disagrees with it, demotes the spec's module
-(``fastpath.divergences``) and its own result is committed.
+generated result, with obs enabled or not.  A walk that succeeds where
+the generated function refused or raised, or that disagrees with it,
+demotes the spec's module (``fastpath.divergences``) and its own result
+is committed.
 """
 
 from __future__ import annotations
@@ -312,20 +313,57 @@ class Machine:
         otherwise or raised.  The walk's error propagates.  Wherever the
         walk disagrees with ``result``, the spec's module is demoted.
         """
-        reason = "exec-error" if result is None else "exec-mismatch"
         try:
             transition = self._lookup(transition_name)
             target, bindings = self._walk(transition, payload, inputs)
         except Exception as exc:
-            guard_refused = (
-                isinstance(exc, InvalidTransitionError) and exc.code == "guard"
-            )
-            if result is not None and not (result is False and guard_refused):
-                self._demote(state, transition_name, reason)
+            self._cross_check((state, result), transition_name, error=exc)
             raise
-        if result != (target, bindings):
-            self._demote(state, transition_name, reason)
+        self._cross_check((state, result), transition_name, walked=(target, bindings))
         return self._commit(transition_name, target, bindings, payload)
+
+    def _generated(
+        self, transition_name: str, payload: Any, inputs: Dict[str, int]
+    ) -> Optional[Tuple[Any, Any]]:
+        """``(state, result)`` of the spec's ``exec_<T>`` under ``verify``.
+
+        ``result`` is as :meth:`_oracle` takes it.  None when no generated
+        module is verified against the walk.
+        """
+        state = _fp_active(self.spec)
+        if state is None or not state.verify:
+            return None
+        run = state.codec.execs.get(transition_name)
+        if run is None:
+            return None
+        try:
+            return state, run(self._current, payload, inputs)
+        except _FALLBACK_ERRORS:
+            return state, None
+
+    def _cross_check(
+        self,
+        generated: Tuple[Any, Any],
+        transition_name: str,
+        walked: Optional[Tuple[StateInstance, Dict[str, int]]] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Demote the generated module wherever it disagrees with the walk.
+
+        ``walked`` is the walk's ``(target, bindings)``, or ``error`` what
+        it raised instead.
+        """
+        state, result = generated
+        if error is None:
+            disagrees = result != walked
+        else:
+            guard_refused = (
+                isinstance(error, InvalidTransitionError) and error.code == "guard"
+            )
+            disagrees = result is not None and not (result is False and guard_refused)
+        if disagrees:
+            reason = "exec-error" if result is None else "exec-mismatch"
+            self._demote(state, transition_name, reason)
 
     def _demote(self, state: Any, transition_name: str, reason: str) -> None:
         op = {"op": "exec", "transition": transition_name, "state": repr(self._current)}
@@ -342,8 +380,11 @@ class Machine:
 
         Records an ``exec_trans`` span with one child span per phase, an
         execution-latency histogram, and executed/rejected counters (the
-        rejection reason is the exception's ``code``).
+        rejection reason is the exception's ``code``).  Under ``verify``
+        the spec's ``exec_<T>`` runs first, and the walk checks it as
+        :meth:`_oracle` does.
         """
+        generated = self._generated(transition_name, payload, inputs)
         tracer = obs.tracer
         registry = obs.registry
         start = time.perf_counter()
@@ -367,21 +408,25 @@ class Machine:
                                 encode_verbatim(value.spec, value._values, obs=NULL_OBS)
                             ),
                         )
-                transition = self._lookup(transition_name)
-                with tracer.span("dispatch"):
-                    bindings = self._dispatch(transition, inputs)
-                span.set_attr("bindings", dict(sorted(bindings.items())))
-                with tracer.span("evidence"):
-                    self._check_payload(transition, payload)
-                with tracer.span("guard"):
-                    self._check_guard(transition, bindings, payload)
+                try:
+                    transition = self._lookup(transition_name)
+                    with tracer.span("dispatch"):
+                        bindings = self._dispatch(transition, inputs)
+                    span.set_attr("bindings", dict(sorted(bindings.items())))
+                    with tracer.span("evidence"):
+                        self._check_payload(transition, payload)
+                    with tracer.span("guard"):
+                        self._check_guard(transition, bindings, payload)
+                except Exception as exc:
+                    if generated is not None:
+                        self._cross_check(generated, transition_name, error=exc)
+                    raise
                 with tracer.span("step"):
-                    target = self._commit(
-                        transition.name,
-                        transition.target.instantiate(bindings),
-                        bindings,
-                        payload,
-                    )
+                    target = transition.target.instantiate(bindings)
+                    if generated is not None:
+                        walked = (target, bindings)
+                        self._cross_check(generated, transition_name, walked=walked)
+                    target = self._commit(transition.name, target, bindings, payload)
                 span.set_attr("target", repr(target))
         except InvalidTransitionError as exc:
             registry.counter(

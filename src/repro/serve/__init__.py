@@ -18,7 +18,8 @@ built so the question is decidable:
 
 Operationally the plane carries the full serving feature set — session
 demultiplexing with oldest-idle shedding (:mod:`~repro.serve.manager`),
-bounded receive queues with UDP drop / TCP pause backpressure
+each frame run through its session's role in the socket callback that
+received it, with the kernel's socket buffers as the only queue
 (:mod:`~repro.serve.transport`), retransmission and idle reaping off a
 hashed timer wheel (:mod:`~repro.serve.wheel`), and ``repro.obs``
 instrumentation throughout (``python -m repro.obs top`` works against a

@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listener kind (default udp)",
     )
     serve.add_argument("--max-sessions", type=int, default=1024)
-    serve.add_argument("--max-queue", type=int, default=64)
     serve.add_argument("--idle-timeout", type=float, default=30.0)
     serve.add_argument("--window", type=int, default=8, help="sliding window")
     serve.add_argument("--seed", type=int, default=0)
@@ -96,7 +95,6 @@ async def _serve(args: argparse.Namespace) -> int:
             port=args.port,
             kind=args.kind,
             max_sessions=args.max_sessions,
-            max_queue=args.max_queue,
             idle_timeout=args.idle_timeout,
             seed=args.seed,
             record=args.record is not None,

@@ -29,26 +29,24 @@ Responsibilities, in the order a frame meets them:
    outnumber live sessions, the same tombstone policy as the simulator's
    event queue.  Stamps name the peer, not the session, so the heap
    never keeps a closed session alive.
-3. **Bounded queueing.**  Each session's receive queue is capped; a full
-   queue drops the frame (UDP) or reports congestion so the transport
-   pauses reading (TCP).  Drains are deferred through the host's
-   ``defer`` hook (``loop.call_soon`` live, inline in tests) with the
-   session itself as the callback — no ``lambda`` per enqueue — and a
-   drain that fires after its session closed does nothing.  Each
-   session is a fault domain: a role that raises while its queue drains
-   or while its idle timer fires closes that session (reason
-   ``app_error``); a drain failure drops the rest of the queue and still
-   resumes a paused connection.
+3. **Run the frame.**  The session's app handles the frame inside
+   :meth:`SessionManager.frame_from`, in the transport callback that
+   received it: no per-session queue, no second event-loop turn.  The
+   kernel's socket buffers are the only queue — a UDP socket drops on
+   overflow, and TCP flow control pushes back on the peer.  Each session
+   is a fault domain: a role that raises on a frame or while its idle
+   timer fires closes that session (reason ``app_error``) and nobody
+   else's.
 4. **Idle reaping** rides the hashed timer wheel lazily: one timer per
    session, rescheduled only when it fires early — no cancel churn on
    the per-frame hot path.  The wheel is the host's: live, the
    :class:`~repro.serve.transport.Server` owns and ticks it.
 
-The per-frame metric handles (frames in/out, queue drops) are resolved
-once through ``MetricsRegistry.handle_cache`` instead of re-resolving
-labeled names per frame; everything still lands on ``repro.obs`` —
-``serve.sessions_active`` gauge, open/close/shed/drop counters labeled
-by reason, per-dispatch spans, and session-lifetime histograms — so
+The per-frame metric handles (frames in/out) are resolved once through
+``MetricsRegistry.handle_cache`` instead of re-resolving labeled names
+per frame; everything still lands on ``repro.obs`` —
+``serve.sessions_active`` gauge, open/close/shed counters labeled by
+reason, per-dispatch spans, and session-lifetime histograms — so
 ``python -m repro.obs top`` pointed at a live server's export stream
 shows the serving plane breathing.
 """
@@ -67,7 +65,6 @@ from repro.serve.session import Session
 from repro.serve.wheel import TimerWheel
 
 Send = Callable[[bytes], None]
-Defer = Callable[[Callable[[], None]], None]
 
 #: Compact the shed heap when stale stamps exceed live sessions by this
 #: margin (hysteresis so tiny tables never bother).
@@ -77,19 +74,18 @@ _HEAP_SLACK = 16
 class Admission:
     """What happened to one offered frame.
 
-    The manager reuses **one** :class:`Admission` instance across
+    ``accepted`` is False when the session's app raised on the frame,
+    which closed ``session`` (reason ``app_error``).  The manager reuses
+    **one** :class:`Admission` instance across
     :meth:`SessionManager.frame_from` calls (the demux hot path allocates
     nothing); read it before offering the next frame, copy the fields if
     you must keep them.
     """
 
-    __slots__ = ("accepted", "congested", "session")
+    __slots__ = ("accepted", "session")
 
-    def __init__(
-        self, accepted: bool, congested: bool, session: Optional[Session]
-    ) -> None:
+    def __init__(self, accepted: bool, session: Optional[Session]) -> None:
         self.accepted = accepted
-        self.congested = congested
         self.session = session
 
 
@@ -126,7 +122,6 @@ class _MetricHandles:
         "protocol",
         "frames_in",
         "frames_out",
-        "queue_drops",
         "opened",
         "shed",
         "active",
@@ -142,9 +137,6 @@ class _MetricHandles:
         )
         self.frames_out: Counter = registry.counter(
             "serve.frames_out", protocol=protocol
-        )
-        self.queue_drops: Counter = registry.counter(
-            "serve.queue_drops", protocol=protocol
         )
         self.opened: Counter = registry.counter(
             "serve.sessions_opened", protocol=protocol
@@ -189,8 +181,6 @@ class SessionManager:
     max_sessions:
         The shed threshold: admitting a new peer beyond this evicts the
         oldest-idle session first.
-    max_queue:
-        Per-session receive-queue bound.
     idle_timeout:
         Seconds of silence before a session is reaped.  Doubles as the
         protocol timer (the handshake responder's half-open RESET fires
@@ -200,8 +190,6 @@ class SessionManager:
     record:
         Attach an exchange recorder to every session (the loopback
         differential mode).
-    defer:
-        Drain scheduler; defaults to immediate (synchronous) draining.
     """
 
     def __init__(
@@ -211,29 +199,23 @@ class SessionManager:
         wheel: TimerWheel,
         clock: Callable[[], float],
         max_sessions: int = 1024,
-        max_queue: int = 64,
         idle_timeout: float = 30.0,
         app_params: Optional[Dict[str, Any]] = None,
         seed: int = 0,
         record: bool = False,
-        defer: Optional[Defer] = None,
         obs: Optional[Instrumentation] = None,
     ) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be positive, got {max_sessions}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be positive, got {max_queue}")
         self.protocol = protocol
         self.app_cls = app_class(protocol)
         self.wheel = wheel
         self.clock = clock
         self.max_sessions = max_sessions
-        self.max_queue = max_queue
         self.idle_timeout = idle_timeout
         self.app_params = dict(app_params or {})
         self.seed = seed
         self.record = record
-        self.defer: Defer = defer if defer is not None else (lambda fn: fn())
         self.obs = obs if obs is not None else get_default()
         #: ``peer -> Session`` — the datapath's one hash lookup.  It holds
         #: live sessions only; a closed one is popped.
@@ -243,14 +225,13 @@ class SessionManager:
         self.opened_total = 0
         self.closed_total = 0
         self.shed_total = 0
-        self.drop_total = 0
         # Oldest-idle shed heap: (last_activity, open_seq, peer).  open_seq
         # breaks activity ties in open order, the order of a min() over
         # the table, and is unique, so peers are never compared.
         self._idle_heap: List[Tuple[float, int, Any]] = []
         self._heap_stale = 0
         self._open_seq = 0
-        self._admission = Admission(False, False, None)
+        self._admission = Admission(False, None)
 
     # -- observability plumbing --------------------------------------------
 
@@ -269,85 +250,48 @@ class SessionManager:
     def frame_from(self, peer: Any, data: bytes, send: Any) -> Admission:
         """One inbound frame from ``peer``; the transport's entry point.
 
-        ``send`` is consulted only when this frame *opens* a session: it
-        is either the per-peer send callable itself or a
-        :class:`SendFactory` the manager invokes with the peer key.  For
-        frames on existing sessions it is ignored (the open-time send is
-        kept), so transports can pass one long-lived object and the hot
-        path allocates nothing.  The returned :class:`Admission` is
-        reused across calls.
+        The session's app handles the frame before this returns.  ``send``
+        is consulted only when this frame *opens* a session: it is either
+        the per-peer send callable itself or a :class:`SendFactory` the
+        manager invokes with the peer key.  For frames on existing
+        sessions it is ignored (the open-time send is kept), so transports
+        can pass one long-lived object and the hot path allocates
+        nothing.  The returned :class:`Admission` is reused across calls.
         """
         session = self.sessions.get(peer)
         if session is None:
             session = self._open(peer, send)
-        queue = session.queue
         admission = self._admission
-        if len(queue) >= self.max_queue:
-            session.drops += 1
-            session.congested = True
-            self.drop_total += 1
-            if self.obs.enabled:
-                self._handles().queue_drops.inc()
-            admission.accepted = False
-        else:
-            queue.append(data)
-            if len(queue) >= self.max_queue:
-                session.congested = True
-            if not session.drain_scheduled:
-                session.drain_scheduled = True
-                self.defer(session)
-            admission.accepted = True
-        admission.congested = session.congested
+        admission.accepted = self._drain_slot(session, data)
         admission.session = session
         return admission
 
-    def _drain_slot(self, session: Session) -> None:
-        """Feed ``session``'s queued frames to its app (a deferred drain)."""
-        if session.closed:
-            return  # the session this drain was deferred for is gone
-        session.drain_scheduled = False
-        queue = session.queue
-        if queue:
-            app = session.app
-            recorder = session.recorder
-            session.last_activity = self.clock()
-            obs = self.obs
-            try:
-                if obs.enabled:
-                    frames_in = self._handles().frames_in
-                    span = obs.tracer.span
-                    peer_name = str(session.peer)
-                    protocol = self.protocol
-                    while queue:
-                        data = queue.popleft()
-                        if recorder is not None:
-                            recorder.frame_in(data)
-                        frames_in.inc()
-                        with span(
-                            "serve.dispatch", protocol=protocol, peer=peer_name
-                        ):
-                            app.on_frame(data)
-                else:
-                    while queue:
-                        data = queue.popleft()
-                        if recorder is not None:
-                            recorder.frame_in(data)
-                        app.on_frame(data)
-            except Exception:
-                # Each session is a fault domain: a raising app loses its
-                # own session (and the rest of its queue, which no later
-                # drain delivers) and nobody else's.  A paused connection
-                # still resumes, so its transport is not stranded.
-                resume = session.resume if session.congested else None
-                self.close(session.peer, reason="app_error")
-                if resume is not None:
-                    resume()
-                return
-        if session.congested:
-            session.congested = False
-            resume = session.resume
-            if resume is not None:
-                resume()
+    def _drain_slot(self, session: Session, data: bytes) -> bool:
+        """Run one frame through ``session``'s app; False if the app raised.
+
+        ``bench/trace.py`` wraps this method by name for its
+        ``serve.manager.drain`` span: renaming it breaks the traced trial.
+        """
+        session.last_activity = self.clock()
+        recorder = session.recorder
+        if recorder is not None:
+            recorder.frame_in(data)
+        obs = self.obs
+        try:
+            if obs.enabled:
+                self._handles().frames_in.inc()
+                with obs.tracer.span(
+                    "serve.dispatch", protocol=self.protocol, peer=str(session.peer)
+                ):
+                    session.app.on_frame(data)
+            else:
+                session.app.on_frame(data)
+        except Exception:
+            # Each session is a fault domain: a raising app loses its own
+            # session and nobody else's.
+            self.close(session.peer, reason="app_error")
+            return False
+        return True
 
     # -- session lifecycle -------------------------------------------------
 
@@ -511,7 +455,6 @@ class SessionManager:
             "opened": self.opened_total,
             "closed": self.closed_total,
             "shed": self.shed_total,
-            "queue_drops": self.drop_total,
         }
 
     def __repr__(self) -> str:

@@ -3,17 +3,19 @@
 Three pieces:
 
 * :class:`UdpServeProtocol` — one datagram endpoint, sessions keyed by
-  source address.  Overflowing a session's queue drops the datagram
-  (the only backpressure UDP offers) and counts it.
+  source address.
 * :class:`TcpServeProtocol` — one connection per session, frames
-  restored by :class:`~repro.serve.framing.StreamDeframer`.  A full
-  session queue pauses the connection's read side until the manager
-  drains it — genuine backpressure, propagated to the peer's send
-  buffer by TCP itself.
+  restored by :class:`~repro.serve.framing.StreamDeframer`.
 * :class:`Server` — binds either (or both) listener kinds, owns the
   hashed timer wheel and its tick task, publishes obs snapshots to the
   ``REPRO_OBS_EXPORT`` plane while running and a ``final`` one on
   close, and tears everything down cleanly.
+
+Both listeners hand each frame to the manager, which runs it through the
+session's role before the transport callback returns.  Neither keeps a
+queue: the kernel's socket buffers are the only one, so a UDP socket
+drops on overflow and TCP flow control pushes back on the peer's send
+buffer.
 
 :class:`LossyDatagramTransport` is the test/demo impairment shim: a
 ``tc netem``-style wrapper over a real ``DatagramTransport`` that
@@ -49,7 +51,6 @@ class ServeConfig:
     port: int = 0  # 0: let the kernel pick (tests)
     kind: str = "udp"  # "udp" | "tcp" | "both"
     max_sessions: int = 1024
-    max_queue: int = 64
     idle_timeout: float = 30.0
     seed: int = 0
     record: bool = False
@@ -100,7 +101,6 @@ class TcpServeProtocol(asyncio.Protocol):
         self.transport: Optional[asyncio.Transport] = None
         self.deframer = StreamDeframer()
         self.peer: Any = None
-        self._paused = False
         self._send: Any = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -127,26 +127,7 @@ class TcpServeProtocol(asyncio.Protocol):
             transport.close()
             return
         for frame in frames:
-            admission = self.manager.frame_from(self.peer, frame, self._send)
-            if admission.congested and not self._paused:
-                # Backpressure: stop reading until the manager drains.
-                self._paused = True
-                admission.session.resume = self._resume
-                try:
-                    transport.pause_reading()
-                except (AttributeError, RuntimeError):
-                    self._paused = False  # transport cannot pause; drop-only
-
-    def _resume(self) -> None:
-        if not self._paused:
-            return
-        self._paused = False
-        transport = self.transport
-        if transport is not None:
-            try:
-                transport.resume_reading()
-            except RuntimeError:
-                pass  # already closing
+            self.manager.frame_from(self.peer, frame, self._send)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if self.peer is not None:
@@ -239,12 +220,10 @@ class Server:
             wheel=self.wheel,
             clock=loop.time,
             max_sessions=config.max_sessions,
-            max_queue=config.max_queue,
             idle_timeout=config.idle_timeout,
             app_params=config.app_params,
             seed=config.seed,
             record=config.record,
-            defer=loop.call_soon,
             obs=self.obs,
         )
         self.udp_transport: Optional[asyncio.DatagramTransport] = None

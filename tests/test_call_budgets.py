@@ -32,7 +32,7 @@ BUDGETS = {
     "ArqReceiver.on_frame": 46,
     "SelectiveRepeatReceiver.on_frame": 49,
     "HandshakeResponder.on_frame": 47,
-    "SessionManager.frame_from": 51,
+    "SessionManager.frame_from": 49,
 }
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
@@ -99,7 +99,7 @@ def handshake_responder():
 
 
 def session_manager():
-    """An established ARQ session, its queue drained inline."""
+    """An established ARQ session: the live server's per-frame path."""
     manager = SessionManager("arq", wheel=TimerWheel(), clock=lambda: 0.0)
     peer = ("127.0.0.1", 9)
     handle = lambda frame: manager.frame_from(peer, frame, _discard)  # noqa: E731

@@ -34,7 +34,7 @@ from repro.conformance import (
 from repro.conformance.machineconf import decode_ops, encode_ops
 from repro.conformance.mutate import ACCEPT, BUG_NONVERBATIM, _get_bits, _set_bits
 from repro.conformance.registry import SpecEntry
-from repro.conformance.runner import replay_corpus
+from repro.conformance.runner import replay, replay_corpus
 from repro.core.fields import Bytes, UInt
 from repro.core.packet import PacketSpec
 from repro.core.symbolic import Var, this
@@ -394,6 +394,20 @@ class TestRunner:
         first = run_all(seed=5, budget=60, engines=("fuzz",), specs=("ArqData",))
         second = run_all(seed=5, budget=60, engines=("fuzz",), specs=("ArqData",))
         assert first.to_json() == second.to_json()
+
+    def test_machine_demotion_entry_names_its_missing_payload(self):
+        # What Machine._demote records: a machine name and the op, no data.
+        meta = {"op": "exec", "transition": "OK", "state": "Wait(0)"}
+        entry = CorpusEntry("fastpath", "ArqSender", "demotion", b"", meta=meta)
+        assert replay(entry) == (
+            "unreplayable",
+            "machine demotion entries record no payload",
+        )
+        entry = CorpusEntry("fastpath", "NoSuchMachine", "demotion", b"", meta=meta)
+        assert replay(entry) == (
+            "unreplayable",
+            "'NoSuchMachine' is not in the registry",
+        )
 
     def test_cli_green_run_and_replay(self, tmp_path, capsys):
         from repro.conformance.__main__ import main

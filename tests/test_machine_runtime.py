@@ -472,6 +472,51 @@ class TestStagedDispatch:
             "fastpath.divergences", spec="sender", reason="exec-mismatch"
         ) == 1
 
+    def test_verify_demotes_a_wrong_generated_target_with_obs_on(self):
+        # The observed walk records its spans and still checks exec_<T>.
+        spec = sender_spec()
+        instr = obs.enable()
+        instr.reset()
+        try:
+            with fastpath.use(mode="always", verify=True):
+                machine = Machine(spec)
+                machine.exec_trans("SEND", b"x")
+                ok = fastpath.active_state(spec).codec.execs["OK"]
+
+                def lies(current, payload, inputs):
+                    target, bindings = ok(current, payload, inputs)
+                    return target.state.instance(target.values[0] + 1), bindings
+
+                self._replace_exec(spec, "OK", lies)
+                ready = spec.states["Ready"].instance(1)
+                assert machine.exec_trans("OK", verified_packet()) == ready
+                assert machine.current == ready
+                assert fastpath.demoted() == [("sender", "exec-mismatch")]
+        finally:
+            obs.disable()
+        assert instr.registry.value(
+            "fastpath.divergences", spec="sender", reason="exec-mismatch"
+        ) == 1
+        assert instr.registry.value(
+            "machine.transitions_executed", machine="sender", transition="OK"
+        ) == 1
+        phases = {record.name for record in instr.tracer.records()}
+        assert {"exec_trans", "dispatch", "evidence", "guard", "step"} <= phases
+
+    def test_verify_with_obs_on_demotes_a_refusal_the_walk_accepts(self):
+        spec = sender_spec()
+        instr = obs.enable()
+        instr.reset()
+        try:
+            with fastpath.use(mode="always", verify=True):
+                machine = Machine(spec)
+                self._replace_exec(spec, "SEND", lambda current, payload, inputs: None)
+                wait = spec.states["Wait"].instance(0)
+                assert machine.exec_trans("SEND", b"x") == wait
+                assert fastpath.demoted() == [("sender", "exec-error")]
+        finally:
+            obs.disable()
+
     def test_always_demotes_a_refusal_the_walk_accepts(self):
         spec = sender_spec()
         with fastpath.use(mode="always"):

@@ -3,9 +3,9 @@
 Five layers of scrutiny, cheapest first:
 
 1. unit tests for stream framing and exchange records (pure functions);
-2. the session manager driven synchronously — demux, bounded queues,
-   oldest-idle shedding, idle reaping — with a hand-advanced clock and
-   wheel, no sockets;
+2. the session manager driven synchronously — demux, per-frame
+   dispatch, oldest-idle shedding, idle reaping — with a hand-advanced
+   clock and wheel, no sockets;
 3. the loopback differential: DSL clients against a recording server on
    real 127.0.0.1 UDP, with seeded loss/duplication/reorder injected on
    both legs, every recorded exchange replayed through the netsim
@@ -197,33 +197,6 @@ class TestSessionManager:
         assert session_seed(1, "a") != session_seed(1, "b")
         assert session_seed(1, "a") != session_seed(2, "a")
 
-    def test_bounded_queue_drops_and_counts(self):
-        # Deferred drain: frames pile up in the queue until flushed.
-        pending = []
-        h = _Harness(max_queue=2, defer=pending.append)
-        for seq in range(4):
-            admission = h.offer("a", _data_frame(seq))
-        assert not admission.accepted  # the queue filled at 2
-        assert h.manager.drop_total == 2
-        assert h.manager.sessions["a"].drops == 2
-        for drain in pending:
-            drain()
-        # Only the queued frames were consumed.
-        assert h.manager.sessions["a"].app.frames_in == 2
-
-    def test_congestion_resume_fires_when_queue_drains(self):
-        pending = []
-        h = _Harness(max_queue=1, defer=pending.append)
-        h.offer("a", _data_frame(0))
-        admission = h.offer("a", _data_frame(1))
-        assert admission.congested
-        resumed = []
-        admission.session.resume = lambda: resumed.append(True)
-        for drain in pending:
-            drain()
-        assert resumed == [True]
-        assert not h.manager.sessions["a"].congested
-
     def test_shed_oldest_idle_at_capacity(self):
         h = _Harness(max_sessions=3)
         for index, peer in enumerate(["a", "b", "c"]):
@@ -292,7 +265,6 @@ class TestSlabStorage:
             "opened": 200,
             "closed": 200,
             "shed": 0,
-            "queue_drops": 0,
         }
 
     def test_shed_heap_tombstones_are_compacted(self):
@@ -319,30 +291,6 @@ class TestSlabStorage:
         assert view_a.app.delivered == [b"from-a"]
         assert view_b.app.delivered == [b"from-b"]
         assert not view_b.closed
-
-    def test_stale_drain_never_touches_a_retired_slot(self):
-        # A drain deferred for session a fires after a was closed: it
-        # must deliver nothing and change nothing.
-        pending = []
-        h = _Harness(defer=pending.append)
-        h.offer("a", _data_frame(0))
-        h.manager.close("a")  # a's drain is still queued in `pending`
-        (stale,) = pending
-        stale()  # must be a silent no-op
-        assert h.manager.stats()["active"] == 0
-
-    def test_drain_across_slot_reuse_delivers_exactly_once(self):
-        # a's stale drain fires after b opened: it is a no-op, and b's
-        # own drain delivers b's frame exactly once.
-        pending = []
-        h = _Harness(defer=pending.append)
-        h.offer("a", _data_frame(0))
-        h.manager.close("a")
-        h.offer("b", _data_frame(0, b"for-b"))
-        for drain in pending:
-            drain()
-        assert h.manager.sessions["b"].app.delivered == [b"for-b"]
-        assert h.manager.sessions["b"].app.frames_in == 1
 
     def test_send_captured_at_open_only(self):
         # frame_from ignores `send` for existing sessions (documented:
@@ -426,24 +374,20 @@ class TestSessionFaultDomain:
 
         monkeypatch.setitem(APPS, "arq", _RaisingReceiver)
         instr = Instrumentation()
-        pending = []
-        h = _Harness(defer=pending.append, obs=instr)
-        h.offer("a", _data_frame(0, b"boom"))
-        h.offer("a", _data_frame(1, b"never"))
+        h = _Harness(obs=instr)
         h.offer("b", _data_frame(0, b"fine"))
-        view_a = h.manager.sessions["a"]
-        for drain in pending:
-            drain()  # a's drain raises inside; b's must still run
-        assert "a" not in h.manager.sessions
-        assert view_a.app.delivered == [b"boom"]  # the rest was dropped
-        assert h.manager.sessions["b"].app.delivered == [b"fine"]
+        admission = h.offer("a", _data_frame(0, b"boom"))  # raises inside
+        assert not admission.accepted
+        view_a = admission.session
+        assert view_a.closed and "a" not in h.manager.sessions
+        assert view_a.app.delivered == [b"boom"]
+        assert h.offer("b", _data_frame(1, b"still")).accepted
+        assert h.manager.sessions["b"].app.delivered == [b"fine", b"still"]
         assert instr.registry.value(
             "serve.sessions_closed", protocol="arq", reason="app_error"
         ) == 1
-        pending.clear()
-        h.offer("a", _data_frame(0, b"again"))  # a fresh session serves a
-        for drain in pending:
-            drain()
+        admission = h.offer("a", _data_frame(0, b"again"))  # a fresh session
+        assert admission.accepted and admission.session is not view_a
         assert h.manager.sessions["a"].app.delivered == [b"again"]
 
     def test_raising_timer_closes_only_its_session(self, monkeypatch):
@@ -471,12 +415,6 @@ class TestSessionFaultDomain:
 
         instr = Instrumentation()
 
-        async def read_frames(reader, deframer):
-            frames = []
-            while not frames:
-                frames += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
-            return frames
-
         async def main():
             server = await Server.start(
                 ServeConfig(protocol="arq", kind="tcp"), obs=instr
@@ -494,14 +432,14 @@ class TestSessionFaultDomain:
             ):
                 writer.write(encode_frame(_data_frame(0)))
                 await writer.drain()
-                await read_frames(reader, deframer)
+                await _read_frames(reader, deframer, 1)
             opened = len(server.manager.sessions)
             bad_writer.write(b"\x00\x00")  # a zero-length prefix
             await bad_writer.drain()
             eof = await asyncio.wait_for(bad_reader.read(64), 5)
             good_writer.write(encode_frame(_data_frame(1)))
             await good_writer.drain()
-            acks = await read_frames(good_reader, good)
+            acks = await _read_frames(good_reader, good, 1)
             peers = list(server.manager.sessions)
             good_peer = good_writer.get_extra_info("sockname")
             bad_writer.close()
@@ -519,12 +457,13 @@ class TestSessionFaultDomain:
         ) == 1
 
     def test_full_tcp_queue_resumes_after_an_app_error(self, monkeypatch):
+        # One write carries a raising frame and the two behind it: the
+        # app_error closes only that session, and the connection's next
+        # frames are served by a fresh one, not dropped.
         monkeypatch.setitem(APPS, "arq", _RaisingReceiver)
 
         async def main():
-            server = await Server.start(
-                ServeConfig(protocol="arq", kind="tcp", max_queue=2)
-            )
+            server = await Server.start(ServeConfig(protocol="arq", kind="tcp"))
             closed = []
             original_close = server.manager.close
 
@@ -535,38 +474,76 @@ class TestSessionFaultDomain:
                 return session
 
             server.manager.close = keeping_close
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.tcp_port
-            )
-            # One write, one chunk: the queue (2) fills, the connection
-            # pauses, the third frame is dropped; the first one raises.
+            connections = [
+                await asyncio.open_connection("127.0.0.1", server.tcp_port)
+                for _ in range(2)
+            ]
+            (reader, writer), (other_reader, other_writer) = connections
+            other_writer.write(encode_frame(_data_frame(0, b"fine")))
+            await _read_frames(other_reader, StreamDeframer(), 1)
             writer.write(
                 b"".join(
-                    encode_frame(_data_frame(seq, b"boom" if seq == 0 else b"x"))
-                    for seq in range(3)
+                    encode_frame(_data_frame(seq, payload))
+                    for seq, payload in ((0, b"boom"), (0, b"after"), (1, b"x"))
                 )
             )
             await writer.drain()
-            deframer = StreamDeframer()
-            acks = []
-            while not acks:
-                acks += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
-            # The paused connection must have resumed: a new frame is read
-            # and served by a fresh session.
-            writer.write(encode_frame(_data_frame(0, b"after")))
+            acks = await _read_frames(reader, StreamDeframer(), 3)
+            delivered = {
+                peer[1]: s.app.delivered for peer, s in server.manager.sessions.items()
+            }
+            ports = (
+                writer.get_extra_info("sockname")[1],
+                other_writer.get_extra_info("sockname")[1],
+            )
+            writer.close()
+            other_writer.close()
+            await server.close()
+            return closed, acks, delivered, ports
+
+        closed, acks, delivered, (port, other_port) = asyncio.run(main())
+        assert len(acks) == 3  # the raising frame was acked before it raised
+        reason, session = closed[0]
+        assert reason == "app_error"
+        assert session.app.delivered == [b"boom"]
+        assert delivered == {port: [b"after", b"x"], other_port: [b"fine"]}
+
+    def test_tcp_burst_is_delivered_whole(self):
+        # One write of 100 in-order frames: the stream delivered them, so
+        # the server must run every one (no receive queue to overflow).
+        async def main():
+            server = await Server.start(ServeConfig(protocol="arq", kind="tcp"))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.tcp_port
+            )
+            payloads = [b"m%03d" % seq for seq in range(100)]
+            writer.write(
+                b"".join(
+                    encode_frame(_data_frame(seq, payload))
+                    for seq, payload in enumerate(payloads)
+                )
+            )
             await writer.drain()
-            while len(acks) < 2:
-                acks += deframer.feed(await asyncio.wait_for(reader.read(64), 5))
-            delivered = [s.app.delivered for s in server.manager.sessions.values()]
+            acks = await _read_frames(reader, StreamDeframer(), 100)
+            (session,) = server.manager.sessions.values()
+            delivered = list(session.app.delivered)
             writer.close()
             await server.close()
-            return closed, delivered
+            return payloads, acks, delivered
 
-        closed, delivered = asyncio.run(main())
-        assert closed[0][0] == "app_error"
-        assert closed[0][1].drops == 1  # the queue really was full
-        assert closed[0][1].app.delivered == [b"boom"]
-        assert delivered == [[b"after"]]
+        payloads, acks, delivered = asyncio.run(main())
+        assert delivered == payloads
+        assert len(acks) == 100
+
+
+async def _read_frames(reader, deframer, count):
+    """Read until ``count`` frames have arrived (5 s per read)."""
+    frames = []
+    while len(frames) < count:
+        chunk = await asyncio.wait_for(reader.read(4096), 5)
+        assert chunk, f"stream closed after {len(frames)} of {count} frames"
+        frames += deframer.feed(chunk)
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,11 @@ capture.tap(link.backward)
 # timers.
 receiver = on_node(receiver_node, "alice", ArqReceiver)
 sender = on_node(sender_node, "bob", ArqSender, messages=[b"alpha", b"beta"], rto=0.4)
+steps = sender.machine.record_steps()
 sender.start()
 sim.run_until(lambda: sender.done or sender.failed, max_events=200_000)
 
-print(trace_summary(sender.machine.trace))
+print(trace_summary(steps))
 print()
 print(f"sender finished: {sender.done}   receiver got: {receiver.delivered}")
 print("every step above was dispatched by unification against the typed")

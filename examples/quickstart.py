@@ -88,6 +88,7 @@ print(f"machine sealed after checking: {sender}")
 # ---------------------------------------------------------------------------
 
 machine = Machine(sender)
+steps = machine.record_steps()  # a machine keeps no history unless recorded
 machine.exec_trans("SEND", b"hello")
 print(f"after SEND: {machine.current}")
 
@@ -107,4 +108,4 @@ except InvalidTransitionError as exc:
     print(f"invalid transition rejected:\n  {exc}")
 
 machine.exec_trans("FINISH")
-print(f"finished consistently: {machine.current}, trace length {len(machine.trace)}")
+print(f"finished consistently: {machine.current}, {len(steps)} steps recorded")

@@ -1,8 +1,9 @@
 """Validation of recorded machine traces.
 
-A :class:`~repro.core.machine.Machine` records every executed transition
-as a :class:`~repro.core.machine.TraceStep`.  These helpers audit a trace
-after the fact — the "inline testing" the paper's abstract promises:
+A :class:`~repro.core.machine.Machine` keeps no history; these helpers
+audit the :class:`~repro.core.machine.TraceStep` list that its
+``record_steps`` fills, after the fact — the "inline testing" the
+paper's abstract promises:
 
 * :func:`validate_trace` checks chain consistency (each step starts where
   the previous ended), that every named transition exists in the spec,

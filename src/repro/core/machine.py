@@ -18,8 +18,9 @@ Executing a transition performs, in order:
    of ``OK`` demanding a ``ChkPacket``);
 3. **guard** — any additional predicate must hold;
 4. **step** — the target state is *computed* from the bindings (never
-   guessed), parameters are normalized into their domains, and the step is
-   appended to an immutable trace.
+   guessed), parameters are normalized into their domains, and the
+   machine moves to it.  It keeps no history: a reader that audits a
+   run records its steps with :meth:`Machine.record_steps`.
 
 Any failure raises :class:`InvalidTransitionError` and leaves the machine
 unchanged: invalid transitions cannot be executed, which is the paper's
@@ -99,7 +100,7 @@ class UnverifiedPayloadError(InvalidTransitionError):
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One executed transition in a machine's history."""
+    """One executed transition, as a machine's observers receive it."""
 
     transition: str
     source: StateInstance
@@ -160,7 +161,6 @@ class Machine:
             )
         self._current = initial
         self.context = context
-        self._trace: List[TraceStep] = []
         self._observers: List[Observer] = []
         self._obs = obs if obs is not None else get_default()
 
@@ -170,11 +170,6 @@ class Machine:
     def current(self) -> StateInstance:
         """The current concrete state."""
         return self._current
-
-    @property
-    def trace(self) -> Tuple[TraceStep, ...]:
-        """The executed transition history (immutable view)."""
-        return tuple(self._trace)
 
     @property
     def is_finished(self) -> bool:
@@ -230,6 +225,12 @@ class Machine:
     def add_observer(self, observer: Observer) -> None:
         """Register a callback invoked after every executed transition."""
         self._observers.append(observer)
+
+    def record_steps(self) -> List[TraceStep]:
+        """Record every transition executed from now on into the returned list."""
+        steps: List[TraceStep] = []
+        self.add_observer(lambda machine, step, payload: steps.append(step))
+        return steps
 
     # -- execution ------------------------------------------------------------
 
@@ -504,17 +505,14 @@ class Machine:
         bindings: Dict[str, int],
         payload: Any,
     ) -> StateInstance:
-        """Move to ``target``, append the step to the trace, tell observers."""
-        step = TraceStep(
-            transition=transition_name,
-            source=self._current,
-            target=target,
-            bindings=tuple(sorted(bindings.items())),
-        )
-        self._current = target
-        self._trace.append(step)
-        for observer in self._observers:
-            observer(self, step, payload)
+        """Move to ``target``; build the step only for observers, if any."""
+        source, self._current = self._current, target
+        if self._observers:
+            step = TraceStep(
+                transition_name, source, target, tuple(sorted(bindings.items()))
+            )
+            for observer in self._observers:
+                observer(self, step, payload)
         return target
 
     def _check_payload(self, transition: TransitionSpec, payload: Any) -> None:

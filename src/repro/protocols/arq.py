@@ -31,9 +31,10 @@ what happened.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, List, Optional, Sequence
+from typing import Any, Deque, List, Optional, Sequence
 
 from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.machine import Machine
@@ -233,8 +234,8 @@ class ArqSender(Role):
                     f"frames carry at most {MAX_PAYLOAD}"
                 )
         self.spec = _sender_spec()
-        self.machine = Machine(self.spec, context=list(messages))
-        self.queue: List[bytes] = list(messages)
+        self.queue: Deque[bytes] = deque(messages)
+        self.machine = Machine(self.spec, context=self.queue)
         self.rto = rto
         self.max_retries = max_retries
         self.retries_used = 0
@@ -333,7 +334,7 @@ class ArqSender(Role):
             if rtt > 0:
                 self.estimator.sample(rtt)
         self.machine.exec_trans("OK", verified)
-        self.queue.pop(0)
+        self.queue.popleft()
         self._advance()
 
     def _on_timeout(self) -> None:

@@ -376,7 +376,8 @@ class SelectiveRepeatSender(_WindowSender):
     """Selective Repeat sender: per-packet timers, selective acks.
 
     The base slides over *acked* packets; the per-packet resend policy
-    lives here, keyed by the acked set.
+    lives here, keyed by the acked set.  Only numbers in the window have
+    entries: the window check rejects a number the base slid past.
     """
 
     protocol = "sliding"
@@ -421,9 +422,12 @@ class SelectiveRepeatSender(_WindowSender):
         self.acked[seq] = True
         if seq in self.timers:
             self.timers[seq].stop()
-        # Slide the base over the contiguous acked prefix: each slide step
-        # is the machine's ACK transition with the base packet's number.
-        while self.base < self.nxt and self.acked.get(self.base):
+        # Slide the base over the contiguous acked prefix, dropping each
+        # slid number's entries: each slide step is the machine's ACK
+        # transition with the base packet's number.
+        while self.base < self.nxt and self.acked.pop(self.base, False):
+            self.timers.pop(self.base, None)
+            self.retries.pop(self.base, None)
             self.machine.exec_trans("ACK", verified, ack=self.base)
         self._fill_window()
         self._maybe_finish()

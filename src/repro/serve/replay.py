@@ -10,8 +10,9 @@ oracle must emit byte-for-byte the frames the live session sent.  Any
 divergence means a hosting bug: the serving plane dropped, duplicated,
 reordered or mangled something the protocol logic never saw.
 
-A second, independent check rides along: the replayed machine's
-execution trace is dual-stepped against the one-step model semantics
+A second, independent check rides along: the replay records the
+replayed machine's steps (:meth:`~repro.core.machine.Machine.record_steps`)
+and dual-steps each against the one-step model semantics
 (:func:`repro.modelcheck.explicit.successors_of` with the exact inputs
 the runtime used), so the oracle run itself is validated against the
 spec — the differential is only as trustworthy as its oracle, and the
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.machine import Machine, TraceStep
+from repro.core.machine import TraceStep
+from repro.core.statemachine import MachineSpec
 from repro.modelcheck.explicit import successors_of
 from repro.netsim.capture import describe_frame
 from repro.netsim.replay import ScriptedHost
@@ -84,19 +86,20 @@ def _diff_transcripts(
     return divergences
 
 
-def check_trace_against_model(machine: Machine) -> List[str]:
-    """Dual-step a machine's executed trace against the model semantics.
+def check_trace_against_model(
+    spec: MachineSpec, steps: Sequence[TraceStep]
+) -> List[str]:
+    """Dual-step a machine's recorded steps against the model semantics.
 
-    For every executed :class:`~repro.core.machine.TraceStep`, ask the
-    one-step model (same spec, singleton input domains built from the
-    step's recorded bindings) which targets the transition admits from
-    the step's source; the runtime's target must be among them.  Steps
-    the model can only approximate (payload-dependent guards) are
-    skipped — may-fire answers prove nothing either way.
+    For every recorded :class:`~repro.core.machine.TraceStep` of a
+    machine of ``spec``, ask the one-step model (singleton input domains
+    built from the step's recorded bindings) which targets the transition
+    admits from the step's source; the runtime's target must be among
+    them.  Steps the model can only approximate (payload-dependent
+    guards) are skipped — may-fire answers prove nothing either way.
     """
     notes: List[str] = []
-    spec = machine.spec
-    for step in machine.trace:
+    for step in steps:
         transition = spec.transition_named(step.transition)
         bindings = step.bindings_dict()
         inputs = {
@@ -138,6 +141,7 @@ def replay_record(
     send = host.host(lambda frame: holder[0].on_frame(frame))
     app = app_cls(send, seed=record.seed, **record.params)
     holder.append(app)
+    steps = app.machine.record_steps()
     host.feed(record.inbound_script())
     oracle_out = host.run()
     live_out = [event.data for event in record.outbound()]
@@ -149,7 +153,7 @@ def replay_record(
         final_state=repr(app.machine.current),
     )
     if check_model:
-        result.model_notes = check_trace_against_model(app.machine)
+        result.model_notes = check_trace_against_model(app.machine.spec, steps)
     return result
 
 

@@ -274,6 +274,7 @@ def machine_self_test(
             initial = initial_factory(rng)
         machine = Machine(spec, initial=initial)
         start = machine.current
+        steps = machine.record_steps()
         try:
             for _ in range(max_steps):
                 available = machine.available_transitions()
@@ -295,7 +296,7 @@ def machine_self_test(
                             f"walk {walk}: parameter {param.name} out of "
                             f"domain: {value}"
                         )
-            validate_trace(spec, start, machine.trace)
+            validate_trace(spec, start, steps)
         except TraceValidationError as exc:
             report.failures.append(f"walk {walk}: trace audit failed: {exc}")
         except Exception as exc:

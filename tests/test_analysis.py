@@ -128,28 +128,30 @@ class TestTraceValidation:
     def make_run(self):
         spec = build_sender_spec()
         machine = Machine(spec)
+        steps = machine.record_steps()
         machine.exec_trans("SEND", b"one")
         machine.exec_trans("OK", ACK_PACKET.verify(ACK_PACKET.make(seq=0)))
         machine.exec_trans("FINISH")
-        return spec, machine
+        assert [step.transition for step in steps] == ["SEND", "OK", "FINISH"]
+        return spec, steps
 
     def test_genuine_trace_validates(self):
-        spec, machine = self.make_run()
+        spec, steps = self.make_run()
         initial = spec.states["Ready"].instance(0)
-        validate_trace(spec, initial, machine.trace)
+        validate_trace(spec, initial, steps)
 
     def test_broken_chain_detected(self):
-        spec, machine = self.make_run()
+        spec, steps = self.make_run()
         initial = spec.states["Ready"].instance(0)
-        broken = list(machine.trace)
+        broken = list(steps)
         broken[1], broken[2] = broken[2], broken[1]
         with pytest.raises(TraceValidationError, match="machine was at"):
             validate_trace(spec, initial, broken)
 
     def test_forged_target_detected(self):
-        spec, machine = self.make_run()
+        spec, steps = self.make_run()
         initial = spec.states["Ready"].instance(0)
-        step = machine.trace[0]
+        step = steps[0]
         forged = TraceStep(
             transition=step.transition,
             source=step.source,
@@ -160,9 +162,9 @@ class TestTraceValidation:
             validate_trace(spec, initial, [forged])
 
     def test_unknown_transition_detected(self):
-        spec, machine = self.make_run()
+        spec, steps = self.make_run()
         initial = spec.states["Ready"].instance(0)
-        step = machine.trace[0]
+        step = steps[0]
         forged = TraceStep(
             transition="TELEPORT",
             source=step.source,
@@ -173,7 +175,7 @@ class TestTraceValidation:
             validate_trace(spec, initial, [forged])
 
     def test_summary_renders_each_step(self):
-        spec, machine = self.make_run()
-        text = trace_summary(machine.trace)
+        spec, steps = self.make_run()
+        text = trace_summary(steps)
         assert "SEND" in text and "OK" in text and "FINISH" in text
         assert len(text.splitlines()) == 3

@@ -1,20 +1,26 @@
-"""Per-frame call budgets on the receive path (paper §3.4 gate, compiled).
+"""Call and retention budgets per frame on the compiled receive path (paper §3.4 gate).
 
-Each test counts the Python ``call`` events into code under
+Each call-budget test counts the Python ``call`` events into code under
 ``src/repro`` or a generated codec or machine module
 (``repro_generated_*``) while a
 role or the session manager handles steady-state frames, and holds the
-mean per frame to a budget.  Counts do not drift with host load the way
-timings do, so a structural slip on the per-frame path — one more
-function call on every frame — fails here on every push.
+mean per frame to a budget.  The retention tests count what a session
+keeps: the GC-tracked objects steady-state frames leave alive, and the
+per-packet state a selective-repeat sender holds after a long transfer.
+Counts do not drift with host load the way timings do, so a structural
+slip on the per-frame path — one more function call, or one more object
+kept, on every frame — fails here on every push.
 
 Comprehension frames (``<listcomp>``, ``<dictcomp>``, ``<setcomp>``) are
 not counted: CPython 3.12 inlines them, so counting them would give the
 3.10 and 3.12 CI jobs different numbers for the same code.
 """
 
+import gc
 import os
 import sys
+from collections import deque
+from functools import partial
 
 import pytest
 
@@ -22,9 +28,13 @@ import repro
 from repro import fastpath, obs
 from repro.protocols.arq import ARQ_PACKET, ArqReceiver
 from repro.protocols.handshake import MSG_SYN, HANDSHAKE_PACKET, HandshakeResponder
-from repro.protocols.sliding import SLIDING_PACKET, SelectiveRepeatReceiver
+from repro.protocols.sliding import (
+    SLIDING_PACKET,
+    SelectiveRepeatReceiver,
+    SelectiveRepeatSender,
+)
 from repro.serve.manager import SessionManager
-from repro.serve.wheel import TimerWheel
+from repro.serve.wheel import TimerWheel, WheelTimer
 
 #: Calls per frame with the generated receive gate, make and machine
 #: transitions, as measured: one more call per frame on a path fails it.
@@ -34,6 +44,11 @@ BUDGETS = {
     "HandshakeResponder.on_frame": 47,
     "SessionManager.frame_from": 49,
 }
+
+#: GC-tracked objects a steady-state data frame may leave alive, on
+#: average: a machine keeps no history, and a delivered payload is bytes,
+#: which the collector does not track.
+RETAINED_PER_FRAME = 0.5
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -123,3 +138,85 @@ def test_calls_per_frame_stay_within_budget(path):
     assert measured <= BUDGETS[path], (
         f"{path}: {measured} calls per frame, budget {BUDGETS[path]}"
     )
+
+
+def retained_per_frame(handle, frames):
+    """Mean GC-tracked objects each ``handle(frame)`` leaves alive.
+
+    The collector is off while the frames run, as between two of its
+    passes, so an object counts even if a later pass would untrack it.
+    """
+    for frame in frames[:WARMUP]:
+        handle(frame)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for frame in frames[WARMUP:]:
+            handle(frame)
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    return (after - before) / (len(frames) - WARMUP)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "ArqReceiver.on_frame",
+        "SelectiveRepeatReceiver.on_frame",
+        "SessionManager.frame_from",
+    ],
+)
+def test_frames_leave_no_objects_behind(path):
+    assert not obs.get_default().enabled
+    with fastpath.use(mode="always"):
+        handle, frames = PATHS[path]()
+        measured = retained_per_frame(handle, frames)
+    assert measured < RETAINED_PER_FRAME, (
+        f"{path}: {measured} GC-tracked objects kept per frame, "
+        f"budget {RETAINED_PER_FRAME}"
+    )
+
+
+def test_selective_repeat_sender_keeps_only_window_state():
+    """A 3,000-message transfer with losses, sender and receiver in-process.
+
+    Every 10th data frame and every 13th ack is dropped, so timers fire
+    and retries are counted.  At no point may the sender hold an acked
+    flag, timer or retry count for more sequence numbers than its window.
+    """
+    window, count = 16, 3000
+    wheel = TimerWheel()
+    to_receiver, to_sender = deque(), deque()
+    sent = {"data": 0, "acks": 0}
+
+    def lossy(queue, kind, every):
+        def send(frame):
+            sent[kind] += 1
+            if sent[kind] % every:
+                queue.append(frame)
+        return send
+
+    messages = [bytes([index % 256]) * 8 for index in range(count)]
+    sender = SelectiveRepeatSender(
+        lossy(to_receiver, "data", 10),
+        messages=messages,
+        window=window,
+        timer=partial(WheelTimer, wheel),
+    )
+    receiver = SelectiveRepeatReceiver(lossy(to_sender, "acks", 13), window=window)
+    peak = {"timers": 0, "acked": 0, "retries": 0}
+    sender.start()
+    while not (sender.done or sender.failed):
+        if not (to_receiver or to_sender):
+            wheel.advance(wheel.now + sender.rto)
+        while to_receiver:
+            receiver.on_frame(to_receiver.popleft())
+        while to_sender:
+            sender.on_frame(to_sender.popleft())
+            for name in peak:
+                peak[name] = max(peak[name], len(getattr(sender, name)))
+    assert sender.done and receiver.delivered == messages
+    assert sender.retransmissions > 0 and peak["retries"] > 0
+    assert all(0 < held <= window for held in peak.values()), peak

@@ -171,6 +171,8 @@ class TestMachineFuzz:
 
         spec = build_sender_spec()
         machine = Machine(spec, initial=spec.states["Ready"].instance(start_seq))
+        steps = machine.record_steps()
+        executed = 0
         for choice in choices:
             available = machine.available_transitions()
             if not available:
@@ -185,11 +187,11 @@ class TestMachineFuzz:
             else:
                 payload = None
             machine.exec_trans(transition.name, payload)
+            executed += 1
             assert machine.current.state.name in spec.states
             assert 0 <= machine.current.values[0] <= 255
         # The recorded trace must replay cleanly from the start state.
         from repro.analysis import validate_trace
 
-        validate_trace(
-            spec, spec.states["Ready"].instance(start_seq), machine.trace
-        )
+        assert executed >= 1 and len(steps) == executed
+        validate_trace(spec, spec.states["Ready"].instance(start_seq), steps)

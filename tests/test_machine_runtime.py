@@ -99,11 +99,14 @@ class TestSoundExecution:
 
     def test_failed_transition_leaves_machine_unchanged(self):
         machine = Machine(sender_spec())
+        steps = machine.record_steps()
         before = machine.current
         with pytest.raises(InvalidTransitionError):
             machine.exec_trans("OK", verified_packet())
         assert machine.current == before
-        assert machine.trace == ()
+        assert steps == []
+        machine.exec_trans("SEND", b"x")
+        assert [step.transition for step in steps] == ["SEND"]
 
     def test_finished_machine_accepts_nothing(self):
         machine = Machine(sender_spec())
@@ -212,11 +215,25 @@ class TestIntrospection:
 class TestTraceAndObservers:
     def test_trace_records_steps(self):
         machine = Machine(sender_spec())
+        steps = machine.record_steps()
         machine.exec_trans("SEND", b"x")
         machine.exec_trans("OK", verified_packet())
-        assert [s.transition for s in machine.trace] == ["SEND", "OK"]
-        assert machine.trace[1].bindings_dict() == {"seq": 0}
-        assert machine.trace[1].target.values == (1,)
+        assert [s.transition for s in steps] == ["SEND", "OK"]
+        assert steps[1].bindings_dict() == {"seq": 0}
+        assert steps[1].source.values == (0,)
+        assert steps[1].target.values == (1,)
+
+    def test_machine_keeps_no_history_of_its_own(self):
+        # A reader that forgot to record fails loudly instead of auditing
+        # an empty history, and a recorder started mid-run holds only the
+        # steps after it.
+        machine = Machine(sender_spec())
+        machine.exec_trans("SEND", b"x")
+        assert not hasattr(machine, "trace")
+        steps = machine.record_steps()
+        machine.exec_trans("FAIL")
+        assert [s.transition for s in steps] == ["FAIL"]
+        assert steps[0].source == machine.spec.states["Wait"].instance(0)
 
     def test_observers_fire_after_each_step(self):
         machine = Machine(sender_spec())
@@ -328,6 +345,7 @@ class TestStagedDispatch:
     def _transcript(self, spec, steps):
         """Run a script of (name, payload, inputs); log every observable."""
         machine = Machine(spec)
+        recorded = machine.record_steps()
         log = []
         for name, payload, inputs in steps:
             try:
@@ -341,7 +359,8 @@ class TestStagedDispatch:
             log.append(
                 ("avail", tuple(t.name for t in machine.available_transitions()))
             )
-        log.append(("trace", tuple(s.transition for s in machine.trace)))
+        assert len(recorded) == sum(1 for entry in log if entry[0] == "ok")
+        log.append(("trace", tuple(s.transition for s in recorded)))
         return log
 
     def _compare_modes(self, build, steps):
@@ -521,10 +540,11 @@ class TestStagedDispatch:
         spec = sender_spec()
         with fastpath.use(mode="always"):
             machine = Machine(spec)
+            steps = machine.record_steps()
             self._replace_exec(spec, "SEND", lambda current, payload, inputs: None)
             wait = spec.states["Wait"].instance(0)
             assert machine.exec_trans("SEND", b"x") == wait
-            assert [step.transition for step in machine.trace] == ["SEND"]
+            assert [step.transition for step in steps] == ["SEND"]
             assert fastpath.demoted() == [("sender", "exec-error")]
             # Demoted: the walk runs from now on.
             assert machine.exec_trans("FAIL").name == "Ready"

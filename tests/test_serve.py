@@ -631,23 +631,47 @@ class TestLoopbackDifferential:
 
 
 class TestModelDualStep:
+    def test_replay_dual_steps_every_replayed_step(self, monkeypatch):
+        # A machine keeps no history, so the replay must record the
+        # replayed machine's steps itself: on a clean channel every
+        # inbound ARQ data frame is one RECV or DUP_ACK step.
+        report = run_loopback_sync(
+            LoopbackConfig(protocol="arq", seed=505, **_CLEAN)
+        )
+        checked = []
+
+        def check(spec, steps):
+            checked.append(list(steps))
+            return check_trace_against_model(spec, steps)
+
+        monkeypatch.setattr(repro.serve.replay, "check_trace_against_model", check)
+        records = [record for record in report.records if record.events]
+        assert replay_records(records).ok
+        assert [len(steps) for steps in checked] == [
+            len(record.inbound()) for record in records
+        ]
+        assert all(checked)
+
     def test_executed_trace_agrees_with_successors_of(self):
         app = build_app("arq", send=lambda data: None, seed=0)
+        steps = app.machine.record_steps()
         app.on_frame(_data_frame(0, b"one"))
         app.on_frame(_data_frame(0, b"one"))  # duplicate -> DUP_ACK
         app.on_frame(_data_frame(1, b"two"))
         assert app.delivered == [b"one", b"two"]
-        assert app.machine.trace  # RECV, DUP_ACK, RECV
-        assert check_trace_against_model(app.machine) == []
+        assert [step.transition for step in steps] == ["RECV", "DUP_ACK", "RECV"]
+        assert check_trace_against_model(app.machine.spec, steps) == []
 
     def test_successors_of_pins_the_exact_target(self):
         # Direct use of the model semantics: from Expect(0), RECV admits
         # exactly Expect(1) — the dual-step has no wiggle room.
         spec = build_receiver_spec()
         machine = Machine(spec)
+        steps = machine.record_steps()
         verified = ARQ_PACKET.try_parse(_data_frame(0))
         machine.exec_trans("RECV", verified)
-        step = machine.trace[0]
+        assert len(steps) == 1
+        step = steps[0]
         targets, approximated = successors_of(
             spec, spec.transition_named("RECV"), step.source
         )
@@ -663,21 +687,18 @@ class TestModelDualStep:
         from repro.protocols.handshake import build_initiator_spec
 
         machine = Machine(build_initiator_spec())
+        steps = machine.record_steps()
         machine.exec_trans("CONNECT", nonce=5)
-        step = machine.trace[0]
-        assert check_trace_against_model(machine) == []  # honest trace
+        assert len(steps) == 1
+        step = steps[0]
+        assert check_trace_against_model(machine.spec, steps) == []  # honest trace
         forged = type(step)(
             transition=step.transition,
             source=step.source,
             target=step.source,  # claims CONNECT left the state unchanged
             bindings=step.bindings,
         )
-
-        class _Forged:
-            spec = machine.spec
-            trace = (forged,)
-
-        notes = check_trace_against_model(_Forged())
+        notes = check_trace_against_model(machine.spec, [forged])
         assert notes and "admits only" in notes[0]
 
 

@@ -126,10 +126,6 @@ class Machine:
     initial:
         The concrete starting state; defaults to the spec's declared
         initial state with all parameters zero.
-    context:
-        Arbitrary user data carried by the machine (e.g. the send queue in
-        the ARQ example — the paper's ``sendMachine`` carries the list of
-        data to be transmitted).
     obs:
         An :class:`~repro.obs.Instrumentation` context; defaults to the
         process-wide one (disabled unless ``repro.obs.enable()`` ran).
@@ -142,7 +138,6 @@ class Machine:
         self,
         spec: MachineSpec,
         initial: Optional[StateInstance] = None,
-        context: Any = None,
         obs: Optional[Instrumentation] = None,
     ) -> None:
         if not spec.sealed:
@@ -160,8 +155,8 @@ class Machine:
                 f"{spec.name!r}"
             )
         self._current = initial
-        self.context = context
-        self._observers: List[Observer] = []
+        # A tuple, rebound on add: a machine nobody observes holds no list.
+        self._observers: Tuple[Observer, ...] = ()
         self._obs = obs if obs is not None else get_default()
 
     # -- inspection ---------------------------------------------------------
@@ -224,7 +219,7 @@ class Machine:
 
     def add_observer(self, observer: Observer) -> None:
         """Register a callback invoked after every executed transition."""
-        self._observers.append(observer)
+        self._observers += (observer,)
 
     def record_steps(self) -> List[TraceStep]:
         """Record every transition executed from now on into the returned list."""

@@ -206,8 +206,8 @@ def send_packet_op(spec: MachineSpec) -> "ProtocolOp":
 class ArqSender(Role):
     """The sender role: one outstanding packet, one retransmission timer.
 
-    The machine's *context* is the outstanding send queue — the paper's
-    ``sendMachine : List (List Byte) -> (s : SendSt) -> SendMachine s``.
+    The role holds the outstanding send queue beside its machine — the
+    paper's ``sendMachine : List (List Byte) -> (s : SendSt) -> SendMachine s``.
     Host services (``timer``, ``clock``, ``on_done``) are described in
     :mod:`repro.protocols.role`.
     """
@@ -235,7 +235,7 @@ class ArqSender(Role):
                 )
         self.spec = _sender_spec()
         self.queue: Deque[bytes] = deque(messages)
-        self.machine = Machine(self.spec, context=self.queue)
+        self.machine = Machine(self.spec)
         self.rto = rto
         self.max_retries = max_retries
         self.retries_used = 0

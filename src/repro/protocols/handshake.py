@@ -3,7 +3,7 @@
 A compact demonstration that *control-plane* behaviour (the paper's §1.2
 scope explicitly includes protocols with a control-plane element) fits the
 same framework as data transfer: two machines — initiator and responder —
-negotiate a connection with SYN / SYN-ACK / ACK messages carrying random
+negotiate a connection with SYN / SYN-ACK / ACK messages carrying
 nonces, and the types guarantee that:
 
 * no side processes an unverified handshake message;
@@ -15,6 +15,12 @@ nonces, and the types guarantee that:
 :class:`HandshakeInitiator` and :class:`HandshakeResponder` are roles
 (:mod:`repro.protocols.role`), the same classes the serving plane runs on
 sockets; :func:`run_handshake` hosts them on simulator nodes.
+
+A role's n-th nonce is ``1 + crc32(b"seed:n") % 0xFFFF`` (the rule
+:func:`repro.serve.manager.session_seed` uses, never the 0 the SYN guard
+refuses), so a role keeps one int counter, not ~2.9 KB of generator
+state; a host that passes ``rng`` (as :func:`run_handshake` does,
+sharing one ``random.Random`` between both roles) draws from it instead.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Optional
+from zlib import crc32
 
 from repro.core.fields import ChecksumField, UInt
 from repro.core.machine import Machine
@@ -155,7 +162,8 @@ class HandshakeInitiator(Role):
     ) -> None:
         super().__init__(send, **host)
         self.machine = Machine(_initiator_spec())
-        self.rng = rng if rng is not None else random.Random(self.seed)
+        self.rng = rng
+        self.draws = 0
         self.rto = rto
         self.max_retries = max_retries
         self.retries_used = 0
@@ -175,7 +183,11 @@ class HandshakeInitiator(Role):
 
     def start(self) -> None:
         """Kick off the handshake with a fresh nonce."""
-        nonce = self.rng.randrange(1, 1 << 16)
+        self.draws += 1
+        if self.rng is None:
+            nonce = 1 + crc32(b"%d:%d" % (self.seed, self.draws)) % 0xFFFF
+        else:
+            nonce = self.rng.randrange(1, 1 << 16)
         self.machine.exec_trans("CONNECT", nonce=nonce)
         packet = HANDSHAKE_PACKET.make(
             msg_type=MSG_SYN, initiator_nonce=nonce, responder_nonce=0
@@ -219,7 +231,7 @@ class HandshakeInitiator(Role):
 
 
 class HandshakeResponder(Role):
-    """The responder role; its nonces flow from the host's seed or RNG.
+    """The responder role; its n-th nonce comes from (seed, n), or from ``rng``.
 
     It owns no timer: the host calls :meth:`on_timer` when a half-open
     exchange should return to Listen, so the role stays a deterministic
@@ -235,7 +247,8 @@ class HandshakeResponder(Role):
     ) -> None:
         super().__init__(send, **host)
         self.machine = Machine(_responder_spec())
-        self.rng = rng if rng is not None else random.Random(self.seed)
+        self.rng = rng
+        self.draws = 0
         self._synack_frame = b""
         self._synack_for = -1  # initiator nonce the cached SYN-ACK answers
 
@@ -252,7 +265,12 @@ class HandshakeResponder(Role):
             return
         message = verified.value
         if message.msg_type == MSG_SYN:
-            nonce = self.rng.randrange(1, 1 << 16)
+            # Inline, not a helper: a helper is one more call on every SYN.
+            self.draws += 1
+            if self.rng is None:
+                nonce = 1 + crc32(b"%d:%d" % (self.seed, self.draws)) % 0xFFFF
+            else:
+                nonce = self.rng.randrange(1, 1 << 16)
             if self.machine.try_exec("SYN", verified, nonce=nonce) is None:
                 # The machine refuses a SYN outside Listen.  A *retransmit*
                 # of the SYN we already answered means our SYN-ACK was

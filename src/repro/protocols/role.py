@@ -7,7 +7,8 @@ responder — written against the narrowest host surface there is:
 * ``on_frame(bytes)``, called by the host for every inbound frame;
 * ``on_timer()``, a host-driven protocol timer (the handshake
   responder's half-open RESET), a no-op by default;
-* ``seed`` or ``rng``, so every free choice (a nonce) is reproducible.
+* ``seed``, from which every free choice (a nonce) is drawn, so it is
+  reproducible; ``rng`` overrides it where a host shares one generator.
 
 Roles that retransmit — the senders and the handshake initiator — also
 take a ``timer`` factory, called as ``timer(duration, callback,

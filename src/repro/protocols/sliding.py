@@ -224,7 +224,7 @@ class _WindowSender(Role):
         super().__init__(send, **host)
         self.messages = list(messages)
         self.window = window
-        self.machine = Machine(_window_sender_spec(window), context=self.messages)
+        self.machine = Machine(_window_sender_spec(window))
         self.rto = rto
         self.max_retries = max_retries
         self.retransmissions = 0

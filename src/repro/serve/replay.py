@@ -1,7 +1,7 @@
 """The differential oracle: replay a live exchange through the simulator.
 
 Responder roles are deterministic functions of (inbound frame sequence,
-seed): every free choice flows from the seeded RNG, every protocol step
+seed): every free choice is drawn from the seed, every protocol step
 from the DSL machine.  So a recorded live session replays exactly —
 build the *same* role class with the *same* seed and params under
 :class:`~repro.netsim.replay.ScriptedHost`, feed it the frames the live

@@ -5,7 +5,8 @@ Each call-budget test counts the Python ``call`` events into code under
 (``repro_generated_*``) while a
 role or the session manager handles steady-state frames, and holds the
 mean per frame to a budget.  The retention tests count what a session
-keeps: the GC-tracked objects steady-state frames leave alive, and the
+keeps: the GC-tracked objects steady-state frames leave alive, the bytes
+an Established handshake session holds on the server, and the
 per-packet state a selective-repeat sender holds after a long transfer.
 Counts do not drift with host load the way timings do, so a structural
 slip on the per-frame path — one more function call, or one more object
@@ -19,6 +20,7 @@ not counted: CPython 3.12 inlines them, so counting them would give the
 import gc
 import os
 import sys
+import tracemalloc
 from collections import deque
 from functools import partial
 
@@ -27,7 +29,12 @@ import pytest
 import repro
 from repro import fastpath, obs
 from repro.protocols.arq import ARQ_PACKET, ArqReceiver
-from repro.protocols.handshake import MSG_SYN, HANDSHAKE_PACKET, HandshakeResponder
+from repro.protocols.handshake import (
+    MSG_ACK,
+    MSG_SYN,
+    HANDSHAKE_PACKET,
+    HandshakeResponder,
+)
 from repro.protocols.sliding import (
     SLIDING_PACKET,
     SelectiveRepeatReceiver,
@@ -49,6 +56,12 @@ BUDGETS = {
 #: average: a machine keeps no history, and a delivered payload is bytes,
 #: which the collector does not track.
 RETAINED_PER_FRAME = 0.5
+
+#: Bytes the server may keep per Established handshake session: its
+#: ``Session``, responder, machine, cached SYN-ACK and table entries.
+#: A per-role ``random.Random`` alone is ~2.9 KB.
+SESSION_BYTES = 2048
+SESSIONS = 512
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
@@ -176,6 +189,53 @@ def test_frames_leave_no_objects_behind(path):
     assert measured < RETAINED_PER_FRAME, (
         f"{path}: {measured} GC-tracked objects kept per frame, "
         f"budget {RETAINED_PER_FRAME}"
+    )
+
+
+def test_established_handshake_session_stays_small():
+    """Bytes traced per session after a SYN and its ACK from each of 512 peers.
+
+    Peers and the SYN are built before tracing starts; each ACK is built
+    from the SYN-ACK it answers and freed before the count.
+    """
+    assert not obs.get_default().enabled
+    peers = [
+        ("127.1.%d.%d" % divmod(index, 256), 9) for index in range(WARMUP + SESSIONS)
+    ]
+    syn = HANDSHAKE_PACKET.encode(
+        HANDSHAKE_PACKET.make(msg_type=MSG_SYN, initiator_nonce=7, responder_nonce=0)
+    )
+    synack = [b""]  # the last SYN-ACK, which its responder caches anyway
+
+    def reply(data):
+        synack[0] = data
+
+    with fastpath.use(mode="always"):
+        manager = SessionManager("handshake", wheel=TimerWheel(), clock=lambda: 0.0)
+
+        def handshake(peer):
+            manager.frame_from(peer, syn, reply)
+            nonce = HANDSHAKE_PACKET.try_parse(synack[0]).value.responder_nonce
+            ack = HANDSHAKE_PACKET.make(
+                msg_type=MSG_ACK, initiator_nonce=7, responder_nonce=nonce
+            )
+            manager.frame_from(peer, HANDSHAKE_PACKET.encode(ack), reply)
+
+        for peer in peers[:WARMUP]:
+            handshake(peer)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for peer in peers[WARMUP:]:
+                handshake(peer)
+            measured = (tracemalloc.get_traced_memory()[0] - before) / SESSIONS
+        finally:
+            tracemalloc.stop()
+    assert len(manager.sessions) == len(peers)
+    assert all(session.app.established for session in manager.sessions.values())
+    assert measured < SESSION_BYTES, (
+        f"{measured:.0f} B kept per Established handshake session, "
+        f"budget {SESSION_BYTES}"
     )
 
 

@@ -2,9 +2,10 @@
 """Observability end to end: the ARQ pair over a lossy link, instrumented.
 
 One ``repro.obs`` instrumentation context watches all four runtime layers
-at once — the machine runtime (per-transition spans with dispatch/
-evidence/guard/step phases), the codec (encode/decode latency
-histograms), the simulator (event and timer accounting), and the channels
+at once — the machine runtime (one ``exec_trans`` span per transition,
+around the same generated code that runs with obs off), the codec
+(encode/decode latency histograms), the simulator (event and timer
+accounting), and the channels
 (per-fate frame counters) — and the capture tap shares the same trace
 timeline, so a frame on the wire correlates with the ``exec_trans`` span
 that consumed it.

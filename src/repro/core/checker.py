@@ -45,16 +45,6 @@ class CheckReport:
         return not self.errors
 
 
-def _run_passes(spec: MachineSpec, report: CheckReport) -> None:
-    _check_initial_states(spec, report)
-    for transition in spec.transitions:
-        _check_transition_soundness(spec, transition, report)
-    _check_final_state_consistency(spec, report)
-    _check_reachability(spec, report)
-    _check_no_dead_states(spec, report)
-    _check_event_completeness(spec, report)
-
-
 def check_machine(
     spec: MachineSpec, obs: Optional[Instrumentation] = None
 ) -> CheckReport:
@@ -69,28 +59,17 @@ def check_machine(
         obs = get_default()
     report = CheckReport(spec.name)
     if not obs.enabled:
-        _run_passes(spec, report)
+        for _, run_pass in _PASSES:
+            run_pass(spec, report)
         return report
     registry = obs.registry
-
-    def timed(pass_name: str, run_pass) -> None:
-        start = time.perf_counter()
-        run_pass()
-        registry.histogram("checker.pass_seconds", check=pass_name).observe(
-            time.perf_counter() - start
-        )
-
-    def soundness() -> None:
-        for transition in spec.transitions:
-            _check_transition_soundness(spec, transition, report)
-
     with obs.tracer.span("check_machine", machine=spec.name) as span:
-        timed("initial_states", lambda: _check_initial_states(spec, report))
-        timed("transition_soundness", soundness)
-        timed("final_states", lambda: _check_final_state_consistency(spec, report))
-        timed("reachability", lambda: _check_reachability(spec, report))
-        timed("dead_states", lambda: _check_no_dead_states(spec, report))
-        timed("event_completeness", lambda: _check_event_completeness(spec, report))
+        for pass_name, run_pass in _PASSES:
+            start = time.perf_counter()
+            run_pass(spec, report)
+            registry.histogram("checker.pass_seconds", check=pass_name).observe(
+                time.perf_counter() - start
+            )
         span.set_attr("errors", len(report.errors))
         span.set_attr("warnings", len(report.warnings))
     registry.counter("checker.machines_checked").inc()
@@ -112,6 +91,11 @@ def _check_initial_states(spec: MachineSpec, report: CheckReport) -> None:
     elif len(initial) > 1:
         names = sorted(s.name for s in initial)
         report.errors.append(f"multiple initial states declared: {names}")
+
+
+def _check_transitions(spec: MachineSpec, report: CheckReport) -> None:
+    for transition in spec.transitions:
+        _check_transition_soundness(spec, transition, report)
 
 
 def _check_transition_soundness(
@@ -288,3 +272,15 @@ def _check_event_completeness(spec: MachineSpec, report: CheckReport) -> None:
                 f"state {state_name!r} handles event(s) {sorted(surplus)} "
                 "that are not declared as possible there"
             )
+
+
+# -- the passes, in order, under their ``checker.pass_seconds`` labels --------
+
+_PASSES = (
+    ("initial_states", _check_initial_states),
+    ("transition_soundness", _check_transitions),
+    ("final_states", _check_final_state_consistency),
+    ("reachability", _check_reachability),
+    ("dead_states", _check_no_dead_states),
+    ("event_completeness", _check_event_completeness),
+)

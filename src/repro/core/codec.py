@@ -179,55 +179,37 @@ def _fp_demote(
 
 
 def _fast_encode(
-    spec: Any, state: Any, values: Mapping[str, Any], obs: Optional[Instrumentation]
+    spec: Any,
+    state: Any,
+    values: Mapping[str, Any],
+    obs: Optional[Instrumentation],
+    spans: Optional[Dict[str, Span]] = None,
 ) -> bytes:
-    """Encode via the compiled closure, interpreter as error oracle."""
-    try:
-        encoded = state.codec.build(values)
-    except _FALLBACK_ERRORS:
-        # If the interpreter also rejects, its (canonical) error
-        # propagates and the two tiers agree; if it succeeds, the
-        # compiled closure was wrong to raise — a real divergence.
-        encoded, _ = _encode_fields(spec, values)
-        _fp_demote(
-            spec, state, "encode-error", obs,
-            {"op": "encode", "values": repr(dict(values))},
-        )
-        return encoded
-    if state.verify:
-        expected, _ = _encode_fields(spec, values)
-        if encoded != expected:
-            _fp_demote(
-                spec, state, "encode-mismatch", obs,
-                {"op": "encode", "values": repr(dict(values))},
-            )
-            return expected
-    return encoded
+    """Encode via the compiled closure, interpreter as error oracle.
 
-
-def _fast_encode_spans(
-    spec: Any, state: Any, values: Mapping[str, Any], obs: Optional[Instrumentation]
-) -> Tuple[bytes, Dict[str, Span]]:
-    """Like :func:`_fast_encode` but also returns per-field bit spans."""
-    spans: Dict[str, Span] = {}
+    ``spans``, when given, receives each field's bit span.
+    """
     try:
         encoded = state.codec.build(values, spans)
     except _FALLBACK_ERRORS:
-        encoded, spans = _encode_fields(spec, values)
-        _fp_demote(
-            spec, state, "encode-error", obs,
-            {"op": "encode", "values": repr(dict(values))},
-        )
-        return encoded, spans
-    if state.verify:
-        expected, expected_spans = _encode_fields(spec, values)
-        if encoded != expected or spans != expected_spans:
-            _fp_demote(
-                spec, state, "encode-mismatch", obs,
-                {"op": "encode", "values": repr(dict(values))},
-            )
-            return expected, expected_spans
-    return encoded, spans
+        encoded = None
+    if encoded is not None and not state.verify:
+        return encoded
+    # If the interpreter also rejects, its (canonical) error propagates
+    # and the two tiers agree; if it succeeds where the compiled closure
+    # raised, or (under ``verify``) disagrees with it, that is a real
+    # divergence.
+    expected, expected_spans = _encode_fields(spec, values)
+    if encoded == expected and (spans is None or spans == expected_spans):
+        return encoded
+    if spans is not None:
+        spans.clear()
+        spans.update(expected_spans)
+    _fp_demote(
+        spec, state, "encode-error" if encoded is None else "encode-mismatch", obs,
+        {"op": "encode", "values": repr(dict(values))},
+    )
+    return expected
 
 
 def _fast_decode(
@@ -277,19 +259,14 @@ def encode_verbatim(
     """
     if obs is None:
         obs = get_default()
-    if not obs.enabled:
-        state = _fp_active(spec)
-        if state is not None:
-            return _fast_encode(spec, state, values, obs)
-        encoded, _ = _encode_fields(spec, values)
-        return encoded
-    start = time.perf_counter()
+    start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
     if state is not None:
         encoded = _fast_encode(spec, state, values, obs)
     else:
         encoded, _ = _encode_fields(spec, values)
-    _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
+    if obs.enabled:
+        _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
     return encoded
 
 
@@ -305,18 +282,15 @@ def encode_with_spans(
     """
     if obs is None:
         obs = get_default()
-    if not obs.enabled:
-        state = _fp_active(spec)
-        if state is not None:
-            return _fast_encode_spans(spec, state, values, obs)
-        return _encode_fields(spec, values)
-    start = time.perf_counter()
+    start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
     if state is not None:
-        encoded, spans = _fast_encode_spans(spec, state, values, obs)
+        spans: Dict[str, Span] = {}
+        encoded = _fast_encode(spec, state, values, obs, spans)
     else:
         encoded, spans = _encode_fields(spec, values)
-    _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
+    if obs.enabled:
+        _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
     return encoded, spans
 
 
@@ -443,7 +417,8 @@ def compute_one_checksum(spec: Any, values: Mapping[str, Any], field_name: str) 
         raise ValueError(f"{field_name!r} is not a checksum field")
     state = _fp_active(spec)
     if state is not None:
-        buffer, spans = _fast_encode_spans(spec, state, values, None)
+        spans: Dict[str, Span] = {}
+        buffer = _fast_encode(spec, state, values, None, spans)
     else:
         buffer, spans = _encode_fields(spec, values)
     cover = checksum_cover(spec, field, buffer, spans)
@@ -464,24 +439,21 @@ def decode_packet(
     """
     if obs is None:
         obs = get_default()
-    if not obs.enabled:
-        state = _fp_active(spec)
-        if state is not None:
-            return _fast_decode(spec, state, data, obs)
-        return _decode_fields(spec, data)
-    start = time.perf_counter()
+    start = time.perf_counter() if obs.enabled else 0.0
+    state = _fp_active(spec)
     try:
-        state = _fp_active(spec)
         if state is not None:
             values = _fast_decode(spec, state, data, obs)
         else:
             values = _decode_fields(spec, data)
     except DecodeError as exc:
-        obs.registry.counter(
-            "codec.decode_errors", spec=spec.name, kind=type(exc).__name__
-        ).inc()
+        if obs.enabled:
+            obs.registry.counter(
+                "codec.decode_errors", spec=spec.name, kind=type(exc).__name__
+            ).inc()
         raise
-    _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)
+    if obs.enabled:
+        _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)
     return values
 
 

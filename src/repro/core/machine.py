@@ -32,13 +32,13 @@ policy a spec compiles, like a packet spec, into one generated module
 (:func:`repro.core.compile.compile_machine`), and ``exec_trans`` calls
 its ``exec_<T>``, which runs all four phases in one function.  The
 interpreted walk below is the other, and the oracle: it runs when the
-policy is ``off``, the spec is demoted or obs is enabled (the walk
-records one span per phase); it supplies the canonical error for every
-generated refusal except a guard's; and under ``verify`` it checks every
-generated result, with obs enabled or not.  A walk that succeeds where
+policy is ``off`` or the spec is demoted; it supplies the canonical
+error for every generated refusal except a guard's; and under
+``verify`` it checks every generated result.  A walk that succeeds where
 the generated function refused or raised, or that disagrees with it,
 demotes the spec's module (``fastpath.divergences``) and its own result
-is committed.
+is committed.  Enabled obs changes none of this: it times the same step
+inside one ``exec_trans`` span.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ class Machine:
     obs:
         An :class:`~repro.obs.Instrumentation` context; defaults to the
         process-wide one (disabled unless ``repro.obs.enable()`` ran).
-        When enabled, every execution records an ``exec_trans`` span with
-        dispatch/evidence/guard/step child spans, a latency histogram, and
-        executed/rejected counters labeled by machine and reason.
+        When enabled, every execution runs the same tier as with obs off
+        and records one ``exec_trans`` span around it, a latency
+        histogram, and executed/rejected counters labeled by machine and
+        reason.
     """
 
     def __init__(
@@ -240,152 +241,19 @@ class Machine:
         Raises :class:`InvalidTransitionError` (machine unchanged) when the
         transition does not exist, does not match the current state, lacks
         required evidence or inputs, or fails its guard.
+
+        With obs enabled, the same :meth:`_step` runs inside an
+        ``exec_trans`` span, and an execution-latency histogram and
+        executed/rejected counters (the rejection reason is the
+        exception's ``code``) are recorded.
         """
         obs = self._obs
-        if obs.enabled:
-            return self._exec_trans_observed(obs, transition_name, payload, inputs)
-        state = _fp_active(self.spec)
-        run = state.codec.execs.get(transition_name) if state is not None else None
-        if run is None:
-            return self._execute(self._lookup(transition_name), payload, inputs)
-        try:
-            result = run(self._current, payload, inputs)
-        except _FALLBACK_ERRORS:
-            return self._oracle(state, transition_name, payload, inputs, None)
-        if result is None or state.verify:
-            return self._oracle(state, transition_name, payload, inputs, result)
-        if result is False:
-            raise InvalidTransitionError(
-                self.spec.name, transition_name, "guard predicate failed", code="guard"
-            )
-        return self._commit(transition_name, result[0], result[1], payload)
-
-    def try_exec(
-        self, transition_name: str, payload: Any = None, **inputs: int
-    ) -> Optional[StateInstance]:
-        """Attempt a transition; ``None`` (machine unchanged) on rejection.
-
-        The event-loop driver hook: a server demultiplexing frames wants
-        "does this event apply here?" as a branch, not an exception —
-        rejection is the *common* case when probing which of several
-        transitions (RECV vs. DUP_ACK, say) a verified frame feeds.
-        Rejections still land on the observability counters with their
-        reason codes; only the control flow changes.
-        """
-        try:
-            return self.exec_trans(transition_name, payload, **inputs)
-        except InvalidTransitionError:
-            return None
-
-    def _lookup(self, transition_name: str) -> TransitionSpec:
-        try:
-            return self.spec.transition_named(transition_name)
-        except KeyError:
-            raise InvalidTransitionError(
-                self.spec.name,
-                transition_name,
-                "no such transition",
-                code="unknown_transition",
-            ) from None
-
-    def _execute(
-        self, transition: TransitionSpec, payload: Any, inputs: Dict[str, int]
-    ) -> StateInstance:
-        target, bindings = self._walk(transition, payload, inputs)
-        return self._commit(transition.name, target, bindings, payload)
-
-    def _oracle(
-        self,
-        state: Any,
-        transition_name: str,
-        payload: Any,
-        inputs: Dict[str, int],
-        result: Any,
-    ) -> StateInstance:
-        """Run the interpreted walk on a generated result and commit its own.
-
-        ``result`` is what ``exec_<T>`` returned — ``(target, bindings)``,
-        or ``False`` for a guard refusal — or ``None`` when it refused
-        otherwise or raised.  The walk's error propagates.  Wherever the
-        walk disagrees with ``result``, the spec's module is demoted.
-        """
-        try:
-            transition = self._lookup(transition_name)
-            target, bindings = self._walk(transition, payload, inputs)
-        except Exception as exc:
-            self._cross_check((state, result), transition_name, error=exc)
-            raise
-        self._cross_check((state, result), transition_name, walked=(target, bindings))
-        return self._commit(transition_name, target, bindings, payload)
-
-    def _generated(
-        self, transition_name: str, payload: Any, inputs: Dict[str, int]
-    ) -> Optional[Tuple[Any, Any]]:
-        """``(state, result)`` of the spec's ``exec_<T>`` under ``verify``.
-
-        ``result`` is as :meth:`_oracle` takes it.  None when no generated
-        module is verified against the walk.
-        """
-        state = _fp_active(self.spec)
-        if state is None or not state.verify:
-            return None
-        run = state.codec.execs.get(transition_name)
-        if run is None:
-            return None
-        try:
-            return state, run(self._current, payload, inputs)
-        except _FALLBACK_ERRORS:
-            return state, None
-
-    def _cross_check(
-        self,
-        generated: Tuple[Any, Any],
-        transition_name: str,
-        walked: Optional[Tuple[StateInstance, Dict[str, int]]] = None,
-        error: Optional[Exception] = None,
-    ) -> None:
-        """Demote the generated module wherever it disagrees with the walk.
-
-        ``walked`` is the walk's ``(target, bindings)``, or ``error`` what
-        it raised instead.
-        """
-        state, result = generated
-        if error is None:
-            disagrees = result != walked
-        else:
-            guard_refused = (
-                isinstance(error, InvalidTransitionError) and error.code == "guard"
-            )
-            disagrees = result is not None and not (result is False and guard_refused)
-        if disagrees:
-            reason = "exec-error" if result is None else "exec-mismatch"
-            self._demote(state, transition_name, reason)
-
-    def _demote(self, state: Any, transition_name: str, reason: str) -> None:
-        op = {"op": "exec", "transition": transition_name, "state": repr(self._current)}
-        _fp_demote(self.spec, state, reason, None, op)
-
-    def _exec_trans_observed(
-        self,
-        obs: Instrumentation,
-        transition_name: str,
-        payload: Any,
-        inputs: Dict[str, int],
-    ) -> StateInstance:
-        """The interpreted walk's four phases under the tracer.
-
-        Records an ``exec_trans`` span with one child span per phase, an
-        execution-latency histogram, and executed/rejected counters (the
-        rejection reason is the exception's ``code``).  Under ``verify``
-        the spec's ``exec_<T>`` runs first, and the walk checks it as
-        :meth:`_oracle` does.
-        """
-        generated = self._generated(transition_name, payload, inputs)
-        tracer = obs.tracer
+        if not obs.enabled:
+            return self._step(transition_name, payload, inputs)[0]
         registry = obs.registry
         start = time.perf_counter()
         try:
-            with tracer.span(
+            with obs.tracer.span(
                 "exec_trans", machine=self.spec.name, transition=transition_name
             ) as span:
                 if isinstance(payload, (bytes, bytearray)):
@@ -404,25 +272,8 @@ class Machine:
                                 encode_verbatim(value.spec, value._values, obs=NULL_OBS)
                             ),
                         )
-                try:
-                    transition = self._lookup(transition_name)
-                    with tracer.span("dispatch"):
-                        bindings = self._dispatch(transition, inputs)
-                    span.set_attr("bindings", dict(sorted(bindings.items())))
-                    with tracer.span("evidence"):
-                        self._check_payload(transition, payload)
-                    with tracer.span("guard"):
-                        self._check_guard(transition, bindings, payload)
-                except Exception as exc:
-                    if generated is not None:
-                        self._cross_check(generated, transition_name, error=exc)
-                    raise
-                with tracer.span("step"):
-                    target = transition.target.instantiate(bindings)
-                    if generated is not None:
-                        walked = (target, bindings)
-                        self._cross_check(generated, transition_name, walked=walked)
-                    target = self._commit(transition.name, target, bindings, payload)
+                target, bindings = self._step(transition_name, payload, inputs)
+                span.set_attr("bindings", dict(sorted(bindings.items())))
                 span.set_attr("target", repr(target))
         except InvalidTransitionError as exc:
             registry.counter(
@@ -441,6 +292,101 @@ class Machine:
             "machine.exec_seconds", machine=self.spec.name
         ).observe(time.perf_counter() - start)
         return target
+
+    def try_exec(
+        self, transition_name: str, payload: Any = None, **inputs: int
+    ) -> Optional[StateInstance]:
+        """Attempt a transition; ``None`` (machine unchanged) on rejection.
+
+        The event-loop driver hook: a server demultiplexing frames wants
+        "does this event apply here?" as a branch, not an exception —
+        rejection is the *common* case when probing which of several
+        transitions (RECV vs. DUP_ACK, say) a verified frame feeds.
+        Rejections still land on the observability counters with their
+        reason codes; only the control flow changes.
+        """
+        try:
+            return self.exec_trans(transition_name, payload, **inputs)
+        except InvalidTransitionError:
+            return None
+
+    def _step(
+        self, transition_name: str, payload: Any, inputs: Dict[str, int]
+    ) -> Tuple[StateInstance, Dict[str, int]]:
+        """Run one transition, commit it, and return its ``(target, bindings)``.
+
+        The spec's ``exec_<T>`` runs, and its own result is committed and
+        returned, unless the policy is off or the spec runs interpreted;
+        then the walk runs instead.  A generated refusal other than a
+        guard's, an error, or any result under ``verify`` goes to
+        :meth:`_oracle`.
+        """
+        state = _fp_active(self.spec)
+        run = state.codec.execs.get(transition_name) if state is not None else None
+        if run is None:
+            result = self._walk(self._lookup(transition_name), payload, inputs)
+        else:
+            try:
+                result = run(self._current, payload, inputs)
+            except _FALLBACK_ERRORS:
+                return self._oracle(state, transition_name, payload, inputs, None)
+            if result is None or state.verify:
+                return self._oracle(state, transition_name, payload, inputs, result)
+            if result is False:
+                raise InvalidTransitionError(
+                    self.spec.name,
+                    transition_name,
+                    "guard predicate failed",
+                    code="guard",
+                )
+        self._commit(transition_name, result[0], result[1], payload)
+        return result
+
+    def _lookup(self, transition_name: str) -> TransitionSpec:
+        try:
+            return self.spec.transition_named(transition_name)
+        except KeyError:
+            raise InvalidTransitionError(
+                self.spec.name,
+                transition_name,
+                "no such transition",
+                code="unknown_transition",
+            ) from None
+
+    def _oracle(
+        self,
+        state: Any,
+        transition_name: str,
+        payload: Any,
+        inputs: Dict[str, int],
+        result: Any,
+    ) -> Tuple[StateInstance, Dict[str, int]]:
+        """Run the interpreted walk on a generated result; commit and return its own.
+
+        ``result`` is what ``exec_<T>`` returned — ``(target, bindings)``,
+        or ``False`` for a guard refusal — or ``None`` when it refused
+        otherwise or raised.  The walk's error propagates.  Wherever the
+        walk disagrees with ``result`` (a generated refusal the walk
+        shares is agreement), the spec's module is demoted.
+        """
+        try:
+            walked = self._walk(self._lookup(transition_name), payload, inputs)
+        except Exception as exc:
+            guard_refused = (
+                isinstance(exc, InvalidTransitionError) and exc.code == "guard"
+            )
+            if result is not None and not (result is False and guard_refused):
+                self._demote(state, transition_name, "exec-mismatch")
+            raise
+        if result != walked:
+            reason = "exec-error" if result is None else "exec-mismatch"
+            self._demote(state, transition_name, reason)
+        self._commit(transition_name, walked[0], walked[1], payload)
+        return walked
+
+    def _demote(self, state: Any, transition_name: str, reason: str) -> None:
+        op = {"op": "exec", "transition": transition_name, "state": repr(self._current)}
+        _fp_demote(self.spec, state, reason, None, op)
 
     # -- the interpreted walk (see module docstring) -----------------------
 
@@ -499,7 +445,7 @@ class Machine:
         target: StateInstance,
         bindings: Dict[str, int],
         payload: Any,
-    ) -> StateInstance:
+    ) -> None:
         """Move to ``target``; build the step only for observers, if any."""
         source, self._current = self._current, target
         if self._observers:
@@ -508,7 +454,6 @@ class Machine:
             )
             for observer in self._observers:
                 observer(self, step, payload)
-        return target
 
     def _check_payload(self, transition: TransitionSpec, payload: Any) -> None:
         requires = transition.requires

@@ -62,7 +62,7 @@ def active_state(spec: Any) -> Optional[SpecState]:
     Returns ``None`` when the interpreter should run instead — the tier
     is off, the generator refused the spec, or it was demoted.
     """
-    policy, generation = _policy.state()
+    policy, generation = _policy._state
     if policy.mode == "off":
         return None
     state = getattr(spec, _STATE_ATTR, None)

@@ -41,13 +41,9 @@ class FastPath:
             )
 
 
-# The policy and its generation, bundled so hot paths read one global.
+# The policy and its generation, bundled so the hot path
+# (``cache.active_state``) reads one global, without a call.
 _state: Tuple[FastPath, int] = (FastPath(), 0)
-
-
-def state() -> Tuple[FastPath, int]:
-    """The current ``(policy, generation)`` pair (one global read)."""
-    return _state
 
 
 def get_policy() -> FastPath:

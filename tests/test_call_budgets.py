@@ -2,9 +2,9 @@
 
 Each call-budget test counts the Python ``call`` events into code under
 ``src/repro`` or a generated codec or machine module
-(``repro_generated_*``) while a
-role or the session manager handles steady-state frames, and holds the
-mean per frame to a budget.  The retention tests count what a session
+(``repro_generated_*``) while a role or the session manager handles
+steady-state frames, with obs off and with obs on, and holds the mean
+per frame to a budget.  The retention tests count what a session
 keeps: the GC-tracked objects steady-state frames leave alive, the bytes
 an Established handshake session holds on the server, and the
 per-packet state a selective-repeat sender holds after a long transfer.
@@ -46,10 +46,19 @@ from repro.serve.wheel import TimerWheel, WheelTimer
 #: Calls per frame with the generated receive gate, make and machine
 #: transitions, as measured: one more call per frame on a path fails it.
 BUDGETS = {
-    "ArqReceiver.on_frame": 46,
-    "SelectiveRepeatReceiver.on_frame": 49,
-    "HandshakeResponder.on_frame": 47,
-    "SessionManager.frame_from": 49,
+    "ArqReceiver.on_frame": 42,
+    "SelectiveRepeatReceiver.on_frame": 45,
+    "HandshakeResponder.on_frame": 43,
+    "SessionManager.frame_from": 45,
+}
+
+#: The same paths with obs enabled, as measured: the same generated code
+#: runs, inside one ``exec_trans`` span and the codec and machine metrics.
+OBS_BUDGETS = {
+    "ArqReceiver.on_frame": 85,
+    "SelectiveRepeatReceiver.on_frame": 88,
+    "HandshakeResponder.on_frame": 86,
+    "SessionManager.frame_from": 103,
 }
 
 #: GC-tracked objects a steady-state data frame may leave alive, on
@@ -150,6 +159,22 @@ def test_calls_per_frame_stay_within_budget(path):
         measured = calls_per_frame(handle, frames)
     assert measured <= BUDGETS[path], (
         f"{path}: {measured} calls per frame, budget {BUDGETS[path]}"
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_calls_per_frame_with_obs_on_stay_within_budget(path):
+    """Obs observes the generated path; it does not swap in another one."""
+    obs.enable().reset()
+    try:
+        with fastpath.use(mode="always"):
+            handle, frames = PATHS[path]()
+            measured = calls_per_frame(handle, frames)
+    finally:
+        obs.disable()
+    assert measured <= OBS_BUDGETS[path], (
+        f"{path}: {measured} calls per frame with obs on, "
+        f"budget {OBS_BUDGETS[path]}"
     )
 
 

@@ -259,19 +259,23 @@ class TestInstrumentation:
 
 
 class TestMachineWiring:
-    def test_executed_counter_and_phase_spans(self):
+    def test_executed_counter_and_exec_trans_span(self):
         instr = Instrumentation()
         machine = Machine(machine_spec(), obs=instr)
         machine.exec_trans("SEND", b"data")
         assert instr.registry.value(
             "machine.transitions_executed", machine="obs_m", transition="SEND"
         ) == 1
-        span = instr.tracer.find("exec_trans")[0]
-        assert [c.name for c in instr.tracer.children_of(span)] == [
-            "dispatch", "evidence", "guard", "step",
-        ]
-        assert span.attrs["payload_digest"] == frame_digest(b"data")
-        assert span.attrs["bindings"] == {"seq": 0}
+        (span,) = instr.tracer.records()  # no phase spans under it
+        assert span.name == "exec_trans"
+        assert span.attrs == {
+            "machine": "obs_m",
+            "transition": "SEND",
+            "payload_digest": frame_digest(b"data"),
+            "payload_len": 4,
+            "bindings": {"seq": 0},
+            "target": repr(machine.current),
+        }
         assert instr.registry.get("machine.exec_seconds", machine="obs_m").count == 1
 
     def test_rejection_reasons_label_counter(self):
@@ -510,7 +514,9 @@ class TestReport:
         assert "counters" in text and "histograms" in text and "trace" in text
         assert "machine.transitions_executed" in text
         assert "machine.exec_seconds" in text
-        assert "exec_trans" in text and "dispatch" in text
+        # One exec_trans span, with no phase spans under it.
+        assert "trace (last 1 of 1;" in text and "exec_trans" in text
+        assert "transition=SEND" in text and "target=Wait(0)" in text
 
     def test_export_json_round_trips(self, tmp_path):
         instr = Instrumentation()

@@ -1,13 +1,14 @@
 """E13 — "if an implementation is created from the DSL, then it must
 operate correctly" (paper §5): the staged codec.
 
-(a) Differential correctness: generated parse/build/finalize/verify
-agree with the interpreted codec over a packet corpus.
+(a) Differential correctness: generated parse/build/verify agree with
+the interpreted codec over a packet corpus.
 (b) Performance: the generated code removes the per-field interpretive
 dispatch.  Expected shape: generated wins by a constant factor, larger
 for parse than for build.
-(c) ``make`` per checksum algorithm: both tiers call the same checksum
-kernel, so the compiled tier must not lose on any algorithm.
+(c) ``make`` per checksum algorithm: the generated ``make`` is the only
+compiled code that computes checksums, and both tiers call the same
+checksum kernel, so the compiled tier must not lose on any algorithm.
 """
 
 import time

@@ -356,7 +356,7 @@ def _replay_demotion(entry: CorpusEntry, spec: Any) -> Tuple[str, str]:
     """Re-run the demoted op under ``verify``; does the spec demote again?"""
     op = entry.meta.get("op")
     values: Optional[Dict[str, Any]] = None
-    if op in ("encode", "finalize", "make"):
+    if op in ("encode", "make"):
         try:
             values = ast.literal_eval(entry.meta.get("values", ""))
         except (ValueError, SyntaxError):
@@ -371,14 +371,14 @@ def _replay_demotion(entry: CorpusEntry, spec: Any) -> Tuple[str, str]:
                 core_codec.decode_packet(spec, entry.data)
             elif op == "verify":
                 spec.decode(entry.data)  # the receive gate, cross-checked
-            elif op == "finalize":
-                core_codec.compute_checksums(spec, values)
             elif op == "make":
                 spec.make(**values)
             else:
-                # encode_verbatim takes the raw value environment the
-                # demoted call saw (make() would recompute checksums).
-                core_codec.encode_verbatim(spec, values)
+                # The raw value environment the demoted call saw (make()
+                # would recompute checksums), encoded with its spans: the
+                # oracle then compares both, so a bundle from either
+                # encode entry point can demote again.
+                core_codec.encode_with_spans(spec, values)
         except Exception as exc:
             # A declared error is fine — the question is whether the
             # compiled tier diverged, which the demotion counter answers.

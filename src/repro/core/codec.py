@@ -6,9 +6,10 @@ Encoding is split into two layers:
   carries (checksums included).  This makes ``decode(encode(p)) == p`` hold
   bit-exactly for *every* representable packet, valid or not — a property
   the round-trip test suite and the differential codegen tests rely on.
-* :func:`compute_checksums` — the two-pass "make" path: encodes with
-  checksum placeholders, derives each checksum from the covered byte
-  region, and returns the completed value environment.
+* :func:`compute_checksums` — the interpreted make's checksum pass:
+  encodes with checksum placeholders, derives each checksum from the
+  covered byte region, and returns the completed value environment.  On
+  the compiled tier the generated ``make`` computes checksums itself.
 
 Decoding (:func:`decode_packet`) walks fields in order, feeding previously
 decoded integer values into the environment so dependent shapes (lengths,
@@ -23,23 +24,26 @@ interpreted walk as the oracle.
 
 Every entry point consults ``repro.fastpath`` first: unless the
 process-wide policy is ``off``, the first call on a spec compiles it
-(see ``repro.fastpath.cache``) and the generated closures run instead of
-the interpretive walk, with the interpreter kept as the error oracle — a
-compiled closure that raises is re-run through the interpreter so callers
-always see the canonical exception, and a closure that *diverges* (errors
-where the interpreter succeeds, or mismatches under ``verify``) demotes
+(see ``repro.fastpath.cache``) and one generated function runs instead
+of the interpretive walk.  The interpreter stays the oracle, written
+once in :func:`_rerun`: a generated function that raises is re-run
+through the interpreter so callers always see the canonical exception,
+and one that *diverges* (raises where the interpreter succeeds, or under
+``verify`` succeeds where it raises or returns something else) demotes
 its spec back to interpretation.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.core.fields import ChecksumField, Field, FieldValueError
+from repro.core.fields import ChecksumField
 from repro.fastpath.cache import active_state as _fp_active
 from repro.fastpath.cache import demote as _fp_cache_demote
-from repro.obs.instrument import NULL_OBS, Instrumentation, get_default
+from repro.obs import instrument as _instrument
+from repro.obs.instrument import NULL_OBS, Instrumentation
 from repro.wire.bits import BitReader, BitWriter
 
 
@@ -123,41 +127,34 @@ def _encode_fields(
     for field in spec.fields:
         start = writer.bit_length
         value = values[field.name]
-        try:
-            field.encode(writer, value, env)
-        except FieldValueError:
-            raise
+        field.encode(writer, value, env)
         spans[field.name] = (start, writer.bit_length)
         if field.is_integer_valued():
             env[field.name] = int(value)
     return writer.getvalue(), spans
 
 
-# Compiled-closure errors that trigger the interpreter-as-oracle rerun.
-# Anything a generated parse/build can plausibly raise on bad input; the
+# Generated-function errors that send a call to the interpreter oracle.
+# Anything a generated function can plausibly raise on bad input; the
 # rerun either reproduces the canonical interpreted error (agreement) or
 # succeeds, which is a divergence and demotes the spec.
 _FALLBACK_ERRORS = (ValueError, TypeError, ArithmeticError, KeyError, IndexError)
 
 
 def _fp_demote(
-    spec: Any,
-    state: Any,
-    reason: str,
-    obs: Optional[Instrumentation],
-    payload: Optional[Dict[str, Any]] = None,
+    spec: Any, state: Any, reason: str, payload: Dict[str, Any]
 ) -> None:
     """Demote a diverging spec and count the divergence in repro.obs.
 
-    ``payload`` carries the offending operation (``{"op": "decode" |
-    "verify", "data": ...}``, or ``{"op": "encode" | "finalize" | "make",
-    "values": ...}``) to the flight recorder so ``--triage`` can re-run the
-    exact divergence; demotion is the cold path, so the recorder hook
-    costs nothing here.
+    The count goes to the process-wide instrumentation, like the
+    demotion itself.  ``payload`` carries the offending operation
+    (``{"op": "decode" | "verify", "data": ...}``, ``{"op": "encode" |
+    "make", "values": ...}`` or a machine's ``{"op": "exec", ...}``) to
+    the flight recorder so ``--triage`` can re-run the exact divergence;
+    demotion is the cold path, so the recorder hook costs nothing here.
     """
     _fp_cache_demote(state, reason)
-    if obs is None:
-        obs = get_default()
+    obs = _instrument._default
     if obs.enabled:
         obs.registry.counter(
             "fastpath.divergences", spec=spec.name, reason=reason
@@ -165,7 +162,7 @@ def _fp_demote(
     from repro.conformance.corpus import CorpusEntry
     from repro.obs.live.flightrec import record_crash
 
-    meta = dict(payload or {})
+    meta = dict(payload)
     record_crash(
         CorpusEntry(
             engine="fastpath",
@@ -178,70 +175,41 @@ def _fp_demote(
     )
 
 
-def _fast_encode(
+def _rerun(
     spec: Any,
     state: Any,
-    values: Mapping[str, Any],
-    obs: Optional[Instrumentation],
-    spans: Optional[Dict[str, Span]] = None,
-) -> bytes:
-    """Encode via the compiled closure, interpreter as error oracle.
+    op: str,
+    walk: Callable[[Any], Any],
+    arg: Any,
+    result: Any,
+    same: Callable[[Any, Any], bool] = operator.eq,
+) -> Any:
+    """The interpreter oracle for one generated codec call; its result wins.
 
-    ``spans``, when given, receives each field's bit span.
+    ``result`` is what the generated function returned for ``arg``, or
+    ``None`` when it raised.  ``walk(arg)`` runs and its error
+    propagates.  The spec is demoted ``<op>-error`` when the generated
+    function raised where the walk succeeds, and ``<op>-mismatch`` when
+    it succeeded where the walk raises or its result is not ``same`` as
+    the walk's.
     """
     try:
-        encoded = state.codec.build(values, spans)
-    except _FALLBACK_ERRORS:
-        encoded = None
-    if encoded is not None and not state.verify:
-        return encoded
-    # If the interpreter also rejects, its (canonical) error propagates
-    # and the two tiers agree; if it succeeds where the compiled closure
-    # raised, or (under ``verify``) disagrees with it, that is a real
-    # divergence.
-    expected, expected_spans = _encode_fields(spec, values)
-    if encoded == expected and (spans is None or spans == expected_spans):
-        return encoded
-    if spans is not None:
-        spans.clear()
-        spans.update(expected_spans)
-    _fp_demote(
-        spec, state, "encode-error" if encoded is None else "encode-mismatch", obs,
-        {"op": "encode", "values": repr(dict(values))},
-    )
+        expected = walk(arg)
+    except Exception:
+        if result is not None:
+            _fp_demote(spec, state, f"{op}-mismatch", _op_payload(op, arg))
+        raise
+    if result is None or not same(result, expected):
+        reason = f"{op}-error" if result is None else f"{op}-mismatch"
+        _fp_demote(spec, state, reason, _op_payload(op, arg))
     return expected
 
 
-def _fast_decode(
-    spec: Any, state: Any, data: bytes, obs: Optional[Instrumentation]
-) -> Dict[str, Any]:
-    """Decode via the compiled closure, interpreter as error oracle."""
-    try:
-        values = state.codec.parse(data)
-    except _FALLBACK_ERRORS:
-        # Interpreter rerun: canonical DecodeError on agreement,
-        # divergence demotion when it succeeds where compiled raised.
-        values = _decode_fields(spec, data)
-        _fp_demote(
-            spec, state, "decode-error", obs, {"op": "decode", "data": data}
-        )
-        return values
-    if state.verify:
-        try:
-            expected = _decode_fields(spec, data)
-        except DecodeError:
-            _fp_demote(
-                spec, state, "decode-mismatch", obs,
-                {"op": "decode", "data": data},
-            )
-            raise
-        if values != expected:
-            _fp_demote(
-                spec, state, "decode-mismatch", obs,
-                {"op": "decode", "data": data},
-            )
-            return expected
-    return values
+def _op_payload(op: str, arg: Any) -> Dict[str, Any]:
+    """What the flight recorder keeps of a diverging call: its bytes or values."""
+    if isinstance(arg, Mapping):
+        return {"op": op, "values": repr(dict(arg))}
+    return {"op": op, "data": arg}
 
 
 def encode_verbatim(
@@ -249,8 +217,8 @@ def encode_verbatim(
 ) -> bytes:
     """Encode a complete value environment exactly as given.
 
-    Dispatches to the spec's compiled codec unless the fast-path policy
-    is off or the spec runs interpreted (``repro.fastpath``); semantics
+    Runs the spec's generated ``build`` unless the fast-path policy is
+    off or the spec runs interpreted (``repro.fastpath``); semantics
     are unchanged.
 
     ``obs`` (default: the process-wide instrumentation) records, when
@@ -258,13 +226,21 @@ def encode_verbatim(
     labeled by spec.
     """
     if obs is None:
-        obs = get_default()
+        obs = _instrument._default
     start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
-    if state is not None:
-        encoded = _fast_encode(spec, state, values, obs)
+    if state is None:
+        encoded = _encode_fields(spec, values)[0]
     else:
-        encoded, _ = _encode_fields(spec, values)
+        try:
+            encoded = state.codec.build(values)
+        except _FALLBACK_ERRORS:
+            encoded = None
+        if encoded is None or state.verify:
+            encoded = _rerun(
+                spec, state, "encode",
+                lambda values: _encode_fields(spec, values)[0], values, encoded,
+            )
     if obs.enabled:
         _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
     return encoded
@@ -278,20 +254,28 @@ def encode_with_spans(
     Structure-aware tooling (the conformance fuzzer) needs both the wire
     bytes and each field's bit span; this produces them in a single
     encode instead of the encode-then-re-encode that ``encode`` +
-    :func:`field_spans` would cost.
+    :func:`field_spans` would cost.  The oracle compares both.
     """
     if obs is None:
-        obs = get_default()
+        obs = _instrument._default
     start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
-    if state is not None:
-        spans: Dict[str, Span] = {}
-        encoded = _fast_encode(spec, state, values, obs, spans)
+    if state is None:
+        result = _encode_fields(spec, values)
     else:
-        encoded, spans = _encode_fields(spec, values)
+        spans: Dict[str, Span] = {}
+        try:
+            result = (state.codec.build(values, spans), spans)
+        except _FALLBACK_ERRORS:
+            result = None
+        if result is None or state.verify:
+            result = _rerun(
+                spec, state, "encode",
+                lambda values: _encode_fields(spec, values), values, result,
+            )
     if obs.enabled:
-        _record_codec(obs, "encode", spec.name, len(encoded), time.perf_counter() - start)
-    return encoded, spans
+        _record_codec(obs, "encode", spec.name, len(result[0]), time.perf_counter() - start)
+    return result
 
 
 def field_spans(spec: Any, values: Mapping[str, Any]) -> Dict[str, Span]:
@@ -354,40 +338,15 @@ def checksum_cover(
 
 
 def compute_checksums(spec: Any, values: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fill in every checksum field of a value environment.
+    """Fill in every checksum field of a value environment (interpreted).
 
     Non-checksum values are passed through unchanged.  Checksums are
     computed in field order over a buffer in which *later* checksums are
     still zero — multi-checksum specs should therefore order dependent
     checksums after their inputs (the spec validator warns otherwise).
+    This is the interpreted ``make``'s checksum pass; the generated
+    ``make`` computes the same checksums with the same kernels.
     """
-    state = _fp_active(spec)
-    if state is not None:
-        try:
-            working = state.codec.finalize(values)
-        except _FALLBACK_ERRORS:
-            working = compute_checksums_interpreted(spec, values)
-            _fp_demote(
-                spec, state, "finalize-error", None,
-                {"op": "finalize", "values": repr(dict(values))},
-            )
-            return working
-        if state.verify:
-            expected = compute_checksums_interpreted(spec, values)
-            if working != expected:
-                _fp_demote(
-                    spec, state, "finalize-mismatch", None,
-                    {"op": "finalize", "values": repr(dict(values))},
-                )
-                return expected
-        return working
-    return compute_checksums_interpreted(spec, values)
-
-
-def compute_checksums_interpreted(
-    spec: Any, values: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """:func:`compute_checksums` on the interpreter alone (``make``'s walk)."""
     working: Dict[str, Any] = dict(values)
     for field in spec.fields:
         if isinstance(field, ChecksumField):
@@ -410,19 +369,13 @@ def compute_one_checksum(spec: Any, values: Mapping[str, Any], field_name: str) 
 
     Used by verification: the other fields (including sibling checksums)
     keep their *carried* values, and only the target field is zeroed when
-    it covers the whole packet.
+    it covers the whole packet.  The encode records no codec metrics.
     """
     field = spec.field_map[field_name]
     if not isinstance(field, ChecksumField):
         raise ValueError(f"{field_name!r} is not a checksum field")
-    state = _fp_active(spec)
-    if state is not None:
-        spans: Dict[str, Span] = {}
-        buffer = _fast_encode(spec, state, values, None, spans)
-    else:
-        buffer, spans = _encode_fields(spec, values)
-    cover = checksum_cover(spec, field, buffer, spans)
-    return field.compute(cover)
+    buffer, spans = encode_with_spans(spec, values, obs=NULL_OBS)
+    return field.compute(checksum_cover(spec, field, buffer, spans))
 
 
 def decode_packet(
@@ -438,14 +391,22 @@ def decode_packet(
     :class:`DecodeError` counter labeled by spec and error kind.
     """
     if obs is None:
-        obs = get_default()
+        obs = _instrument._default
     start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
     try:
-        if state is not None:
-            values = _fast_decode(spec, state, data, obs)
-        else:
+        if state is None:
             values = _decode_fields(spec, data)
+        else:
+            try:
+                values = state.codec.parse(data)
+            except _FALLBACK_ERRORS:
+                values = None
+            if values is None or state.verify:
+                values = _rerun(
+                    spec, state, "decode",
+                    lambda data: _decode_fields(spec, data), data, values,
+                )
     except DecodeError as exc:
         if obs.enabled:
             obs.registry.counter(
@@ -465,20 +426,19 @@ def decode_checked(
     """Decode bytes and, on the compiled tier, run the spec's receive gate.
 
     Returns ``(values, passed)``: ``passed`` is the spec's compiled-tier
-    state when its generated ``verify`` found no violation, else ``None``
-    (interpreted tier, a rejection, or the interpreter had to answer).
-    Raises :class:`DecodeError` where :func:`decode_packet` does, and
-    records the same ``codec.decode_*`` metrics when the process-wide
-    instrumentation is enabled.
+    state when the gate found no violation, else ``None`` (interpreted
+    tier, or a rejection).  ``PacketSpec.verify`` trusts ``passed`` only
+    while the spec is still on that tier, so a state the oracle demoted
+    is never trusted.  Raises :class:`DecodeError` where
+    :func:`decode_packet` does, and records the same ``codec.decode_*``
+    metrics when the process-wide instrumentation is enabled.
 
-    A generated ``verify`` that raises is re-run through the interpreter:
-    the canonical :class:`DecodeError` on agreement, a demotion when the
-    interpreter succeeds.  Under ``verify=True`` each compiled verdict —
-    the values, and the names of the violated constraints — is compared
-    with the interpreter's: ``oracle(values, residual)`` names the
-    constraints outside ``residual`` that ``values`` violate.
+    The oracle's walk decodes ``data`` and asks ``oracle(values,
+    residual)`` for the names of the constraints outside ``residual``
+    that ``values`` violate; a generated verdict agrees with it when the
+    values and the set of violated names are equal.
     """
-    obs = get_default()
+    obs = _instrument._default
     start = time.perf_counter() if obs.enabled else 0.0
     state = _fp_active(spec)
     passed = None
@@ -487,19 +447,21 @@ def decode_checked(
             values = _decode_fields(spec, data)
         else:
             try:
-                values, violated = state.codec.verify(data)
+                result = state.codec.verify(data)
             except _FALLBACK_ERRORS:
-                values = _decode_fields(spec, data)
-                _fp_demote(
-                    spec, state, "verify-error", obs, {"op": "verify", "data": data}
+                result = None
+            if result is None or state.verify:
+
+                def walk(data: bytes) -> Tuple[Dict[str, Any], FrozenSet[str]]:
+                    walked = _decode_fields(spec, data)
+                    return walked, oracle(walked, state.codec.residual)
+
+                result = _rerun(
+                    spec, state, "verify", walk, data, result, _same_verdict
                 )
-            else:
-                if state.verify:
-                    values, passed = _check_verdict(
-                        spec, state, data, values, violated, oracle, obs
-                    )
-                elif not violated:
-                    passed = state
+            values, violated = result
+            if not violated:
+                passed = state
     except DecodeError as exc:
         if obs.enabled:
             obs.registry.counter(
@@ -511,26 +473,9 @@ def decode_checked(
     return values, passed
 
 
-def _check_verdict(
-    spec: Any,
-    state: Any,
-    data: bytes,
-    values: Dict[str, Any],
-    violated: List[str],
-    oracle: Callable[[Dict[str, Any], Tuple[str, ...]], FrozenSet[str]],
-    obs: Optional[Instrumentation],
-) -> Tuple[Dict[str, Any], Any]:
-    """Compare a compiled verdict with the interpreter's (``verify=True``)."""
-    payload = {"op": "verify", "data": data}
-    try:
-        expected = _decode_fields(spec, data)
-    except DecodeError:
-        _fp_demote(spec, state, "verify-mismatch", obs, payload)
-        raise
-    if values != expected or set(violated) != oracle(expected, state.codec.residual):
-        _fp_demote(spec, state, "verify-mismatch", obs, payload)
-        return expected, None
-    return values, None if violated else state
+def _same_verdict(result: Tuple[Any, Any], expected: Tuple[Any, Any]) -> bool:
+    """A generated ``(values, violated)`` verdict equals the walk's."""
+    return result[0] == expected[0] and set(result[1]) == expected[1]
 
 
 def make_values(
@@ -541,11 +486,8 @@ def make_values(
     """The completed value environment of ``spec.make(**values)``.
 
     Runs the spec's generated ``make`` unless the tier is off or the
-    spec runs interpreted.  ``walk`` is the interpreted make — the off
-    tier, and the oracle: a generated ``make`` that raises is re-run
-    through it, so callers always see its canonical error, and one that
-    raises where ``walk`` succeeds demotes the spec.  Under
-    ``verify=True`` every compiled result is compared with ``walk``'s.
+    spec runs interpreted.  ``walk`` is the interpreted make: the off
+    tier, and the oracle.
     """
     state = _fp_active(spec)
     if state is None:
@@ -553,24 +495,9 @@ def make_values(
     try:
         completed = state.codec.make(values)
     except _FALLBACK_ERRORS:
-        completed = walk(values)
-        _fp_demote(
-            spec, state, "make-error", None,
-            {"op": "make", "values": repr(dict(values))},
-        )
-        return completed
-    if state.verify:
-        payload = {"op": "make", "values": repr(dict(values))}
-        try:
-            expected = walk(values)
-        except Exception:
-            # Whatever the interpreter raises, the compiled make accepted
-            # it: a divergence.  The canonical error still propagates.
-            _fp_demote(spec, state, "make-mismatch", None, payload)
-            raise
-        if completed != expected:
-            _fp_demote(spec, state, "make-mismatch", None, payload)
-            return expected
+        completed = None
+    if completed is None or state.verify:
+        completed = _rerun(spec, state, "make", walk, values, completed)
     return completed
 
 

@@ -5,8 +5,8 @@ the DSL, then it must operate correctly, simply by the properties obtained
 from use of dependent type systems".  This module is the staging half of
 that claim: :func:`generate_codec_source` emits a self-contained Python
 module (no imports beyond the standard library, no dependency on
-``repro``) implementing parse / build / checksum / verify / make functions for
-one spec.  :func:`compile_spec` executes that source and hands back the
+``repro``) implementing parse / build / verify / make functions for one
+spec.  :func:`compile_spec` executes that source and hands back the
 functions.
 
 Because the generator walks the *same* spec the interpreted codec walks,
@@ -22,7 +22,6 @@ Generated modules contain:
 * ``parse_<name>(data) -> dict`` — field values, raising ``ValueError`` on
   truncated or trailing data;
 * ``build_<name>(values) -> bytes`` — verbatim encoding;
-* ``finalize_<name>(values) -> dict`` — computes checksum fields;
 * ``verify_<name>(data) -> (dict, list)`` — the §3.4 receive gate in one
   pass: parses as ``parse_<name>`` does (raising where it raises), checks
   each checksum over the received bytes' own spans, then the constants,
@@ -32,7 +31,7 @@ Generated modules contain:
   fills defaults, normalizes lists and bytearrays, checks every value's
   type and range, and computes the checksums; it raises ``ValueError``
   (or ``KeyError`` for a missing value) wherever the interpreted ``make``
-  raises.
+  raises.  It is the only generated function that computes checksums.
 
 The gate checks every constraint ``PacketSpec`` generated itself, and the
 user's symbolic constraints that cannot raise.  The rest
@@ -288,7 +287,6 @@ def generate_codec_source(spec: Any) -> str:
     sections = [
         _generate_parse(spec),
         _generate_build(spec),
-        _generate_finalize(spec),
         _generate_verify(spec, residual),
         _generate_make(spec),
     ]
@@ -299,7 +297,6 @@ def generate_codec_source(spec: Any) -> str:
         *("\n".join(lines) + "\n" for lines in sections),
         f"parse = parse_{name}",
         f"build = build_{name}",
-        f"finalize = finalize_{name}",
         f"verify = verify_{name}",
         f"make = make_{name}",
         f"residual = {tuple(residual)!r}",
@@ -776,25 +773,10 @@ def _byte_offset(bit_offset: str) -> str:
     return f"({bit_offset}) >> 3"
 
 
-def _generate_finalize(spec: Any) -> List[str]:
-    name = spec.name.lower()
-    lines = [
-        f"def finalize_{name}(values):",
-        f'    """Return values with every checksum field computed."""',
-        "    work = dict(values)",
-    ]
-    for field in spec.fields:
-        if isinstance(field, ChecksumField):
-            lines.append(f"    work[{field.name!r}] = 0")
-    lines.extend(_checksum_lines(spec, "work"))
-    lines.append("    return work")
-    return lines
+def _checksum_lines(spec: Any) -> List[str]:
+    """``make_<name>``'s statements computing every checksum of ``values``.
 
-
-def _checksum_lines(spec: Any, work: str) -> List[str]:
-    """Statements computing every checksum of dict ``work`` in place.
-
-    ``work`` holds complete values with each checksum still zero; the
+    ``values`` holds complete values with each checksum still zero; the
     checksums are computed in field order, each over a buffer in which
     later checksums are still zero.
     """
@@ -806,9 +788,9 @@ def _checksum_lines(spec: Any, work: str) -> List[str]:
     lines = ["    spans = {}"]
     if len(checksum_fields) == 1:
         # No later checksum reads the buffer: no patch, so no copy.
-        lines.append(f"    _b = memoryview(build_{name}({work}, spans))")
+        lines.append(f"    _b = memoryview(build_{name}(values, spans))")
     else:
-        lines.append(f"    buf = bytearray(build_{name}({work}, spans))")
+        lines.append(f"    buf = bytearray(build_{name}(values, spans))")
         # A memoryview cover: zero-copy, and it tracks the _patch_uint
         # updates of earlier checksums (same-size patches never resize
         # the bytearray, so the exported view stays valid).
@@ -827,7 +809,7 @@ def _checksum_lines(spec: Any, work: str) -> List[str]:
             ]
             lines.append(f"    cover = {_cover_code('_b', ranges)}")
         lines.append(f"    _v = {field.algorithm.compute.__name__}(cover)")
-        lines.append(f"    {work}[{field.name!r}] = _v")
+        lines.append(f"    values[{field.name!r}] = _v")
         if field is not checksum_fields[-1]:
             lines.append(
                 f"    _patch_uint(buf, spans[{field.name!r}][0], {field.bits}, _v)"
@@ -991,7 +973,7 @@ def _generate_make(spec: Any) -> List[str]:
                 "code generator"
             )
         lines.append(f"    values[{key}] = _v")
-    lines.extend(_checksum_lines(spec, "values"))
+    lines.extend(_checksum_lines(spec))
     lines.append("    return values")
     return lines
 
@@ -1022,7 +1004,6 @@ class CompiledCodec(NamedTuple):
 
     parse: Callable[[bytes], Dict[str, Any]]
     build: Callable[..., bytes]
-    finalize: Callable[[Dict[str, Any]], Dict[str, Any]]
     verify: Callable[[bytes], Tuple[Dict[str, Any], List[str]]]
     make: Callable[[Dict[str, Any]], Dict[str, Any]]
     residual: Tuple[str, ...]
@@ -1038,7 +1019,6 @@ def compile_spec(spec: Any) -> CompiledCodec:
     return CompiledCodec(
         parse=module.parse,
         build=module.build,
-        finalize=module.finalize,
         verify=module.verify,
         make=module.make,
         residual=module.residual,
@@ -1141,7 +1121,7 @@ def _generate_exec(transition: Any) -> List[str]:
     else:
         lines.append(
             "    if not isinstance(payload, _Verified) or "
-            f"payload._certificate.spec_name != {requires.name!r}:"
+            f"payload.certificate.spec_name != {requires.name!r}:"
         )
     lines.append("        return None")
     guard = transition.guard

@@ -245,16 +245,20 @@ class Machine:
         With obs enabled, the same :meth:`_step` runs inside an
         ``exec_trans`` span, and an execution-latency histogram and
         executed/rejected counters (the rejection reason is the
-        exception's ``code``) are recorded.
+        exception's ``code``) are recorded.  Their handles are cached per
+        machine, transition and reason in the registry's ``"machine"``
+        handle cache, as the codec caches its own.
         """
         obs = self._obs
         if not obs.enabled:
             return self._step(transition_name, payload, inputs)[0]
         registry = obs.registry
+        cache = registry.handle_cache("machine")
+        name = self.spec.name
         start = time.perf_counter()
         try:
             with obs.tracer.span(
-                "exec_trans", machine=self.spec.name, transition=transition_name
+                "exec_trans", machine=name, transition=transition_name
             ) as span:
                 if isinstance(payload, (bytes, bytearray)):
                     span.set_attr("payload_digest", frame_digest(payload))
@@ -276,21 +280,31 @@ class Machine:
                 span.set_attr("bindings", dict(sorted(bindings.items())))
                 span.set_attr("target", repr(target))
         except InvalidTransitionError as exc:
-            registry.counter(
-                "machine.transitions_rejected",
-                machine=self.spec.name,
-                transition=transition_name,
-                reason=exc.code,
-            ).inc()
+            key = (name, transition_name, exc.code)
+            rejected = cache.get(key)
+            if rejected is None:
+                rejected = cache[key] = registry.counter(
+                    "machine.transitions_rejected",
+                    machine=name,
+                    transition=transition_name,
+                    reason=exc.code,
+                )
+            rejected.inc()
             raise
-        registry.counter(
-            "machine.transitions_executed",
-            machine=self.spec.name,
-            transition=transition_name,
-        ).inc()
-        registry.histogram(
-            "machine.exec_seconds", machine=self.spec.name
-        ).observe(time.perf_counter() - start)
+        key = (name, transition_name)
+        handles = cache.get(key)
+        if handles is None:
+            handles = cache[key] = (
+                registry.counter(
+                    "machine.transitions_executed",
+                    machine=name,
+                    transition=transition_name,
+                ),
+                registry.histogram("machine.exec_seconds", machine=name),
+            )
+        executed, seconds = handles
+        executed.inc()
+        seconds.observe(time.perf_counter() - start)
         return target
 
     def try_exec(
@@ -386,7 +400,7 @@ class Machine:
 
     def _demote(self, state: Any, transition_name: str, reason: str) -> None:
         op = {"op": "exec", "transition": transition_name, "state": repr(self._current)}
-        _fp_demote(self.spec, state, reason, None, op)
+        _fp_demote(self.spec, state, reason, op)
 
     # -- the interpreted walk (see module docstring) -----------------------
 

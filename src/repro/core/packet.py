@@ -413,7 +413,7 @@ class PacketSpec:
                 working[field.name] = tuple(value)
             elif isinstance(field, Bytes) and isinstance(value, bytearray):
                 working[field.name] = bytes(value)
-        completed = codec.compute_checksums_interpreted(self, working)
+        completed = codec.compute_checksums(self, working)
         # Shape-check everything now so a bad make() fails eagerly.
         env = _integer_environment(self, completed)
         for field in self.fields:

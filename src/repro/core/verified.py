@@ -74,12 +74,14 @@ class Verified(Generic[T]):
     call :meth:`repro.core.packet.PacketSpec.verify` or
     :meth:`repro.core.packet.PacketSpec.parse` to obtain instances.
 
-    The wrapped value is reachable via :attr:`value`; the evidence via
-    :attr:`certificate`.  Instances are immutable and hashable when the
-    wrapped value is.
+    The wrapped value is the read-only attribute :attr:`value`; the
+    evidence, :attr:`certificate`.  Instances are immutable and hashable
+    when the wrapped value is.
     """
 
-    __slots__ = ("_value", "_certificate")
+    __slots__ = ("value", "certificate")
+    value: T
+    certificate: Certificate
 
     def __init__(self, value: T, certificate: Certificate, _token: Any = None) -> None:
         if _token is not _CONSTRUCTION_TOKEN:
@@ -88,39 +90,32 @@ class Verified(Generic[T]):
                 "from a spec's verify()/parse() so the constraints are "
                 "actually checked"
             )
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_certificate", certificate)
-
-    @property
-    def value(self) -> T:
-        """The validated value."""
-        return self._value
-
-    @property
-    def certificate(self) -> Certificate:
-        """Evidence of which constraints were discharged."""
-        return self._certificate
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "certificate", certificate)
 
     def demand(self, constraint_name: str) -> "Verified[T]":
         """Assert specific evidence is present; returns self for chaining."""
-        self._certificate.demand(constraint_name)
+        self.certificate.demand(constraint_name)
         return self
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Verified values are immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Verified values are immutable")
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Verified)
-            and other._value == self._value
-            and other._certificate == self._certificate
+            and other.value == self.value
+            and other.certificate == self.certificate
         )
 
     def __hash__(self) -> int:
-        return hash((self._value, self._certificate))
+        return hash((self.value, self.certificate))
 
     def __repr__(self) -> str:
-        return f"Verified({self._value!r}, certifies={list(self._certificate.constraints)})"
+        return f"Verified({self.value!r}, certifies={list(self.certificate.constraints)})"
 
 
 def _issue(value: T, certificate: Certificate) -> Verified[T]:

@@ -4,15 +4,17 @@ The paper's §5 position is that implementations *generated from* the DSL
 spec are correct by construction; ``core.compile`` generates one module
 per packet spec (its codec) and per sealed machine spec (its
 transitions), and this package makes the runtime actually use them.
-Every ``encode_verbatim``/``decode_packet``/``compute_checksums`` call,
+Every ``encode_verbatim``/``encode_with_spans``/``decode_packet`` call,
 every ``PacketSpec.decode``/``verify``/``make`` and every
 ``Machine.exec_trans`` consults a process-wide :class:`FastPath` policy:
 the first call on a spec compiles it once, and every later call runs at
 generated-code speed — with the interpreter retained as the semantic
-oracle.  A generated function that errors or refuses where the
-interpreter succeeds, or (under ``verify=True``) produces different
-bytes, values, verdicts or states, *demotes* its spec back to the
-interpreter and counts a ``fastpath.divergences`` metric.
+oracle (``core.codec._rerun`` for every codec entry point,
+``Machine._oracle`` for transitions).  A generated function that errors
+or refuses where the interpreter succeeds, or (under ``verify=True``)
+succeeds where it fails or produces different bytes, spans, values,
+verdicts or states, *demotes* its spec back to the interpreter and
+counts a ``fastpath.divergences`` metric.
 
 Layout
 ------

@@ -41,6 +41,7 @@ from repro.core.symbolic import Var, this
 from repro.netsim.channel import ChannelConfig
 from repro.netsim.node import DuplexLink, Node
 from repro.netsim.simulator import Simulator
+from repro.protocols.arq import check_transfer_invariants
 from repro.protocols.role import Role, Send, on_node
 
 SEQ_BITS = 16
@@ -178,22 +179,6 @@ class SlidingTransferReport:
         if self.duration <= 0:
             return 0.0
         return sum(len(m) for m in self.delivered) / self.duration
-
-
-def _delivery_violations(
-    messages: Sequence[bytes], delivered: Sequence[bytes]
-) -> List[str]:
-    violations: List[str] = []
-    for index, payload in enumerate(delivered):
-        if index >= len(messages):
-            violations.append("delivered more messages than were sent")
-            break
-        if payload != messages[index]:
-            violations.append(
-                f"message {index} delivered as {payload!r}, sent "
-                f"{messages[index]!r}"
-            )
-    return violations
 
 
 # One sealed spec per role and window, shared by every instance (see
@@ -544,7 +529,7 @@ def _run_sliding(
         ack_frames_sent=receiver.frames_out,
         retransmissions=sender.retransmissions,
         duration=sim.now,
-        violations=_delivery_violations(messages, delivered),
+        violations=check_transfer_invariants(messages, delivered),
     )
 
 

@@ -46,19 +46,19 @@ from repro.serve.wheel import TimerWheel, WheelTimer
 #: Calls per frame with the generated receive gate, make and machine
 #: transitions, as measured: one more call per frame on a path fails it.
 BUDGETS = {
-    "ArqReceiver.on_frame": 42,
-    "SelectiveRepeatReceiver.on_frame": 45,
-    "HandshakeResponder.on_frame": 43,
-    "SessionManager.frame_from": 45,
+    "ArqReceiver.on_frame": 36,
+    "SelectiveRepeatReceiver.on_frame": 39,
+    "HandshakeResponder.on_frame": 37,
+    "SessionManager.frame_from": 39,
 }
 
 #: The same paths with obs enabled, as measured: the same generated code
 #: runs, inside one ``exec_trans`` span and the codec and machine metrics.
 OBS_BUDGETS = {
-    "ArqReceiver.on_frame": 85,
-    "SelectiveRepeatReceiver.on_frame": 88,
-    "HandshakeResponder.on_frame": 86,
-    "SessionManager.frame_from": 103,
+    "ArqReceiver.on_frame": 71,
+    "SelectiveRepeatReceiver.on_frame": 74,
+    "HandshakeResponder.on_frame": 72,
+    "SessionManager.frame_from": 89,
 }
 
 #: GC-tracked objects a steady-state data frame may leave alive, on

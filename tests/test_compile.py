@@ -50,13 +50,13 @@ class TestDifferentialEquivalence:
 
     @pytest.mark.parametrize("name,packet", list(sample_packets()))
     def test_finalize_matches_make_checksums(self, name, packet):
+        """Generated make completes the checksums the interpreter computes."""
         spec = SPECS[name]
         compiled = compile_spec(spec)
-        zeroed = dict(packet.values)
-        for field in spec.fields:
-            if isinstance(field, ChecksumField):
-                zeroed[field.name] = 0
-        assert compiled.finalize(zeroed) == packet.values
+        checksums = {f.name for f in spec.fields if isinstance(f, ChecksumField)}
+        keywords = {k: v for k, v in packet.values.items() if k not in checksums}
+        zeroed = dict(keywords, **dict.fromkeys(checksums, 0))
+        assert compiled.make(keywords) == codec.compute_checksums(spec, zeroed)
 
     @given(seq=st.integers(0, 255), payload=st.binary(max_size=200))
     def test_arq_differential_property(self, seq, payload):
@@ -294,12 +294,12 @@ class TestSharedChecksumKernels:
     def test_finalize_and_validate_match_the_interpreter(
         self, algorithm, over, seq, payload
     ):
+        """Generated make and verify agree with the interpreted checksums."""
         spec = _checksummed_spec(algorithm, over)
         compiled = compile_spec(spec)
-        values = {"seq": seq, "chk": 0, "length": len(payload), "payload": payload}
-        with fastpath.use(mode="off"):
-            expected = codec.compute_checksums(spec, values)
-        assert compiled.finalize(values) == expected
+        keywords = {"seq": seq, "length": len(payload), "payload": payload}
+        expected = codec.compute_checksums(spec, dict(keywords, chk=0))
+        assert compiled.make(keywords) == expected
         assert compiled.verify(compiled.build(expected)) == (expected, [])
         forged = dict(expected, chk=expected["chk"] ^ 1)
         assert compiled.verify(compiled.build(forged)) == (forged, ["chk_valid"])
@@ -317,11 +317,9 @@ class TestSharedChecksumKernels:
             ],
         )
         compiled = compile_spec(spec)
-        values = {"seq": seq, "length": len(payload), "body": 0, "whole": 0,
-                  "payload": payload}
-        with fastpath.use(mode="off"):
-            expected = codec.compute_checksums(spec, values)
-        assert compiled.finalize(values) == expected
+        keywords = {"seq": seq, "length": len(payload), "payload": payload}
+        expected = codec.compute_checksums(spec, dict(keywords, body=0, whole=0))
+        assert compiled.make(keywords) == expected
         assert compiled.verify(compiled.build(expected)) == (expected, [])
 
     def test_adjacent_covered_fields_are_sliced_once(self):

@@ -8,7 +8,8 @@ canonicalization, the divergence guard (fallback, verify, demotion, obs
 counter), the generator's refusal of subclassed fields, and the compiled
 receive gate and ``make`` (differential against the interpreter on
 fuzzer mutants, arbitrary bytes and every ``make`` reject class; when a
-carried verdict is trusted).
+carried verdict is trusted), and the one oracle contract every compiled
+entry point shares under ``verify``.
 """
 
 import gc
@@ -143,18 +144,15 @@ def test_compiled_tier_is_transparent_for_every_registry_spec():
         with fastpath.use(mode="off"):
             interp_enc = [codec.encode_verbatim(spec, v) for v in values_list]
             interp_dec = [codec.decode_packet(spec, w) for w in wires]
-            interp_chk = [codec.compute_checksums(spec, v) for v in values_list]
             interp_spans = [codec.field_spans(spec, v) for v in values_list]
         with fastpath.use(mode="always"):
             fast_enc = [codec.encode_verbatim(spec, v) for v in values_list]
             fast_dec = [codec.decode_packet(spec, w) for w in wires]
-            fast_chk = [codec.compute_checksums(spec, v) for v in values_list]
             fast_spans = [codec.field_spans(spec, v) for v in values_list]
             state = fastpath.state_of(spec)
             assert state is not None and state.status == "compiled", entry.name
         assert fast_enc == interp_enc, entry.name
         assert fast_dec == interp_dec, entry.name
-        assert fast_chk == interp_chk, entry.name
         assert fast_spans == interp_spans, entry.name
     assert fastpath.stats()["demotions"] == 0
 
@@ -652,3 +650,74 @@ def test_verify_mode_catches_a_wrong_make():
         state.codec = state.codec._replace(make=lambda kw: dict(make(kw), chk=0))
         assert ARQ_PACKET.make(**ARQ_OK) == expected
         assert (state.status, state.reason) == ("interpreted", "make-mismatch")
+
+
+# --- one oracle for every compiled entry point ---
+
+ARQ_BAD = {"seq": 1 << 20, "chk": 0, "length": 2, "payload": b"hi"}  # seq: 8 bits
+ARQ_VALUES = {"seq": 1, "chk": 0, "length": 2, "payload": b"hi"}
+
+
+def _accept_anything(values, spans=None):
+    return b"\x00" * 5
+
+
+#: op -> (the generated function, a stand-in that accepts what the
+#: interpreter rejects, the call, the demotion reason).
+LIARS = {
+    "encode": (
+        "build", _accept_anything,
+        lambda: codec.encode_verbatim(ARQ_PACKET, ARQ_BAD), "encode-mismatch",
+    ),
+    "encode_with_spans": (
+        "build", _accept_anything,
+        lambda: codec.encode_with_spans(ARQ_PACKET, ARQ_BAD), "encode-mismatch",
+    ),
+    "decode": (
+        "parse", lambda data: dict(ARQ_VALUES),
+        lambda: codec.decode_packet(ARQ_PACKET, b"\x01"), "decode-mismatch",
+    ),
+    "verify": (
+        "verify", lambda data: (dict(ARQ_VALUES), []),
+        lambda: ARQ_PACKET.decode(b"\x01"), "verify-mismatch",
+    ),
+    "make": (
+        "make", lambda kw: dict(ARQ_VALUES),
+        lambda: ARQ_PACKET.make(**dict(ARQ_OK, seq=1 << 20)), "make-mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LIARS))
+def test_verify_mode_demotes_a_generated_function_that_accepts_too_much(op):
+    attribute, liar, call, reason = LIARS[op]
+    with fastpath.use(mode="off"):
+        with pytest.raises(Exception) as interpreted:
+            call()
+    with fastpath.use(mode="always", verify=True):
+        state = fastpath.active_state(ARQ_PACKET)
+        state.codec = state.codec._replace(**{attribute: liar})
+        with pytest.raises(Exception) as raised:
+            call()
+        assert (state.status, state.reason) == ("interpreted", reason)
+    # The interpreter's error is the one that propagates.
+    assert type(raised.value) is type(interpreted.value)
+    assert str(raised.value) == str(interpreted.value)
+    assert fastpath.stats()["demotions"] == 1
+
+
+def test_verify_mode_catches_right_bytes_with_wrong_spans():
+    with fastpath.use(mode="off"):
+        expected = codec.encode_with_spans(ARQ_PACKET, ARQ_VALUES)
+    with fastpath.use(mode="always", verify=True):
+        state = fastpath.active_state(ARQ_PACKET)
+        build = state.codec.build
+
+        def wrong_spans(values, spans=None):
+            encoded = build(values, spans)
+            spans["seq"] = (0, 1)
+            return encoded
+
+        state.codec = state.codec._replace(build=wrong_spans)
+        assert codec.encode_with_spans(ARQ_PACKET, ARQ_VALUES) == expected
+        assert (state.status, state.reason) == ("interpreted", "encode-mismatch")

@@ -298,6 +298,25 @@ class TestMachineWiring:
         wrong_seq = PKT.parse(PKT.encode(PKT.make(seq=9, length=1, payload=b"x")))
         assert rejected("guard", "OK", wrong_seq) == 1
 
+    def test_a_cleared_registry_gets_fresh_machine_metrics(self):
+        # The machine caches its metric handles; clear() must drop them.
+        instr = Instrumentation()
+        registry = instr.registry
+        for _ in range(2):
+            machine = Machine(machine_spec(), obs=instr)
+            machine.exec_trans("SEND", b"data")
+            with pytest.raises(InvalidTransitionError):
+                machine.exec_trans("NOPE")
+            assert registry.value(
+                "machine.transitions_executed", machine="obs_m", transition="SEND"
+            ) == 1
+            assert registry.value(
+                "machine.transitions_rejected",
+                machine="obs_m", transition="NOPE", reason="unknown_transition",
+            ) == 1
+            assert registry.get("machine.exec_seconds", machine="obs_m").count == 1
+            registry.clear()
+
     def test_verified_payload_digest_matches_wire_frame(self):
         instr = Instrumentation()
         machine = Machine(machine_spec(), obs=instr)

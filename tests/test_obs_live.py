@@ -413,8 +413,8 @@ class TestFlightRecorder:
         status, detail = _replay(path)
         assert status == "drifted", detail
 
-    def _finalize_bundle(self, tmp_path):
-        # What codec.compute_checksums records when compiled finalize diverges.
+    def _encode_bundle(self, tmp_path, op="encode", detail="encode-error"):
+        # What the codec records when the generated build diverges.
         values = {"seq": 1, "chk": 0, "length": 2, "payload": b"hi"}
         recorder = flightrec.FlightRecorder(str(tmp_path))
         return recorder.dump(
@@ -423,40 +423,68 @@ class TestFlightRecorder:
                 subject="ArqData",
                 outcome="demotion",
                 data=b"",
-                detail="finalize-error",
-                meta={"op": "finalize", "values": repr(values)},
+                detail=detail,
+                meta={"op": op, "values": repr(values)},
             )
         )
 
-    def test_finalize_bundle_on_clean_spec_drifts(self, tmp_path):
-        path = self._finalize_bundle(tmp_path)
+    def test_encode_bundle_on_clean_spec_drifts(self, tmp_path):
+        path = self._encode_bundle(tmp_path)
         status, detail = _replay(path)
         assert status == "drifted", detail
 
-    def test_finalize_bundle_reproduces_while_finalize_diverges(
-        self, tmp_path, monkeypatch
-    ):
+    def _replay_broken(self, path, monkeypatch, broken):
+        # Replay while ArqData compiles to broken(its generated codec).
         from repro import fastpath
         from repro.core import compile as core_compile
 
         real_compile = core_compile.compile_spec
-
-        def compile_with_broken_finalize(spec):
-            def finalize(values):
-                raise ValueError("injected finalize bug")
-
-            return real_compile(spec)._replace(finalize=finalize)
-
-        path = self._finalize_bundle(tmp_path)
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(core_compile, "compile_spec", compile_with_broken_finalize)
+                patch.setattr(
+                    core_compile, "compile_spec", lambda spec: broken(real_compile(spec))
+                )
                 fastpath.reset()  # the next ArqData call compiles the broken codec
-                status, detail = _replay(path)
+                return _replay(path)
         finally:
             fastpath.reset()
+
+    def test_encode_bundle_reproduces_while_build_diverges(
+        self, tmp_path, monkeypatch
+    ):
+        def build(values, spans=None):
+            raise ValueError("injected build bug")
+
+        path = self._encode_bundle(tmp_path)
+        status, detail = self._replay_broken(
+            path, monkeypatch, lambda codec: codec._replace(build=build)
+        )
         assert status == "reproduced", detail
         assert "demoted again" in detail
+
+    def test_encode_bundle_reproduces_while_build_spans_diverge(
+        self, tmp_path, monkeypatch
+    ):
+        # Right bytes, wrong spans: what encode_with_spans demotes on.
+        def wrong_spans(codec):
+            def build(values, spans=None):
+                encoded = codec.build(values, spans)
+                if spans is not None:
+                    spans["seq"] = (0, 1)
+                return encoded
+
+            return codec._replace(build=build)
+
+        path = self._encode_bundle(tmp_path, detail="encode-mismatch")
+        status, detail = self._replay_broken(path, monkeypatch, wrong_spans)
+        assert status == "reproduced", detail
+        assert "demoted again" in detail
+
+    def test_a_bundle_of_an_unknown_op_is_unreplayable(self, tmp_path):
+        # A bundle that names an op the codec does not run (finalize).
+        path = self._encode_bundle(tmp_path, op="finalize", detail="finalize-error")
+        status, detail = _replay(path)
+        assert status == "unreplayable", detail
 
     def _gate_bundle(self, tmp_path, op):
         # What PacketSpec.decode (op "verify") or PacketSpec.make (op
@@ -488,13 +516,7 @@ class TestFlightRecorder:
     def test_gate_bundle_reproduces_while_the_compiled_op_diverges(
         self, tmp_path, monkeypatch, op
     ):
-        from repro import fastpath
-        from repro.core import compile as core_compile
-
-        real_compile = core_compile.compile_spec
-
-        def compile_with_broken_op(spec):
-            codec = real_compile(spec)
+        def broken_op(codec):
             if op == "verify":
                 return codec._replace(verify=lambda data: (codec.parse(data), []))
 
@@ -504,13 +526,7 @@ class TestFlightRecorder:
             return codec._replace(make=make)
 
         path = self._gate_bundle(tmp_path, op)
-        try:
-            with monkeypatch.context() as patch:
-                patch.setattr(core_compile, "compile_spec", compile_with_broken_op)
-                fastpath.reset()  # the next ArqData call compiles the broken codec
-                status, detail = _replay(path)
-        finally:
-            fastpath.reset()
+        status, detail = self._replay_broken(path, monkeypatch, broken_op)
         assert status == "reproduced", detail
         assert "demoted again" in detail
 

@@ -57,6 +57,10 @@ class TestUnforgeability:
             verified.value = None
         with pytest.raises(AttributeError):
             verified._value = None
+        with pytest.raises(AttributeError):
+            del verified.value
+        with pytest.raises(AttributeError):
+            del verified.certificate
 
 
 class TestCertificates:

@@ -9,9 +9,10 @@ preserves it when regenerating its own tiers):
   rescheduling :class:`~repro.netsim.simulator.Simulator` timer, the
   way ``repro.adapt``/``repro.trust`` host their nodes today;
 * ``megasim`` — the population plane: the same sealed spec in
-  :mod:`repro.megasim`'s dense arrays with cohort-batched compiled
-  dispatch, measured over a full serial scenario (planning, barrier
-  routing and transcript digests included).
+  :mod:`repro.megasim`'s dense arrays, each epoch run as array
+  operations with the spec's array cohort kernels, measured over a full
+  serial scenario (planning, barrier routing and transcript digests
+  included).
 
 Each side runs in its own subprocess so the recorded ``peak_rss_kb`` is
 that plane's high-water mark alone — the memory tier is the difference
@@ -90,8 +91,8 @@ def _phase_baseline(machines: int, events: int, seed: int) -> Dict[str, Any]:
     initial = workload.spec.initial_states[0]
     sim = Simulator()
     hosted = [
-        Machine(workload.spec, initial.instance(workload.initial_value(i)))
-        for i in range(machines)
+        Machine(workload.spec, initial.instance(value))
+        for value in workload.initial_values(0, machines).tolist()
     ]
 
     def beacon(machine: Machine, period: float) -> None:

@@ -300,7 +300,7 @@ def _record_codec(
     the cache; ``reset()`` keeps it (instances survive).
     """
     registry = obs.registry
-    cache = registry.handle_cache("codec")
+    cache = registry.handle_caches["codec"]
     key = (op, spec_name)
     handles = cache.get(key)
     if handles is None:
@@ -378,6 +378,24 @@ def compute_one_checksum(spec: Any, values: Mapping[str, Any], field_name: str) 
     return field.compute(checksum_cover(spec, field, buffer, spans))
 
 
+def _count_decode_error(obs: Instrumentation, spec_name: str, exc: DecodeError) -> None:
+    """Count one rejected frame in ``codec.decode_errors{spec, kind}``.
+
+    The handle is cached per ``(spec, kind)`` in the registry's
+    ``handle_caches["codec"]``, beside :func:`_record_codec`'s, so a
+    rejected frame makes one call into the metrics module: ``inc``.
+    """
+    registry = obs.registry
+    cache = registry.handle_caches["codec"]
+    key = ("decode_errors", spec_name, type(exc).__name__)
+    counter = cache.get(key)
+    if counter is None:
+        counter = cache[key] = registry.counter(
+            "codec.decode_errors", spec=spec_name, kind=key[2]
+        )
+    counter.inc()
+
+
 def decode_packet(
     spec: Any, data: bytes, obs: Optional[Instrumentation] = None
 ) -> Dict[str, Any]:
@@ -409,9 +427,7 @@ def decode_packet(
                 )
     except DecodeError as exc:
         if obs.enabled:
-            obs.registry.counter(
-                "codec.decode_errors", spec=spec.name, kind=type(exc).__name__
-            ).inc()
+            _count_decode_error(obs, spec.name, exc)
         raise
     if obs.enabled:
         _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)
@@ -464,9 +480,7 @@ def decode_checked(
                 passed = state
     except DecodeError as exc:
         if obs.enabled:
-            obs.registry.counter(
-                "codec.decode_errors", spec=spec.name, kind=type(exc).__name__
-            ).inc()
+            _count_decode_error(obs, spec.name, exc)
         raise
     if obs.enabled:
         _record_codec(obs, "decode", spec.name, len(data), time.perf_counter() - start)

@@ -41,8 +41,14 @@ interpreted after the gate.
 
 A sealed machine spec compiles the same way, with the same expression
 and predicate translation: :func:`generate_machine_source` emits one
-``exec_<T>`` per transition and a ``cohort_<T>`` population kernel where
-the transition fuses, and :func:`compile_machine` executes that source.
+``exec_<T>`` per transition and, where the transition fuses, a
+``cohort_<T>`` array kernel that applies it to a whole cohort of
+megasim machines with a gather, a hit mask and a scatter (guards
+translate to masks: ``&``, ``|`` and ``~`` for ``and``, ``or`` and
+``not``).  A transition fuses only where numpy's int64 arithmetic
+provably gives Python's results.  The kernels use only operators and
+array methods, so this module imports no numpy and compiling a machine
+spec imports nothing new.  :func:`compile_machine` executes the source.
 """
 
 from __future__ import annotations
@@ -123,16 +129,22 @@ class CodegenError(ValueError):
     """Raised when a spec uses features the generator does not stage."""
 
 
-def _expr_code(expr: Expr, env_name: str = "values") -> str:
-    """Translate a symbolic expression into a Python expression string."""
+def _expr_code(expr: Expr, array: bool = False) -> str:
+    """Translate a symbolic expression into a Python expression string.
+
+    Variables read the ``values`` dict; with ``array``, an array kernel's
+    one variable is its gathered value array ``v``.
+    """
     if isinstance(expr, Const):
         return str(expr.value)
     if isinstance(expr, (Var, FieldRef)):
+        if array:
+            return "v"
         name = expr.name if isinstance(expr, Var) else expr.field_name
-        return f"{env_name}[{name!r}]"
+        return f"values[{name!r}]"
     if isinstance(expr, BinOp):
-        left = _expr_code(expr.left, env_name)
-        right = _expr_code(expr.right, env_name)
+        left = _expr_code(expr.left, array)
+        right = _expr_code(expr.right, array)
         return f"({left} {expr.op} {right})"
     raise CodegenError(f"cannot generate code for expression {expr!r}")
 
@@ -978,18 +990,24 @@ def _generate_make(spec: Any) -> List[str]:
     return lines
 
 
-def _predicate_code(predicate: Any) -> str:
-    """Translate a symbolic predicate into Python source."""
+def _predicate_code(predicate: Any, array: bool = False) -> str:
+    """Translate a symbolic predicate into Python source.
+
+    With ``array`` it is a mask over ``v``: ``&``, ``|`` and ``~``
+    replace ``and``, ``or`` and ``not``.
+    """
     if isinstance(predicate, Comparison):
-        left = _expr_code(predicate.left)
-        right = _expr_code(predicate.right)
+        left = _expr_code(predicate.left, array)
+        right = _expr_code(predicate.right, array)
         return f"({left} {predicate.op} {right})"
     if isinstance(predicate, BoolOp):
-        left = _predicate_code(predicate.left)
-        right = _predicate_code(predicate.right)
-        return f"({left} {predicate.op} {right})"
+        left = _predicate_code(predicate.left, array)
+        right = _predicate_code(predicate.right, array)
+        op = ("&" if predicate.op == "and" else "|") if array else predicate.op
+        return f"({left} {op} {right})"
     if isinstance(predicate, Not):
-        return f"(not {_predicate_code(predicate.operand)})"
+        operand = _predicate_code(predicate.operand, array)
+        return f"(~{operand})" if array else f"(not {operand})"
     raise CodegenError(f"cannot generate code for predicate {predicate!r}")
 
 
@@ -1039,8 +1057,9 @@ def generate_machine_source(spec: Any) -> str:
     computes and normalizes the target.  It returns ``(target,
     bindings)``; ``False`` when the guard alone refused; ``None`` for any
     other refusal, whose canonical error the interpreted walk supplies.
-    ``cohort_<T>`` is the whole transition over a population slab
-    (:func:`_generate_cohort`), for each transition that fuses.
+    ``cohort_<T>`` is the whole transition as array operations over a
+    cohort of population machines (:func:`_generate_cohort`), for each
+    transition that fuses.
 
     The source names no state object: it matches a state by name and
     reaches a new one through ``current.state.machine``, so the module
@@ -1151,70 +1170,122 @@ def _generate_exec(transition: Any) -> List[str]:
     return lines
 
 
+#: Array kernels keep every value strictly inside int64, where numpy's
+#: integer ``+ - * // %`` and comparisons give Python's results.
+_INT64 = 1 << 63
+
+
+def _interval(node: Any, var: Optional[str], domain: Tuple[int, int]) -> Optional[Tuple[int, int]]:
+    """The range of ``node`` while ``var`` ranges over ``domain``, or None.
+
+    None wherever the node's array code might differ from Python's: a
+    variable other than ``var``, a ``//`` or ``%`` by anything but a
+    nonzero constant, a value of the node or of any subexpression outside
+    int64, or a comparison that reads no variable (it would be a Python
+    bool, and ``~True`` is ``-2``).  A predicate's range is ``(0, 1)``.
+    """
+    if isinstance(node, Const):
+        low = high = node.value
+    elif isinstance(node, Var) and node.name == var:
+        low, high = domain
+    elif isinstance(node, Not):
+        return _interval(node.operand, var, domain)
+    elif isinstance(node, (BinOp, Comparison, BoolOp)):
+        left = _interval(node.left, var, domain)
+        right = _interval(node.right, var, domain)
+        if left is None or right is None:
+            return None
+        if not isinstance(node, BinOp):
+            return (0, 1) if node.free_variables() else None
+        if node.op in ("//", "%"):
+            if not isinstance(node.right, Const) or node.right.value == 0:
+                return None
+            divisor = node.right.value
+            if node.op == "//":
+                ends = [left[0] // divisor, left[1] // divisor]
+            else:  # Python's modulus takes the divisor's sign
+                ends = [0, divisor - (1 if divisor > 0 else -1)]
+        else:  # + - * over intervals: the extremes are at the corners
+            ends = [node.evaluate_const(a, b) for a in left for b in right]
+        low, high = min(ends), max(ends)
+    else:
+        return None
+    return (low, high) if -_INT64 < low and high < _INT64 else None
+
+
 def _generate_cohort(transition: Any) -> Optional[List[str]]:
-    """``cohort_<T>``: the whole transition over a slab of machines, or None.
+    """``cohort_<T>``: the transition as array operations over a cohort, or None.
 
     ``cohort_<T>(indices, slab, states, target_sid)`` applies the
-    transition to every machine index in ``indices``, reading and writing
-    the single parameter value in ``slab`` (an array indexed by machine)
-    and the dense state id in ``states`` when the transition changes
-    state.  It returns the indices that did *not* fire (pattern or guard
-    miss), so a population can fall through to the next transition of
-    an event group.
+    transition to the machines at ``indices``, an int64 array of
+    *distinct* indices into ``slab`` (the int64 parameter values) and
+    ``states`` (the dense state ids).  It gathers the values once, builds
+    one hit mask from the source constant and the guard, scatters the
+    hits' targets modulo ``2**bits`` and, when the state changes, their
+    new state id, and returns the indices that missed, so a population
+    can fall through to the next transition of an event group.  The code
+    is operators and array methods only, so this module needs no numpy.
 
-    Only transitions with no payload, no inputs, arity ≤ 1 on both ends
-    and a symbolic guard (or none) fuse; population code runs the
-    interpreted walk for the rest.
+    A transition fuses only where that array arithmetic provably equals
+    Python's: no payload or inputs, at most one parameter on either end,
+    each with ``bits``, a symbolic guard (or none), and an
+    :func:`_interval` for the guard and the wrapped target over the
+    source parameter's domain.  Population code runs the interpreted walk
+    for the rest.
     """
     if transition.requires is not None or transition.inputs:
         return None
     source, target = transition.source, transition.target
+    guard = transition.guard
     if len(source.args) > 1 or len(target.args) > 1:
         return None
-    if transition.guard is not None and not isinstance(transition.guard, Predicate):
+    if guard is not None and not isinstance(guard, Predicate):
         return None
-    lines = [
-        f"def cohort_{transition.name}(indices, slab, states, target_sid):",
-        "    misses = []",
-        "    _miss = misses.append",
-        "    for _i in indices:",
-    ]
-    bound: Optional[str] = None
+    for pattern in (source, target):
+        if pattern.args and pattern.state.params[0].bits is None:
+            return None
+    var: Optional[str] = None
+    domain = (0, 0)
+    tests = []
     if source.args:
+        domain = (0, (1 << source.state.params[0].bits) - 1)
         arg = source.args[0]
         if isinstance(arg, Var):
-            bound = arg.name
-        else:  # a Const: _generate_exec refuses every other argument
-            lines.append(f"        if slab[_i] != {arg.value!r}:")
-            lines.append("            _miss(_i)")
-            lines.append("            continue")
-    body: List[str] = []
-    if transition.guard is not None:
-        body.append(f"        if not {_predicate_code(transition.guard)}:")
-        body.append("            _miss(_i)")
-        body.append("            continue")
-    if target.args:
-        param = target.state.params[0]
-        code = _expr_code(target.args[0])
-        if param.bits is not None:
-            body.append(f"        slab[_i] = ({code}) % {1 << param.bits}")
-        else:
-            body.append(f"        _t = {code}")
-            body.append("        if _t < 0:")
-            body.append(
-                f"            raise ValueError('negative value for param "
-                f"{param.name}')"
-            )
-            body.append("        slab[_i] = _t")
-    if target.state is not source.state:
-        body.append("        states[_i] = target_sid")
-    # Bind the source parameter only when the guard or target reads it.
-    if any("values[" in line for line in body):
-        if bound is None:
+            var = arg.name
+        elif _interval(arg, None, domain) is None:
             return None
-        lines.append(f"        values = {{{bound!r}: slab[_i]}}")
-    lines.extend(body if body else ["        pass"])
-    lines.append("    return misses")
+        else:  # a Const: _generate_exec refuses every other argument
+            tests.append(f"(v == {arg.value!r})")
+    if guard is not None:
+        if _interval(guard, var, domain) is None:
+            return None
+        tests.append(_predicate_code(guard, array=True))
+    update = None
+    if target.args:
+        wrapped = BinOp("%", target.args[0], Const(1 << target.state.params[0].bits))
+        if _interval(wrapped, var, domain) is None:
+            return None
+        update = _expr_code(wrapped, array=True)
+    name = transition.name
+    lines = [
+        f"def cohort_{name}(indices, slab, states, target_sid):",
+        f'    """{name}: {source!r} -> {target!r}."""',
+    ]
+    reads = update is not None and bool(target.args[0].free_variables())
+    if tests or reads:
+        lines.append("    v = slab[indices]")
+    fired, misses = "indices", "indices[:0]"
+    if tests:
+        lines.append(f"    hit = {' & '.join(tests)}")
+        lines.append("    fired = indices[hit]")
+        fired, misses = "fired", "indices[~hit]"
+        if reads:
+            lines.append("    v = v[hit]")
+    if update is not None:
+        lines.append(f"    slab[{fired}] = {update}")
+    if target.state is not source.state:
+        lines.append(f"    states[{fired}] = target_sid")
+    lines.append(f"    return {misses}")
     return lines
 
 
@@ -1222,7 +1293,7 @@ class CompiledMachine(NamedTuple):
     """The callable surface of a generated machine module, by transition name."""
 
     execs: Dict[str, Callable[..., Any]]
-    cohorts: Dict[str, Callable[..., List[int]]]
+    cohorts: Dict[str, Callable[..., Any]]
     source: str
     module: ModuleType
 

@@ -253,7 +253,7 @@ class Machine:
         if not obs.enabled:
             return self._step(transition_name, payload, inputs)[0]
         registry = obs.registry
-        cache = registry.handle_cache("machine")
+        cache = registry.handle_caches["machine"]
         name = self.spec.name
         start = time.perf_counter()
         try:

@@ -6,10 +6,12 @@ nodes interact, not from any one node's trace.  Hosting each node as a
 :class:`~repro.core.machine.Machine` object driven by simulator timers
 tops out around 10⁵ events per second; ``repro.megasim`` hosts the same
 sealed :class:`~repro.core.statemachine.MachineSpec` definitions as
-dense integer arrays and dispatches events in *cohorts* — one generated
-Python loop per (state, transition) batch, from the spec's compiled
-module (``repro.core.compile.compile_machine``) — for an order of
-magnitude more.
+dense numpy arrays and runs each epoch as a fixed number of array
+operations over the population: the plan hashes every machine at once,
+the barrier is one sort, the digest one wrapping sum, and events are
+dispatched in *cohorts* through the array kernels ``cohort_<T>`` of the
+spec's compiled module (``repro.core.compile.compile_machine``) — two
+orders of magnitude more.
 
 Time is an integer epoch with a message barrier: every machine plans
 its epoch from a hash of ``(seed, epoch, global index)``, messages are

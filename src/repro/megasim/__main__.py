@@ -6,7 +6,7 @@ as epochs complete and a headline events/sec summary at the end.
 
 ``--verify-sharding`` runs the scenario twice, serial and sharded, and
 demands byte-identical transcripts; the CI ``megasim-smoke`` job drives
-this at 50k machines.
+this at 50k machines and at one million.
 """
 
 from __future__ import annotations

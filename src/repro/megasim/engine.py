@@ -7,6 +7,11 @@ the epoch barrier and delivered at the *start of the next epoch*.
 Delivered and local events are batched into per-event cohorts and
 dispatched through :class:`~repro.megasim.population.Population`.
 
+Every phase is array operations over the whole shard.  An outbox is one
+``(n, 3)`` int64 array of ``(dst, src, kind)`` rows; :func:`route` sorts
+it once and splits it by shard, and :meth:`ShardEngine.step` picks each
+event's deliveries out of its inbox with a mask.
+
 Determinism across shard layouts rests on three facts, argued in
 ``DESIGN.md`` and pinned by ``tests/test_megasim.py``:
 
@@ -28,9 +33,10 @@ gate even at millions of events per epoch.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.instrument import Instrumentation, get_default
 
@@ -38,9 +44,6 @@ from repro.megasim.population import Population
 from repro.megasim.workloads import Workload, epoch_seed, get_workload
 
 _MASK = (1 << 64) - 1
-
-#: A message at the barrier: (destination, source, kind), global indices.
-Message = Tuple[int, int, int]
 
 
 class StaleShardError(RuntimeError):
@@ -90,7 +93,8 @@ class EpochResult:
     emitted: int
     delivered: int
     digest: int
-    outbox: List[Message]
+    #: ``(n, 3)`` int64 rows of ``(dst, src, kind)``, global indices.
+    outbox: np.ndarray
 
 
 def combine(results: Sequence[EpochResult]) -> EpochResult:
@@ -100,7 +104,7 @@ def combine(results: Sequence[EpochResult]) -> EpochResult:
         emitted=sum(result.emitted for result in results),
         delivered=sum(result.delivered for result in results),
         digest=sum(result.digest for result in results) & _MASK,
-        outbox=[message for result in results for message in result.outbox],
+        outbox=np.concatenate([result.outbox for result in results]),
     )
 
 
@@ -135,22 +139,28 @@ def shard_bounds(machines: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def route(
-    messages: Sequence[Message], bounds: Sequence[Tuple[int, int]]
-) -> List[List[Message]]:
+def route(messages: Any, bounds: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
     """Partition barrier messages by owning shard, each box sorted.
 
-    Sorting by ``(dst, src, kind)`` fixes the delivery order regardless
-    of which shard emitted what — the barrier half of the determinism
-    argument.
+    ``messages`` is an ``(n, 3)`` array (or a sequence) of ``(dst, src,
+    kind)`` rows.  Sorting by ``(dst, src, kind)`` fixes the delivery
+    order regardless of which shard emitted what — the barrier half of
+    the determinism argument.  The sort runs once, over one packed int64
+    key where the key provably fits (every column non-negative and
+    ``(max dst + 1) * (max src + 1) * (max kind + 1) < 2**63``), else
+    as a ``lexsort``; a shard's box is then one slice of the result.
     """
-    starts = [lo for lo, _ in bounds]
-    inboxes: List[List[Message]] = [[] for _ in bounds]
-    for message in messages:
-        inboxes[bisect_right(starts, message[0]) - 1].append(message)
-    for box in inboxes:
-        box.sort()
-    return inboxes
+    box = np.asarray(messages, dtype=np.int64).reshape(-1, 3)
+    if len(box):
+        dst, src, kind = box.T
+        sources, kinds = int(src.max()) + 1, int(kind.max()) + 1
+        if box.min() >= 0 and (int(dst.max()) + 1) * sources * kinds < 1 << 63:
+            order = np.argsort((dst * sources + src) * kinds + kind)
+        else:
+            order = np.lexsort((kind, src, dst))
+        box = box[order]
+    cuts = np.searchsorted(box[:, 0], [lo for lo, _ in bounds[1:]])
+    return np.split(box, cuts)
 
 
 class ShardEngine:
@@ -171,35 +181,39 @@ class ShardEngine:
         self.next_epoch = 0
         self._obs = obs if obs is not None else get_default()
         self._rejected_flushed = 0
+        kinds = self.workload.message_event
+        self._event_of_kind = np.full(max(kinds, default=0) + 1, -1, dtype=np.int64)
+        for kind, event_id in kinds.items():
+            self._event_of_kind[kind] = event_id
+        self._delivered_events = sorted(set(kinds.values()))
 
-    def step(self, epoch: int, inbox: Sequence[Message]) -> EpochResult:
+    def step(self, epoch: int, inbox: Any) -> EpochResult:
         """Run one epoch: plan local events, deliver ``inbox``, dispatch.
 
         ``inbox`` must hold only messages addressed to this shard's
-        range, sorted by ``(dst, src, kind)`` (see :func:`route`).
+        range, sorted by ``(dst, src, kind)``: one box of :func:`route`,
+        or ``[]``.
         """
         if epoch != self.next_epoch:
             raise StaleShardError(self.next_epoch, epoch)
         workload = self.workload
         config = self.config
-        cohorts: List[List[int]] = [[] for _ in workload.events]
-        outbox: List[Message] = []
-        workload.plan(
-            epoch_seed(config.seed, epoch),
-            self.lo,
-            self.hi,
-            config.machines,
-            cohorts,
-            outbox,
+        cohorts, outbox = workload.plan(
+            epoch_seed(config.seed, epoch), self.lo, self.hi, config.machines
         )
-        lo = self.lo
-        message_event = workload.message_event
-        for dst, _src, kind in inbox:
-            cohorts[message_event[kind]].append(dst - lo)
+        if len(inbox):
+            # Each event's deliveries, in inbox order, after its local events.
+            events = self._event_of_kind[inbox[:, 2]]
+            if (events < 0).any():
+                raise KeyError(f"{workload.name}: a message kind maps to no event")
+            local = inbox[:, 0] - self.lo
+            for event_id in self._delivered_events:
+                delivered = local[events == event_id]
+                cohorts[event_id] = np.concatenate((cohorts[event_id], delivered))
         population = self.population
         fired = 0
         for event_id, indices in enumerate(cohorts):
-            if indices:
+            if len(indices):
                 fired += population.apply(event_id, indices)
         digest = population.digest_partial()
         self.next_epoch = epoch + 1
@@ -269,12 +283,13 @@ def run_serial(
     """Run the whole population in one engine, in this process."""
     started = time.perf_counter()
     engine = ShardEngine(config, 0, config.machines, obs=obs)
-    inbox: List[Message] = []
+    bounds = [(0, config.machines)]
+    inbox: Any = []
 
     def step(epoch: int) -> EpochResult:
         nonlocal inbox
         result = engine.step(epoch, inbox)
-        inbox = sorted(result.outbox)  # the final epoch's outbox is dropped
+        inbox = route(result.outbox, bounds)[0]  # the last outbox is dropped
         return result
 
     return run_epochs(config, step, started)
@@ -292,7 +307,7 @@ def run_partitioned(
     started = time.perf_counter()
     bounds = shard_bounds(config.machines, shards)
     engines = [ShardEngine(config, lo, hi, obs=obs) for lo, hi in bounds]
-    inboxes: List[List[Message]] = [[] for _ in engines]
+    inboxes: List[Any] = [[] for _ in engines]
 
     def step(epoch: int) -> EpochResult:
         nonlocal inboxes

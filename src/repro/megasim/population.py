@@ -1,65 +1,71 @@
 """Dense machine populations with cohort-batched compiled dispatch.
 
 A :class:`Population` hosts machines ``[lo, hi)`` of a megasim run as
-two parallel arrays — a dense state id and a single integer parameter
+two parallel numpy arrays — an int16 state id and an int64 parameter
 value per machine — instead of one :class:`~repro.core.machine.Machine`
-object each.  Events are applied in *cohorts*: all machines receiving
-the same event in the same state go through one Python-level loop, so
-the per-event interpreter overhead (instance allocation, pattern
+object each.  Events are applied in *cohorts*: an array of the machines
+receiving the same event, dispatched as a few array operations, so the
+per-event interpreter overhead (instance allocation, pattern
 unification, symbolic evaluation) is paid once per cohort, not once per
 machine.
 
 Two kernels, per transition:
 
 1. the **cohort kernel** ``cohort_<T>`` of the spec's generated module
-   (:func:`repro.core.compile.compile_machine`) — match, guard, target
-   and normalization in one generated loop over the slab;
+   (:func:`repro.core.compile.compile_machine`) — one gather, one hit
+   mask for match and guard, and one scatter of the normalized target
+   over a whole bucket of machines;
 2. the **interpreted walk** — pattern unification, guard and target
    evaluation per machine — when the ``repro.fastpath`` policy is off,
    the spec is demoted, or the transition does not fuse.  It is the
    semantics oracle the differential tests compare the kernels against
    (under ``fastpath.use(mode="off")``).
 
-Both apply the candidates of an event group in declaration order and
-pass guard-rejected indices to the next candidate, mirroring how a
-:class:`Machine` caller would probe ``try_exec`` down the group.
+:meth:`Population.apply` splits a cohort into *rounds* of distinct
+machines (a machine listed ``k`` times is in ``k`` rounds), buckets each
+round by the machines' current state, and runs the event group's
+candidates down each bucket in declaration order, passing the misses of
+one candidate to the next — the order in which a :class:`Machine` caller
+probes ``try_exec`` down the group, once per occurrence.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.statemachine import StateInstance, TransitionSpec
 from repro.core.symbolic import UnificationError
 from repro.fastpath.cache import active_state
 
-from repro.megasim.workloads import Workload, mix64
+from repro.megasim.workloads import Workload, index_hashes
 
-_MASK = (1 << 64) - 1
 _DIGEST_SALT = 0xD1B54A32D192ED03
+_ONE = np.uint64(1)
+_SID_SHIFT = np.uint64(20)
 
-# A miss-chain step: indices in -> indices that did not fire.
-_Step = Callable[[Sequence[int]], List[int]]
+# A miss-chain step: distinct indices in -> the indices that did not fire.
+_Step = Callable[[np.ndarray], np.ndarray]
 
 
 def _interpreted_step(
     transition: TransitionSpec,
     state_spec: Any,
     target_sid: int,
-    values: array,
-    state_ids: array,
+    values: np.ndarray,
+    state_ids: np.ndarray,
 ) -> _Step:
     """The interpreted walk over a cohort, one machine at a time."""
     source, target = transition.source, transition.target
     arity = state_spec.arity
     same_state = target.state is state_spec
 
-    def step(indices: Sequence[int]) -> List[int]:
+    def step(indices: np.ndarray) -> np.ndarray:
         misses: List[int] = []
         miss = misses.append
-        for i in indices:
-            inst = StateInstance(state_spec, (values[i],) if arity else ())
+        for i, value in zip(indices.tolist(), values[indices].tolist()):
+            inst = StateInstance(state_spec, (value,) if arity else ())
             try:
                 bindings = source.match(inst)
             except UnificationError:
@@ -73,9 +79,26 @@ def _interpreted_step(
                 values[i] = new.values[0]
             if not same_state:
                 state_ids[i] = target_sid
-        return misses
+        return np.array(misses, dtype=np.int64)
 
     return step
+
+
+def _rounds(indices: np.ndarray) -> Sequence[np.ndarray]:
+    """Split a cohort into rounds of distinct indices.
+
+    Round ``k`` holds every machine listed more than ``k`` times.  All
+    of a machine's occurrences are the same event, so which occurrence
+    lands in which round does not matter; the rounds run in order.
+    """
+    ordered = np.sort(indices)
+    repeat = ordered[1:] == ordered[:-1]
+    if not repeat.any():
+        return (indices,)
+    position = np.arange(len(ordered))
+    first = np.concatenate(([True], ~repeat))
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    return [ordered[rank == k] for k in range(int(rank.max()) + 1)]
 
 
 class Population:
@@ -98,10 +121,18 @@ class Population:
         self._state_order = tuple(spec.states.values())
         sid_of = {state.name: sid for sid, state in enumerate(self._state_order)}
         initial = spec.initial_states[0]
-        self.state_ids = array("h", [sid_of[initial.name]]) * self.size
-        self.values = array(
-            "q", (workload.initial_value(i) for i in range(lo, hi))
-        )
+        self.state_ids = np.full(self.size, sid_of[initial.name], dtype=np.int16)
+        self.values = workload.initial_values(lo, hi)
+        if initial.arity and self.size:
+            # The kernels' int64 bounds assume every value lies in its
+            # parameter's domain; normalization keeps it there afterwards.
+            top = initial.params[0].bits
+            low, high = int(self.values.min()), int(self.values.max())
+            if low < 0 or (top is not None and high >> top):
+                raise ValueError(
+                    f"{workload.name}: initial values {low}..{high} fall "
+                    f"outside {initial.params[0]!r}"
+                )
         self.rejected = 0  # events no candidate accepted (workload bug tell)
         compiled = active_state(spec)
         kernels = compiled.codec.cohorts if compiled is not None else {}
@@ -134,50 +165,50 @@ class Population:
             self._chains.append(per_state)
         # Per-index digest multipliers: functions of *global* identity, so
         # digest partials sum to the same total under any partition.
-        self._digest_pre = [
-            mix64(index * 0x9E3779B97F4A7C15 + _DIGEST_SALT) | 1
-            for index in range(lo, hi)
-        ]
+        self._digest_pre = index_hashes(_DIGEST_SALT, lo, hi) | _ONE
 
     def _fused_step(self, cohort: Callable, target_sid: int) -> _Step:
         values, state_ids = self.values, self.state_ids
 
-        def step(indices: Sequence[int]) -> List[int]:
+        def step(indices: np.ndarray) -> np.ndarray:
             return cohort(indices, values, state_ids, target_sid)
 
         return step
 
     # -- execution ---------------------------------------------------------
 
-    def apply(self, event_id: int, indices: Sequence[int]) -> int:
-        """Apply one event to every index; returns how many fired."""
-        total = len(indices)
-        if total == 0:
+    def apply(self, event_id: int, indices: Any) -> int:
+        """Apply one event to every local index; returns how many fired.
+
+        ``indices`` is an int64 array (or a sequence of ints) and may list
+        a machine more than once: each occurrence is one event.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        if not len(indices):
             return 0
-        if len(self._state_order) == 1:
-            buckets: Sequence[Tuple[int, Sequence[int]]] = ((0, indices),)
-        else:
-            per: List[List[int]] = [[] for _ in self._state_order]
-            state_ids = self.state_ids
-            for i in indices:
-                per[state_ids[i]].append(i)
-            buckets = tuple(
-                (sid, idxs) for sid, idxs in enumerate(per) if idxs
-            )
-        fired = 0
         chains = self._chains[event_id]
-        for sid, idxs in buckets:
-            chain = chains[sid]
-            if chain is None:
-                self.rejected += len(idxs)
-                continue
-            remaining: Sequence[int] = idxs
-            for step in chain:
-                if not remaining:
-                    break
-                remaining = step(remaining)
-            fired += len(idxs) - len(remaining)
-            self.rejected += len(remaining)
+        states = len(self._state_order)
+        fired = 0
+        for batch in _rounds(indices):
+            if states == 1:
+                buckets = ((0, batch),)
+            else:
+                sids = self.state_ids[batch]
+                buckets = tuple((sid, batch[sids == sid]) for sid in range(states))
+            for sid, bucket in buckets:
+                if not len(bucket):
+                    continue
+                chain = chains[sid]
+                if chain is None:
+                    self.rejected += len(bucket)
+                    continue
+                remaining = bucket
+                for step in chain:
+                    if not len(remaining):
+                        break
+                    remaining = step(remaining)
+                fired += len(bucket) - len(remaining)
+                self.rejected += len(remaining)
         return fired
 
     # -- inspection --------------------------------------------------------
@@ -185,28 +216,20 @@ class Population:
     def digest_partial(self) -> int:
         """This shard's contribution to the run digest (mod 2**64).
 
-        A multiplier-weighted checksum over ``(state, value)`` pairs: the
-        weights depend only on global machine identity, and partials add
+        ``sum(pre[i] * (value[i] + (state_id[i] << 20) + 1)) mod 2**64``
+        over the shard, in wrapping uint64 arithmetic: the multipliers
+        ``pre`` depend only on global machine identity, and partials add
         modulo 2**64, so serial, partitioned, and pooled runs of the same
-        scenario produce the same total in any shard arrangement.
+        scenario produce the same total in any shard arrangement.  Values
+        are never negative, so their int64 bits read as the same uint64.
         """
-        if len(self._state_order) == 1:
-            total = sum(
-                pre * (value + 1)
-                for pre, value in zip(self._digest_pre, self.values)
-            )
-        else:
-            total = sum(
-                pre * (value + (sid << 20) + 1)
-                for pre, value, sid in zip(
-                    self._digest_pre, self.values, self.state_ids
-                )
-            )
-        return total & _MASK
+        weights = self.values.view(np.uint64) + _ONE
+        weights += self.state_ids.astype(np.uint64) << _SID_SHIFT
+        return int((self._digest_pre * weights).sum(dtype=np.uint64))
 
     def state_of(self, local_index: int) -> StateInstance:
         """The machine's current state as a regular ``StateInstance``."""
         state = self._state_order[self.state_ids[local_index]]
         if state.arity:
-            return state.instance(self.values[local_index])
+            return state.instance(int(self.values[local_index]))
         return state.instance()

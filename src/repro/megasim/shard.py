@@ -20,9 +20,11 @@ deterministically instead of approximately:
   ``0..k-1`` from scratch (plans are pure hashes, so the replay is
   exact) before running epoch ``k``.
 
-Messages cross the barrier as plain ``(dst, src, kind)`` tuples; the
-parent routes and sorts them (:func:`~repro.megasim.engine.route`), so
-every shard sees the same inbox a serial run would have delivered.
+Messages cross the barrier as ``(n, 3)`` int64 arrays of ``(dst, src,
+kind)`` rows, pickled as they are; the parent concatenates the shards'
+outboxes, and sorts and splits them once
+(:func:`~repro.megasim.engine.route`), so every shard sees the same
+inbox a serial run would have delivered.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.parallel.pool import CallError, ShardedPool
 
 from repro.megasim.engine import (
     EpochResult,
-    Message,
     RunConfig,
     RunResult,
     ShardEngine,
@@ -65,9 +66,9 @@ def run_epoch(
     shard: int,
     shards: int,
     epoch: int,
-    inbox: Sequence[Sequence[int]],
+    inbox: Any,
     config: Dict[str, Any],
-    history: Optional[Sequence[Sequence[Sequence[int]]]] = None,
+    history: Optional[Sequence[Any]] = None,
 ) -> Dict[str, Any]:
     """The worker-side entry point: advance one shard by one epoch.
 
@@ -87,9 +88,9 @@ def run_epoch(
         lo, hi = shard_bounds(run_config.machines, shards)[shard]
         engine = ShardEngine(run_config, lo, hi)
         for past_epoch, past_inbox in enumerate(history or ()):
-            engine.step(past_epoch, [tuple(m) for m in past_inbox])
+            engine.step(past_epoch, past_inbox)
         _SHARDS[key] = engine
-    result = engine.step(epoch, [tuple(m) for m in inbox])
+    result = engine.step(epoch, inbox)
     return {
         "status": "ok",
         "shard": shard,
@@ -113,8 +114,8 @@ class ShardedRun:
         self._config_dict = config.to_dict()
         # Inbox history per shard, one entry per completed epoch — the
         # replay log a cold worker rebuilds from.
-        self.history: List[List[List[Message]]] = [[] for _ in range(self.shards)]
-        self.inboxes: List[List[Message]] = [[] for _ in range(self.shards)]
+        self.history: List[List[Any]] = [[] for _ in range(self.shards)]
+        self.inboxes: List[Any] = [[] for _ in range(self.shards)]
         self.rebuilds = 0
 
     def _calls(

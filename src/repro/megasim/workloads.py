@@ -7,7 +7,9 @@ local event it executes and whether it emits a message to a neighbour.
 Decisions are pure hashes of global identity, never of shard layout, so
 a run partitioned over any number of shards plans exactly the same
 events (the first half of the epoch-barrier determinism argument; see
-``DESIGN.md``).
+``DESIGN.md``).  A plan is a handful of numpy operations over the whole
+shard: :func:`mix64_array` hashes every machine's index at once, and
+masks over the hashes pick each event's machines and the senders.
 
 Two workloads ship:
 
@@ -33,7 +35,9 @@ Message kinds map into event ids through ``Workload.message_event``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.statemachine import MachineSpec, Param
 from repro.core.symbolic import Var
@@ -42,6 +46,13 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# The same constants as uint64 scalars: an array op with a uint64 scalar
+# stays uint64 under numpy 1.x and 2.x alike, and wraps modulo 2**64.
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U30, _U27, _U31, _U16 = (np.uint64(n) for n in (30, 27, 31, 16))
 
 
 def mix64(z: int) -> int:
@@ -52,19 +63,52 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a ``uint64`` array.
+
+    uint64 arithmetic wraps modulo 2**64, which is what ``& _MASK`` does
+    to :func:`mix64`'s Python ints, so element ``k`` equals
+    ``mix64(int(z[k]))``.
+    """
+    z = (z ^ (z >> _U30)) * _U_MIX1
+    z = (z ^ (z >> _U27)) * _U_MIX2
+    return z ^ (z >> _U31)
+
+
 def epoch_seed(seed: int, epoch: int) -> int:
     """The per-epoch hash base; identical in every shard."""
     return mix64((seed + 1) * _GOLDEN + epoch * _MIX1)
 
 
-class Workload:
-    """A sealed spec plus the epoch-planning rules that drive it.
+def index_hashes(base: int, lo: int, hi: int) -> np.ndarray:
+    """``mix64(base + i * _GOLDEN)`` for every index ``i`` in ``[lo, hi)``."""
+    return mix64_array(np.uint64(base) + np.arange(lo, hi, dtype=np.uint64) * _U_GOLDEN)
 
-    Subclasses define :meth:`plan` as one inline loop — the per-machine
-    decision hash is open-coded there because it runs once per machine
-    per epoch, the second-hottest loop in megasim after the cohort
-    kernels.
+
+def _messages(
+    z: np.ndarray, sent: np.ndarray, lo: int, machines: int, kind: Any
+) -> np.ndarray:
+    """The outbox of the local machines ``sent``: each to a hashed neighbour.
+
+    Machine ``i`` sends to ``(i + 1 + (z >> 16) % (machines - 1)) %
+    machines``, never to itself.  The hop is below 2**48, so it converts
+    to int64 before it meets the int64 indices.
     """
+    src = sent + lo
+    hop = ((z[sent] >> _U16) % np.uint64(machines - 1)).astype(np.int64)
+    outbox = np.empty((len(sent), 3), dtype=np.int64)
+    outbox[:, 0] = (src + 1 + hop) % machines
+    outbox[:, 1] = src
+    outbox[:, 2] = kind
+    return outbox
+
+
+def _no_messages() -> np.ndarray:
+    return np.empty((0, 3), dtype=np.int64)
+
+
+class Workload:
+    """A sealed spec plus the epoch-planning rules that drive it."""
 
     #: Registry key and transcript label.
     name: str = ""
@@ -79,23 +123,18 @@ class Workload:
     def _build_spec(self) -> MachineSpec:
         raise NotImplementedError
 
-    def initial_value(self, index: int) -> int:
-        """The machine's starting parameter value (global index -> value)."""
+    def initial_values(self, lo: int, hi: int) -> np.ndarray:
+        """The starting parameter values of machines ``[lo, hi)``, as int64."""
         raise NotImplementedError
 
     def plan(
-        self,
-        eseed: int,
-        lo: int,
-        hi: int,
-        machines: int,
-        cohorts: List[List[int]],
-        outbox: List[Tuple[int, int, int]],
-    ) -> None:
+        self, eseed: int, lo: int, hi: int, machines: int
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Plan one epoch for machines ``[lo, hi)`` of ``machines`` total.
 
-        Appends shard-local indices (``global - lo``) to ``cohorts`` and
-        ``(dst, src, kind)`` messages (global indices) to ``outbox``.
+        Returns one array of shard-local indices (``global - lo``) per
+        event id, and the ``(n, 3)`` outbox of ``(dst, src, kind)``
+        messages in global indices.
         """
         raise NotImplementedError
 
@@ -127,26 +166,20 @@ class OlsrBeacons(Workload):
         )
         return sm.seal()
 
-    def initial_value(self, index: int) -> int:
-        return index & 0xFFFF
+    def initial_values(self, lo, hi):
+        return np.arange(lo, hi, dtype=np.int64) & 0xFFFF
 
-    def plan(self, eseed, lo, hi, machines, cohorts, outbox):
-        hello = cohorts[0].append
-        retx = cohorts[1].append
-        emit = outbox.append
-        linked = machines > 1
-        mask = _MASK
-        for i in range(lo, hi):
-            z = (eseed + i * _GOLDEN) & mask
-            z = ((z ^ (z >> 30)) * _MIX1) & mask
-            z = ((z ^ (z >> 27)) * _MIX2) & mask
-            z ^= z >> 31
-            if z & 3:  # 3/4 of beacons go out on schedule...
-                hello(i - lo)
-            else:  # ...the rest were lost once and retransmit
-                retx(i - lo)
-            if z & 4 and linked:  # half the beacons reach a neighbour
-                emit(((i + 1 + ((z >> 16) % (machines - 1))) % machines, i, 0))
+    def plan(self, eseed, lo, hi, machines):
+        z = index_hashes(eseed, lo, hi)
+        # 3/4 of beacons go out on schedule; the rest were lost once
+        # and retransmit.
+        lost = (z & np.uint64(3)) == 0
+        cohorts = [np.flatnonzero(~lost), np.flatnonzero(lost), np.empty(0, np.int64)]
+        if machines == 1:
+            return cohorts, _no_messages()
+        # Half the beacons reach a neighbour.
+        sent = np.flatnonzero(z & np.uint64(4))
+        return cohorts, _messages(z, sent, lo, machines, 0)
 
 
 class TrustMesh(Workload):
@@ -201,25 +234,20 @@ class TrustMesh(Workload):
         )
         return sm.seal()
 
-    def initial_value(self, index: int) -> int:
-        return (index * 7) % self.CAP
+    def initial_values(self, lo, hi):
+        return (np.arange(lo, hi, dtype=np.int64) * 7) % self.CAP
 
-    def plan(self, eseed, lo, hi, machines, cohorts, outbox):
-        probe = cohorts[0].append
-        emit = outbox.append
-        linked = machines > 1
-        mask = _MASK
-        for i in range(lo, hi):
-            z = (eseed + i * _GOLDEN) & mask
-            z = ((z ^ (z >> 30)) * _MIX1) & mask
-            z = ((z ^ (z >> 27)) * _MIX2) & mask
-            z ^= z >> 31
-            probe(i - lo)
-            if z & 1 and linked:  # half the probes produce a verdict
-                # 3/4 of verdicts are good, 1/4 bad — scores drift to the
-                # cap, so the guarded saturation branches actually run.
-                kind = 1 if z & 6 else 2
-                emit(((i + 1 + ((z >> 16) % (machines - 1))) % machines, i, kind))
+    def plan(self, eseed, lo, hi, machines):
+        cohorts = [np.arange(hi - lo), np.empty(0, np.int64), np.empty(0, np.int64)]
+        if machines == 1:
+            return cohorts, _no_messages()
+        z = index_hashes(eseed, lo, hi)
+        # Half the probes produce a verdict: 3/4 of verdicts are good,
+        # 1/4 bad, so scores drift to the cap and the guarded saturation
+        # branches actually run.
+        sent = np.flatnonzero(z & np.uint64(1))
+        kinds = np.where(z[sent] & np.uint64(6), 1, 2)
+        return cohorts, _messages(z, sent, lo, machines, kinds)
 
 
 _REGISTRY = {cls.name: cls for cls in (OlsrBeacons, TrustMesh)}

@@ -21,7 +21,8 @@ across tests).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelItems = Tuple[Tuple[str, Any], ...]
 
@@ -230,22 +231,15 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
-        self._handle_caches: Dict[str, Dict[Any, Any]] = {}
-
-    def handle_cache(self, namespace: str) -> Dict[Any, Any]:
-        """A per-registry dict for caching resolved metric handles.
-
-        Hot paths that would otherwise re-resolve the same labeled metric
-        on every call (dict lookup + label sorting) can stash the handles
-        here, keyed however they like.  The cache lives and dies with the
-        registry's instances: :meth:`reset` keeps it (instances survive),
-        :meth:`clear` empties it (instances are dropped, so any cached
-        handle would be stale).
-        """
-        cache = self._handle_caches.get(namespace)
-        if cache is None:
-            cache = self._handle_caches[namespace] = {}
-        return cache
+        #: Per-namespace dicts for caching resolved metric handles.  Hot
+        #: paths that would otherwise re-resolve the same labeled metric
+        #: on every call (dict lookup + label sorting) stash the handles
+        #: in ``handle_caches[namespace]``, keyed however they like;
+        #: finding the cache is a dict read, not a call.  The caches live
+        #: and die with the registry's instances: :meth:`reset` keeps them
+        #: (instances survive), :meth:`clear` empties them (instances are
+        #: dropped, so any cached handle would be stale).
+        self.handle_caches: DefaultDict[str, Dict[Any, Any]] = defaultdict(dict)
 
     def _get_or_create(self, cls: type, name: str, labels: LabelItems, **kwargs: Any):
         key = (name, labels)
@@ -422,12 +416,12 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every metric instance (a fresh registry).
 
-        Handle caches handed out by :meth:`handle_cache` are emptied too,
-        so callers holding a cache dict re-resolve against the fresh
-        registry instead of updating orphaned metric objects.
+        The :attr:`handle_caches` are emptied too, so callers holding a
+        cache dict re-resolve against the fresh registry instead of
+        updating orphaned metric objects.
         """
         self._metrics.clear()
-        for cache in self._handle_caches.values():
+        for cache in self.handle_caches.values():
             cache.clear()
 
     def __len__(self) -> int:

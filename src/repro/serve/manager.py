@@ -43,7 +43,7 @@ Responsibilities, in the order a frame meets them:
    :class:`~repro.serve.transport.Server` owns and ticks it.
 
 The per-frame metric handles (frames in/out) are resolved once through
-``MetricsRegistry.handle_cache`` instead of re-resolving labeled names
+``MetricsRegistry.handle_caches`` instead of re-resolving labeled names
 per frame; everything still lands on ``repro.obs`` —
 ``serve.sessions_active`` gauge, open/close/shed counters labeled by
 reason, per-dispatch spans, and session-lifetime histograms — so
@@ -111,7 +111,7 @@ class SendFactory:
 class _MetricHandles:
     """Pre-resolved serve metric handles for one protocol.
 
-    Cached in the registry's ``handle_cache("serve")`` so the per-frame
+    Cached in the registry's ``handle_caches["serve"]`` so the per-frame
     path pays one dict ``get`` instead of name resolution plus label
     sorting; ``registry.clear()`` empties the cache (handles would be
     stale), ``reset()`` keeps it (instances survive).
@@ -238,7 +238,7 @@ class SessionManager:
     def _handles(self) -> _MetricHandles:
         """The pre-resolved metric handles (one registry lookup, cached)."""
         registry = self.obs.registry
-        cache = registry.handle_cache("serve")
+        cache = registry.handle_caches["serve"]
         handles = cache.get(self.protocol)
         if handles is None:
             handles = _MetricHandles(registry, self.protocol)

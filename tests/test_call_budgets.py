@@ -28,6 +28,7 @@ import pytest
 
 import repro
 from repro import fastpath, obs
+from repro.core.codec import DecodeError
 from repro.protocols.arq import ARQ_PACKET, ArqReceiver
 from repro.protocols.handshake import (
     MSG_ACK,
@@ -55,10 +56,10 @@ BUDGETS = {
 #: The same paths with obs enabled, as measured: the same generated code
 #: runs, inside one ``exec_trans`` span and the codec and machine metrics.
 OBS_BUDGETS = {
-    "ArqReceiver.on_frame": 71,
-    "SelectiveRepeatReceiver.on_frame": 74,
-    "HandshakeResponder.on_frame": 72,
-    "SessionManager.frame_from": 89,
+    "ArqReceiver.on_frame": 68,
+    "SelectiveRepeatReceiver.on_frame": 71,
+    "HandshakeResponder.on_frame": 69,
+    "SessionManager.frame_from": 84,
 }
 
 #: GC-tracked objects a steady-state data frame may leave alive, on
@@ -176,6 +177,49 @@ def test_calls_per_frame_with_obs_on_stay_within_budget(path):
         f"{path}: {measured} calls per frame with obs on, "
         f"budget {OBS_BUDGETS[path]}"
     )
+
+
+def _decode_rejecting(data):
+    try:
+        ARQ_PACKET.decode(data)
+    except DecodeError:
+        return
+    pytest.fail("a truncated frame decoded")
+
+
+@pytest.mark.parametrize(
+    "reject",
+    [ARQ_PACKET.try_parse, _decode_rejecting],
+    ids=["decode_checked", "decode_packet"],
+)
+def test_rejected_frames_with_obs_on_reuse_the_error_counter(reject):
+    """After the first, a rejected frame's only metrics call is ``inc``."""
+    metrics = os.path.join(PACKAGE, "obs", "metrics.py")
+    frame = _data_frames(ARQ_PACKET, 16)[0][:5]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == metrics:
+            calls += 1
+
+    registry = obs.enable().registry
+    registry.clear()
+    try:
+        with fastpath.use(mode="always"):
+            assert reject(frame) is None
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                for _ in range(FRAMES):
+                    reject(frame)
+            finally:
+                sys.setprofile(previous)
+        counted = registry.snapshot()["codec.decode_errors"]
+    finally:
+        obs.disable()
+    assert [entry["value"] for entry in counted] == [FRAMES + 1]
+    assert calls == FRAMES
 
 
 def retained_per_frame(handle, frames):

@@ -337,12 +337,12 @@ def test_metrics_handle_caches_survive_reset_but_not_clear():
     instr.reset()
     try:
         registry = instr.registry
-        cache = registry.handle_cache("codec")
+        cache = registry.handle_caches["codec"]
         cache["probe"] = "handle"
         registry.reset()  # zeroes values, keeps handles
-        assert registry.handle_cache("codec")["probe"] == "handle"
+        assert registry.handle_caches["codec"]["probe"] == "handle"
         registry.clear()  # drops metrics, so handles must go too
-        assert "probe" not in registry.handle_cache("codec")
+        assert "probe" not in registry.handle_caches["codec"]
     finally:
         obs.disable()
 

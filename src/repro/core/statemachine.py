@@ -289,6 +289,13 @@ class TransitionSpec:
                     f"transition {name!r}: input {input_name!r} must be an "
                     "identifier"
                 )
+        if guard is not None and not (isinstance(guard, Predicate) or callable(guard)):
+            # ``Var("n") == 5`` is structural equality, so it is a bool.
+            raise MachineSpecError(
+                f"transition {name!r}: guard must be None, a Predicate or a "
+                f"callable, got {guard!r}; for (in)equality write n.eq(5) "
+                "or n.ne(5), not n == 5 or n != 5"
+            )
         self.name = name
         self.source = source
         self.target = target

@@ -16,13 +16,18 @@ orders of magnitude more.
 Time is an integer epoch with a message barrier: every machine plans
 its epoch from a hash of ``(seed, epoch, global index)``, messages are
 delivered sorted at the next barrier, and the per-epoch transcript
-digests are partition-invariant sums — so a run sharded over any
-number of ``repro.parallel`` workers is byte-identical to the serial
-one at the same seed.
+digests are partition-invariant sums — so a run split into any number
+of shards is byte-identical to the serial one at the same seed.  Each
+shard epoch is one pure call (:func:`repro.megasim.shard.run_epoch`),
+run in this process (:func:`run_partitioned`) or on a
+``repro.parallel`` pool (:func:`run_sharded`).  The serial run is the
+fast one; the pooled run is the check that determinism holds through
+real process boundaries (``--verify-sharding``).
 
 Quickstart::
 
     python -m repro.megasim --machines 1000000 --workload olsr --epochs 3
+    python -m repro.megasim --machines 50000 --workload trust --verify-sharding
 
 See ``DESIGN.md`` ("Megascale simulation") for the layout and the
 determinism argument, and ``benchmarks/bench_megasim.py`` for the
@@ -34,14 +39,12 @@ from repro.megasim.engine import (
     RunConfig,
     RunResult,
     ShardEngine,
-    StaleShardError,
     route,
-    run_partitioned,
     run_serial,
     shard_bounds,
 )
 from repro.megasim.population import Population
-from repro.megasim.shard import ShardedRun, run_sharded
+from repro.megasim.shard import ShardedRun, run_partitioned, run_sharded
 from repro.megasim.workloads import WORKLOADS, Workload, get_workload
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "RunResult",
     "ShardEngine",
     "ShardedRun",
-    "StaleShardError",
     "WORKLOADS",
     "Workload",
     "get_workload",

@@ -1,12 +1,12 @@
 """The megasim CLI: ``python -m repro.megasim --machines 1000000``.
 
-Runs one scenario — serial by default, sharded over a
-``repro.parallel`` pool with ``--workers N`` — printing the transcript
-as epochs complete and a headline events/sec summary at the end.
+Runs one scenario in this process and prints its transcript and a
+headline events/sec summary.
 
-``--verify-sharding`` runs the scenario twice, serial and sharded, and
-demands byte-identical transcripts; the CI ``megasim-smoke`` job drives
-this at 50k machines and at one million.
+``--verify-sharding`` runs the scenario twice, serial and sharded over a
+2-worker ``repro.parallel`` pool, and demands byte-identical
+transcripts; the CI ``megasim-smoke`` job drives this at 50k machines,
+at one million, and for 40 epochs of the trust mesh.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from typing import Optional
 
 from repro.megasim.engine import RunConfig, RunResult, run_serial
 from repro.megasim.workloads import WORKLOADS
+
+_WORKERS = 2
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,12 +43,8 @@ def _parser() -> argparse.ArgumentParser:
         help="run seed; same seed, same transcript (default: 7)",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="shard over a worker pool of this size (0 = serial, min 2)",
-    )
-    parser.add_argument(
         "--verify-sharding", action="store_true",
-        help="run serial AND sharded, demand byte-identical transcripts",
+        help=f"run serial AND over {_WORKERS} workers, demand identical transcripts",
     )
     parser.add_argument(
         "--transcript", metavar="PATH", default=None,
@@ -59,12 +57,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_pooled(config: RunConfig, workers: int) -> RunResult:
+def _run_pooled(config: RunConfig) -> RunResult:
     from repro.parallel.pool import ShardedPool
 
     from repro.megasim.shard import run_sharded
 
-    pool = ShardedPool(workers=max(2, workers))
+    pool = ShardedPool(workers=_WORKERS)
     try:
         return run_sharded(config, pool)
     finally:
@@ -88,38 +86,24 @@ def main(argv: Optional[list] = None) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
+    result = run_serial(config)
+    if not args.quiet:
+        sys.stdout.write(result.text())
+    sys.stdout.write(_summarize(result, "serial") + "\n")
     if args.verify_sharding:
-        workers = max(2, args.workers)
-        serial = run_serial(config)
-        sharded = _run_pooled(config, workers)
-        if not args.quiet:
-            sys.stdout.write(serial.text())
-        sys.stdout.write(_summarize(serial, "serial") + "\n")
-        sys.stdout.write(
-            _summarize(sharded, f"{workers} workers") + "\n"
-        )
-        if serial.text() != sharded.text():
+        sharded = _run_pooled(config)
+        sys.stdout.write(_summarize(sharded, f"{_WORKERS} workers") + "\n")
+        if result.text() != sharded.text():
             sys.stdout.write("shard-count invariance: FAILED\n")
-            for left, right in zip(serial.lines, sharded.lines):
+            for left, right in zip(result.lines, sharded.lines):
                 if left != right:
                     sys.stdout.write(f"  serial : {left}\n")
                     sys.stdout.write(f"  sharded: {right}\n")
             return 2
         sys.stdout.write(
             f"shard-count invariance: OK "
-            f"({len(serial.text())} transcript bytes identical)\n"
+            f"({len(result.text())} transcript bytes identical)\n"
         )
-        result = serial
-    elif args.workers >= 2:
-        result = _run_pooled(config, args.workers)
-        if not args.quiet:
-            sys.stdout.write(result.text())
-        sys.stdout.write(_summarize(result, f"{args.workers} workers") + "\n")
-    else:
-        result = run_serial(config)
-        if not args.quiet:
-            sys.stdout.write(result.text())
-        sys.stdout.write(_summarize(result, "serial") + "\n")
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as handle:
             handle.write(result.text())

@@ -46,18 +46,6 @@ from repro.megasim.workloads import Workload, epoch_seed, get_workload
 _MASK = (1 << 64) - 1
 
 
-class StaleShardError(RuntimeError):
-    """A shard was asked to run an epoch it is not positioned at."""
-
-    def __init__(self, expected: int, requested: int) -> None:
-        super().__init__(
-            f"shard is positioned at epoch {expected}, "
-            f"cannot run epoch {requested}"
-        )
-        self.expected = expected
-        self.requested = requested
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a megasim run's transcript."""
@@ -91,7 +79,6 @@ class EpochResult:
 
     fired: int
     emitted: int
-    delivered: int
     digest: int
     #: ``(n, 3)`` int64 rows of ``(dst, src, kind)``, global indices.
     outbox: np.ndarray
@@ -102,7 +89,6 @@ def combine(results: Sequence[EpochResult]) -> EpochResult:
     return EpochResult(
         fired=sum(result.fired for result in results),
         emitted=sum(result.emitted for result in results),
-        delivered=sum(result.delivered for result in results),
         digest=sum(result.digest for result in results) & _MASK,
         outbox=np.concatenate([result.outbox for result in results]),
     )
@@ -178,7 +164,6 @@ class ShardEngine:
         self.population = Population(self.workload, lo, hi)
         self.lo = lo
         self.hi = hi
-        self.next_epoch = 0
         self._obs = obs if obs is not None else get_default()
         self._rejected_flushed = 0
         kinds = self.workload.message_event
@@ -190,12 +175,13 @@ class ShardEngine:
     def step(self, epoch: int, inbox: Any) -> EpochResult:
         """Run one epoch: plan local events, deliver ``inbox``, dispatch.
 
+        The epoch runs from the population's current state: the caller
+        steps epochs in order, or first loads the state the previous
+        epoch left, as :func:`~repro.megasim.shard.run_epoch` does.
         ``inbox`` must hold only messages addressed to this shard's
         range, sorted by ``(dst, src, kind)``: one box of :func:`route`,
         or ``[]``.
         """
-        if epoch != self.next_epoch:
-            raise StaleShardError(self.next_epoch, epoch)
         workload = self.workload
         config = self.config
         cohorts, outbox = workload.plan(
@@ -216,7 +202,6 @@ class ShardEngine:
             if len(indices):
                 fired += population.apply(event_id, indices)
         digest = population.digest_partial()
-        self.next_epoch = epoch + 1
         obs = self._obs
         if obs.enabled:
             # The amortized flush: one counter touch per metric per
@@ -240,7 +225,6 @@ class ShardEngine:
         return EpochResult(
             fired=fired,
             emitted=len(outbox),
-            delivered=len(inbox),
             digest=digest,
             outbox=outbox,
         )
@@ -290,31 +274,6 @@ def run_serial(
         nonlocal inbox
         result = engine.step(epoch, inbox)
         inbox = route(result.outbox, bounds)[0]  # the last outbox is dropped
-        return result
-
-    return run_epochs(config, step, started)
-
-
-def run_partitioned(
-    config: RunConfig, shards: int, obs: Optional[Instrumentation] = None
-) -> RunResult:
-    """Run ``shards`` engines in this process with barrier routing.
-
-    The pure in-process form of the sharded plane — what
-    ``repro.megasim.shard`` distributes over worker processes — used by
-    the invariance tests to compare any shard count without forking.
-    """
-    started = time.perf_counter()
-    bounds = shard_bounds(config.machines, shards)
-    engines = [ShardEngine(config, lo, hi, obs=obs) for lo, hi in bounds]
-    inboxes: List[Any] = [[] for _ in engines]
-
-    def step(epoch: int) -> EpochResult:
-        nonlocal inboxes
-        result = combine(
-            [engine.step(epoch, inbox) for engine, inbox in zip(engines, inboxes)]
-        )
-        inboxes = route(result.outbox, bounds)
         return result
 
     return run_epochs(config, step, started)

@@ -1,24 +1,22 @@
 """Sharding megasim over the ``repro.parallel`` execution plane.
 
-The parent (:class:`ShardedRun`) drives one ``run_epoch`` conformance
-call per shard per epoch through
-:meth:`~repro.parallel.pool.ShardedPool.run_calls`.  Shard *i* always
-rides chunk *i*, and the pool assigns chunk ``i`` to worker ``i %
-size`` — so a shard lands on the same worker every epoch and its
-:class:`~repro.megasim.engine.ShardEngine` lives in a worker-side cache
-keyed by ``(run token, shard)``.
+One epoch of one shard is one call of :func:`run_epoch`, a pure
+function of its arguments: the run config, the shard's ``[lo, hi)``,
+the epoch, its inbox, and the shard's state as the previous epoch left
+it (the population's int16 ``state_ids`` and int64 ``values``; none at
+epoch 0).  It builds a fresh
+:class:`~repro.megasim.engine.ShardEngine`, loads that state, runs one
+step, and returns the epoch's sums, its outbox and the new state.
 
-Workers are allowed to die (the pool respawns them cold) or to answer
-an epoch for a shard they have never seen.  The protocol recovers
-deterministically instead of approximately:
-
-* every engine knows ``next_epoch``; a cache hit positioned at the
-  wrong epoch is treated as a miss, never silently advanced;
-* a miss at epoch > 0 answers ``{"status": "cold"}``; the parent — who
-  keeps every shard's full inbox history — reissues the call with that
-  history, and the worker rebuilds the shard by replaying epochs
-  ``0..k-1`` from scratch (plans are pure hashes, so the replay is
-  exact) before running epoch ``k``.
+The parent (:class:`ShardedRun`) keeps only each shard's current state
+and next inbox.  With a :class:`~repro.parallel.pool.ShardedPool`, an
+epoch is one :meth:`~repro.parallel.pool.ShardedPool.run_calls`; a call
+that comes back as a :class:`~repro.parallel.pool.CallError` (its
+worker raised, died or timed out) runs again in this process with the
+same arguments, the rule :func:`repro.conformance.runner.run_all`
+follows.  Without a pool every call runs in this process
+(:func:`run_partitioned`), so the invariance tests at any shard count
+run the code a worker runs.
 
 Messages cross the barrier as ``(n, 3)`` int64 arrays of ``(dst, src,
 kind)`` rows, pickled as they are; the parent concatenates the shards'
@@ -29,10 +27,10 @@ inbox a serial run would have delivered.
 
 from __future__ import annotations
 
-import itertools
-import os
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.parallel.pool import CallError, ShardedPool
 
@@ -48,137 +46,87 @@ from repro.megasim.engine import (
 )
 
 _TARGET = "repro.megasim.shard:run_epoch"
-_tokens = itertools.count()
 
-# Worker-side shard cache: (token, shard index) -> engine.
-_SHARDS: Dict[Any, ShardEngine] = {}
-
-
-def reset_cache() -> int:
-    """Drop every cached shard engine (tests); returns how many."""
-    count = len(_SHARDS)
-    _SHARDS.clear()
-    return count
+#: A shard's state between epochs: its population's ``(state_ids, values)``.
+State = Tuple[np.ndarray, np.ndarray]
 
 
 def run_epoch(
-    token: str,
-    shard: int,
-    shards: int,
+    config: Dict[str, Any],
+    lo: int,
+    hi: int,
     epoch: int,
     inbox: Any,
-    config: Dict[str, Any],
-    history: Optional[Sequence[Any]] = None,
-) -> Dict[str, Any]:
-    """The worker-side entry point: advance one shard by one epoch.
+    state: Optional[State] = None,
+) -> Tuple[EpochResult, State]:
+    """Advance machines ``[lo, hi)`` by one epoch: a pure function.
 
-    Runs in a pool worker via the ``"call"`` task protocol, but is a
-    plain function — the cold-rebuild tests drive it in-process too.
+    ``state`` is what the previous epoch's call returned, or ``None`` at
+    epoch 0, which starts from the workload's initial state.  Returns the
+    epoch's result and the population's state after it.  The call never
+    writes its arguments, so one that failed in a worker can run again
+    anywhere with the same arguments.
     """
-    key = (token, shard)
-    engine = _SHARDS.get(key)
-    if engine is not None and engine.next_epoch != epoch:
-        # This worker missed an epoch (a retry ran it elsewhere) or
-        # holds a finished run's namesake.  Never guess: rebuild.
-        engine = None
-    if engine is None:
-        if epoch > 0 and history is None:
-            return {"status": "cold", "shard": shard}
-        run_config = RunConfig(**config)
-        lo, hi = shard_bounds(run_config.machines, shards)[shard]
-        engine = ShardEngine(run_config, lo, hi)
-        for past_epoch, past_inbox in enumerate(history or ()):
-            engine.step(past_epoch, past_inbox)
-        _SHARDS[key] = engine
-    result = engine.step(epoch, inbox)
-    return {
-        "status": "ok",
-        "shard": shard,
-        "fired": result.fired,
-        "emitted": result.emitted,
-        "digest": result.digest,
-        "outbox": result.outbox,
-    }
+    engine = ShardEngine(RunConfig(**config), lo, hi)
+    population = engine.population
+    if state is not None:
+        # In place: the population's miss-chain steps close over these arrays.
+        population.state_ids[:], population.values[:] = state
+    return engine.step(epoch, inbox), (population.state_ids, population.values)
 
 
 class ShardedRun:
-    """The parent half: one megasim run fanned over a worker pool."""
+    """The parent half: one megasim run's shards, advanced epoch by epoch."""
 
-    def __init__(self, config: RunConfig, pool: ShardedPool) -> None:
+    def __init__(
+        self, config: RunConfig, shards: int, pool: Optional[ShardedPool] = None
+    ) -> None:
         self.config = config
         self.pool = pool
-        # One shard per worker; tiny populations clamp the count.
-        self.bounds = shard_bounds(config.machines, pool.size)
-        self.shards = len(self.bounds)
-        self.token = f"megasim-{os.getpid()}-{next(_tokens)}"
+        # Tiny populations clamp the shard count.
+        self.bounds = shard_bounds(config.machines, shards)
         self._config_dict = config.to_dict()
-        # Inbox history per shard, one entry per completed epoch — the
-        # replay log a cold worker rebuilds from.
-        self.history: List[List[Any]] = [[] for _ in range(self.shards)]
-        self.inboxes: List[Any] = [[] for _ in range(self.shards)]
-        self.rebuilds = 0
-
-    def _calls(
-        self, epoch: int, shard_list: Sequence[int], with_history: bool
-    ) -> List[Any]:
-        calls = []
-        for shard in shard_list:
-            kwargs: Dict[str, Any] = {
-                "token": self.token,
-                "shard": shard,
-                "shards": self.shards,
-                "epoch": epoch,
-                "inbox": self.inboxes[shard],
-                "config": self._config_dict,
-            }
-            if with_history:
-                kwargs["history"] = self.history[shard]
-            calls.append((_TARGET, kwargs))
-        return calls
+        self.states: List[Optional[State]] = [None] * len(self.bounds)
+        self.inboxes: List[Any] = [[] for _ in self.bounds]
+        self.reruns = 0  # pooled calls that failed and ran again here
 
     def step(self, epoch: int) -> EpochResult:
         """Advance every shard one epoch; returns the global result."""
-        replies = self.pool.run_calls(self._calls(epoch, range(self.shards), False))
-        retry = [
-            shard
-            for shard, reply in enumerate(replies)
-            if isinstance(reply, CallError)
-            or (isinstance(reply, dict) and reply.get("status") != "ok")
+        calls = [
+            (
+                _TARGET,
+                {
+                    "config": self._config_dict,
+                    "lo": lo,
+                    "hi": hi,
+                    "epoch": epoch,
+                    "inbox": inbox,
+                    "state": state,
+                },
+            )
+            for (lo, hi), inbox, state in zip(self.bounds, self.inboxes, self.states)
         ]
-        if retry:
-            # Cold or crashed shards: reissue with the full inbox
-            # history so the worker can replay the shard from epoch 0.
-            self.rebuilds += len(retry)
-            for shard, reply in zip(
-                retry, self.pool.run_calls(self._calls(epoch, retry, True))
-            ):
-                replies[shard] = reply
-        for shard, reply in enumerate(replies):
-            if isinstance(reply, CallError) or not (
-                isinstance(reply, dict) and reply.get("status") == "ok"
-            ):
-                raise RuntimeError(
-                    f"megasim shard {shard} failed after rebuild: {reply!r}"
-                )
-        result = combine(
-            [
-                EpochResult(
-                    fired=reply["fired"],
-                    emitted=reply["emitted"],
-                    delivered=len(inbox),
-                    digest=reply["digest"],
-                    outbox=reply["outbox"],
-                )
-                for reply, inbox in zip(replies, self.inboxes)
-            ]
-        )
-        for shard in range(self.shards):
-            self.history[shard].append(self.inboxes[shard])
+        if self.pool is None:
+            replies = [run_epoch(**kwargs) for _, kwargs in calls]
+        else:
+            replies = self.pool.run_calls(calls)
+            for shard, reply in enumerate(replies):
+                if isinstance(reply, CallError):
+                    self.reruns += 1
+                    replies[shard] = run_epoch(**calls[shard][1])
+        self.states = [state for _, state in replies]
+        result = combine([result for result, _ in replies])
         self.inboxes = route(result.outbox, self.bounds)
         return result
+
+
+def run_partitioned(config: RunConfig, shards: int) -> RunResult:
+    """Run ``shards`` shards in this process, each epoch the calls a pool runs."""
+    started = time.perf_counter()
+    return run_epochs(config, ShardedRun(config, shards).step, started)
 
 
 def run_sharded(config: RunConfig, pool: ShardedPool) -> RunResult:
     """Run a full scenario over ``pool``; transcript matches the serial run."""
     started = time.perf_counter()
-    return run_epochs(config, ShardedRun(config, pool).step, started)
+    return run_epochs(config, ShardedRun(config, pool.size, pool).step, started)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 State = Hashable
 
 
@@ -75,6 +73,10 @@ class MarkovChain:
 
     def _fundamental(self):
         """The fundamental matrix N = (I - Q)^-1 of the transient part."""
+        # Imported here so the serving plane, which imports this package
+        # but never solves a chain, does not load numpy.
+        import numpy as np
+
         transient, absorbing = self._partition()
         t_index = {s: i for i, s in enumerate(transient)}
         a_index = {s: i for i, s in enumerate(absorbing)}

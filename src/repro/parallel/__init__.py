@@ -7,11 +7,11 @@ them in unit order.  Two callers size a pool for one run and close it
 afterwards: ``python -m repro.conformance --workers N`` runs one fuzz,
 differential or machine unit per call
 (:func:`repro.conformance.runner.run_all`), and
-``python -m repro.megasim --workers N`` runs one shard epoch per call
-(:mod:`repro.megasim.shard`).  A unit that fails comes back as a
-:class:`~repro.parallel.pool.CallError`; conformance reruns it
-in-process and megasim rebuilds the shard from its inbox history, so
-both produce the serial run's output byte for byte.  See DESIGN.md.
+``python -m repro.megasim --verify-sharding`` runs one shard epoch per
+call (:mod:`repro.megasim.shard`).  A unit that fails comes back as a
+:class:`~repro.parallel.pool.CallError`, and both callers rerun it
+in-process with the same arguments, so both produce the serial run's
+output byte for byte.  See DESIGN.md.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Four properties carry the subsystem:
 * **determinism** — same config, same transcript, every time;
 * **partition invariance** — serial, in-process partitioned, and
   pooled runs produce byte-identical transcripts at any shard count,
-  through worker crashes and cold rebuilds;
+  through worker crashes: a shard epoch is one pure call, and a call
+  that failed in a worker runs again in this process;
 * **amortized observability** — running with instrumentation *armed*
   stays within the repo's 1.10x overhead gate, because counters flush
   once per epoch, not once per event.
@@ -20,9 +21,11 @@ a change to the plan hash or the digest that every path shares still
 fails a test.
 """
 
+import copy
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +39,13 @@ from repro.megasim import (
     Population,
     RunConfig,
     ShardEngine,
-    StaleShardError,
     get_workload,
     run_partitioned,
     run_serial,
 )
+from repro.megasim import __main__ as cli
 from repro.megasim.engine import route, shard_bounds
-from repro.megasim.shard import ShardedRun, reset_cache, run_epoch, run_sharded
+from repro.megasim.shard import ShardedRun, run_epoch, run_sharded
 from repro.megasim.workloads import WORKLOADS, Workload, epoch_seed
 from repro.obs import NULL_OBS, Instrumentation
 from tests.test_obs_overhead import paired_ratio
@@ -351,38 +354,39 @@ class TestDeterminismAndInvariance:
         assert all(row[0] < wide // 2 for row in boxes[0].tolist())
 
 
-class TestShardProtocol:
-    """The worker-side cache, cold handshake, and stale detection."""
-
-    def test_cold_shard_mid_run_asks_for_history(self):
-        reset_cache()
-        config = SMALL.to_dict()
-        assert run_epoch("t1", 0, 1, 1, [], config)["status"] == "cold"
-
-    def test_rebuild_from_history_matches_warm_path(self):
-        reset_cache()
-        config = SMALL.to_dict()
-        warm = [run_epoch("warm", 0, 1, epoch, [], config) for epoch in range(3)]
-        reset_cache()
-        rebuilt = run_epoch("cold", 0, 1, 2, [], config, history=[[], []])
-        assert rebuilt["digest"] == warm[2]["digest"]
-        assert rebuilt["fired"] == warm[2]["fired"]
-
-    def test_stale_engine_is_rebuilt_not_advanced(self):
-        reset_cache()
-        config = SMALL.to_dict()
-        run_epoch("t2", 0, 1, 0, [], config)
-        # Epoch 1 ran "elsewhere"; asking for epoch 2 here must not
-        # silently run 1-then-2 — it needs history to replay.
-        assert run_epoch("t2", 0, 1, 2, [], config)["status"] == "cold"
-        replayed = run_epoch("t2", 0, 1, 2, [], config, history=[[], []])
-        assert replayed["status"] == "ok"
-
-    def test_engine_refuses_out_of_order_epochs(self):
-        engine = ShardEngine(SMALL, 0, SMALL.machines)
-        engine.step(0, [])
-        with pytest.raises(StaleShardError):
-            engine.step(2, [])
+class TestShardCall:
+    def test_a_call_is_a_pure_function_of_its_arguments(self):
+        # What lets the parent rerun a failed call in this process.
+        run = ShardedRun(SMALL_TRUST, 2)
+        run.step(0)
+        lo, hi = run.bounds[1]
+        kwargs = dict(
+            config=SMALL_TRUST.to_dict(),
+            lo=lo,
+            hi=hi,
+            epoch=1,
+            inbox=run.inboxes[1],
+            state=run.states[1],
+        )
+        before = copy.deepcopy((kwargs["inbox"], kwargs["state"]))
+        (first, first_state), (second, second_state) = (
+            run_epoch(**kwargs),
+            run_epoch(**kwargs),
+        )
+        assert first.fired > 0 and len(kwargs["inbox"])
+        assert (first.fired, first.emitted, first.digest) == (
+            second.fired,
+            second.emitted,
+            second.digest,
+        )
+        assert np.array_equal(first.outbox, second.outbox)
+        for left, right, read in zip(first_state, second_state, kwargs["state"]):
+            assert left.dtype == right.dtype == read.dtype
+            assert np.array_equal(left, right)
+            assert left is not read
+        assert np.array_equal(kwargs["inbox"], before[0])
+        for read, copied in zip(kwargs["state"], before[1]):
+            assert np.array_equal(read, copied)
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +406,7 @@ class TestPooledInvariance:
     def test_worker_crash_rebuilds_deterministically(self, pool):
         config = RunConfig(workload="olsr", machines=1200, epochs=5, seed=13)
         serial = run_serial(config)
-        run = ShardedRun(config, pool)
+        run = ShardedRun(config, pool.size, pool)
         lines = [config.header()]
         for epoch in range(config.epochs):
             if epoch == 2:
@@ -412,8 +416,50 @@ class TestPooledInvariance:
                 f"epoch={epoch} fired={totals.fired} "
                 f"msgs={totals.emitted} digest={totals.digest:016x}"
             )
-        assert run.rebuilds >= 1
+        assert run.reruns >= 1
         assert "\n".join(lines) + "\n" == serial.text()
+
+    def test_parent_memory_stays_flat(self, pool):
+        # The parent holds each shard's state and next inbox, no history.
+        config = RunConfig(workload="olsr", machines=20_000, epochs=31, seed=3)
+        run = ShardedRun(config, pool.size, pool)
+        tracemalloc.start()
+        try:
+            for epoch in range(config.epochs):
+                run.step(epoch)
+                if epoch == 5:
+                    after_5 = tracemalloc.get_traced_memory()[0]
+            after_30 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert run.reruns == 0
+        assert abs(after_30 - after_5) <= 1_000_000, (after_5, after_30)
+
+
+class TestCli:
+    ARGS = ["--machines", "3000", "--workload", "trust", "--epochs", "3"]
+
+    def test_verify_sharding_passes(self, capsys):
+        assert cli.main(self.ARGS + ["--verify-sharding", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "(2 workers)" in out
+        assert "shard-count invariance: OK" in out
+
+    def test_verify_sharding_reports_a_changed_digest(self, capsys, monkeypatch):
+        def tampered(config):
+            result = run_serial(config)
+            line = result.lines[2]
+            result.lines[2] = line[:-1] + ("1" if line.endswith("0") else "0")
+            return result
+
+        monkeypatch.setattr(cli, "_run_pooled", tampered)
+        assert cli.main(self.ARGS + ["--verify-sharding", "--quiet"]) == 2
+        out = capsys.readouterr().out
+        config = RunConfig(workload="trust", machines=3000, epochs=3, seed=7)
+        assert "shard-count invariance: FAILED" in out
+        assert f"  serial : {run_serial(config).lines[2]}\n" in out
+        assert f"  sharded: {tampered(config).lines[2]}\n" in out
+        assert out.count("  serial : ") == 1
 
 
 class TestAmortizedObservability:

@@ -823,6 +823,17 @@ class TestServeCli:
         assert differential.summary()["records"] == 1
         assert differential.divergent == []
 
+    def test_serving_plane_does_not_import_numpy(self):
+        # Only megasim and the Markov solve use numpy; a server never does.
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.serve, repro.conformance; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+            env=_cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
 
 class TestServerExport:
     def test_close_publishes_a_final_record_that_ends_top(

@@ -125,6 +125,17 @@ class TestTransitionDeclaration:
                 "X", ready(Var("seq")), done(Var("seq")), inputs=("1bad",)
             )
 
+    @pytest.mark.parametrize("op", ["==", "!="])
+    def test_bool_guard_rejected(self, op):
+        # Var's == and != are structural, so these guards are plain bools.
+        spec, ready, done = minimal_machine()
+        n = Var("seq")
+        guard = (n == 5) if op == "==" else (n != 5)
+        assert isinstance(guard, bool)
+        with pytest.raises(MachineSpecError, match=r"'X'.*n\.eq\(5\) or n\.ne\(5\)"):
+            spec.transition("X", ready(n), done(n), guard=guard)
+        assert [t.name for t in spec.transitions] == ["GO"]
+
     def test_transitions_from_query(self):
         spec, ready, done = minimal_machine()
         assert [t.name for t in spec.transitions_from("Ready")] == ["GO"]
